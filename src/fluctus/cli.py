@@ -5,7 +5,7 @@ Subcommands
 correlator   closed-form correlator values, optionally near a plane wall
 xsection     zero-point and thermal light-scattering cross sections
 ratio        zero-point share of the Stokes Brillouin line
-verify       run the cross-validation suites (spectral, lattice, chain, all)
+verify       run the cross-validation suites (chain, spectral, lattice, all)
 materials    list built-ins or pretty-print a material
 
 Numeric options accept a single value or a sweep ``lo..hi:steps``
@@ -220,14 +220,11 @@ def _cmd_ratio(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suites = (["chain", "spectral", "lattice"] if args.suite == "all" else [args.suite])
-    runners = {"spectral": verify.verify_spectral,
-               "lattice": verify.verify_lattice,
-               "chain": verify.verify_chain}
+    suites = verify.SUITES if args.suite == "all" else (args.suite,)
     all_passed = True
     for suite in suites:
         print(f"suite: {suite}")
-        for check in runners[suite]():
+        for check in getattr(verify, "verify_" + suite)():
             status = "PASS" if check.passed else "FAIL"
             line = (f"  [{status}] {check.name}: tolerance={check.tolerance:.3e} "
                     f"achieved={check.achieved:.3e}")
@@ -264,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlator", help="vacuum density correlator")
     p.add_argument("--material", required=True, help="built-in name or material file")
     p.add_argument("--r", help="spatial distance in m (sweepable: lo..hi:steps[L])")
-    p.add_argument("--dt", default="0", help="time lag in s (default 0)")
+    p.add_argument("--dt", default="0", help="time lag in s (default 0); write "
+                   "a negative value in exponent notation as --dt=-1e-13")
     p.add_argument("--boundary", metavar="Z",
                    help="also report the variance shift at distance Z from a plane "
                         "wall (sweepable)")
@@ -297,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ratio)
 
     p = sub.add_parser("verify", help="run a cross-validation suite")
-    p.add_argument("suite", choices=("spectral", "lattice", "chain", "all"))
+    p.add_argument("suite", choices=verify.SUITES + ("all",))
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("materials", help="list or show materials")

@@ -21,8 +21,12 @@ electromagnetic counterpart near a reflecting plate for side-by-side
 display, the relativistic scalar-field analog obtained by swapping the
 sound and light speeds, and the linear-in-q zero-point structure factor.
 
-Values on the sound cone or at coincident points are errors, not
-infinities; regulated evaluation lives in ``fluctus.spectral``.
+The closed form and its refusals are written once, in the private
+``_kernel``; every correlator here, the planar wall shift (the image
+term at r = 2z), the rejected variant in ``fluctus.verify`` and
+``Separation.regime`` call it.  Values on the sound cone, at coincident
+points or outside the float range are errors, not infinities; regulated
+evaluation lives in ``fluctus.spectral``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 from .errors import (
     BoundaryContactError,
     CoincidenceDivergenceError,
+    FluctusError,
     SoundConeSingularityError,
 )
 from .medium import HBAR, FluidMedium
@@ -86,13 +91,16 @@ class Separation:
             raise ValueError("separation components must be finite")
 
     def regime(self, cs: float, tol: float = SOUND_CONE_TOLERANCE) -> Regime:
-        """Classify against the sound cone of a medium with sound speed cs."""
-        b = cs * abs(self.dt)
-        if self.r == 0.0 and b == 0.0:
+        """Classify against the sound cone of speed cs by the correlators' refusals."""
+        try:
+            _kernel(0.0, cs, self.r, self.dt, tol=tol)
+        except CoincidenceDivergenceError:
             return Regime.COINCIDENT
-        if abs(self.r - b) <= tol * max(self.r, b):
+        except SoundConeSingularityError:
             return Regime.ON_CONE
-        return Regime.SPACELIKE if self.r > b else Regime.TIMELIKE
+        except FluctusError:
+            pass  # off the cone; only the unused value left the float range
+        return Regime.SPACELIKE if self.r > cs * abs(self.dt) else Regime.TIMELIKE
 
 
 @dataclass(frozen=True)
@@ -108,29 +116,46 @@ class CorrelatorValue:
     inputs: dict
 
 
-def _require_off_cone(medium: FluidMedium, sep: Separation) -> Regime:
-    regime = sep.regime(medium.cs)
-    if regime is Regime.COINCIDENT:
-        raise CoincidenceDivergenceError(
-            "coincident points: the vacuum density variance diverges"
-        )
-    if regime is Regime.ON_CONE:
-        raise SoundConeSingularityError(
-            f"separation lies on the sound cone of '{medium.name}' "
-            f"(r = {sep.r!r} m, cs*|dt| = {medium.cs * abs(sep.dt)!r} m)"
-        )
-    return regime
+def _kernel(K: float, c: float, r: float, dt: float, k: float = 1.0,
+            tol: float = SOUND_CONE_TOLERANCE) -> float:
+    """-K (r^2 + 3 c^2 dt^2) / (r^2 - k c^2 dt^2)^3, evaluated scale-free as
+
+        -K / rho^4 * (a^2 + 3 beta^2) / (a^2 - k beta^2)^3
+
+    with rho = max(r, c|dt|), a = r / rho, beta = c|dt| / rho, so that no
+    power of r over- or underflows.  k = 1, or 3 for the rejected variant.
+    Raises CoincidenceDivergenceError at rho = 0, SoundConeSingularityError
+    when |r - c|dt|| <= tol * rho, FluctusError outside the float range.
+    """
+    b = c * abs(dt)
+    rho = max(r, b)
+    if abs(r - b) <= tol * rho:
+        if rho == 0.0:
+            raise CoincidenceDivergenceError(
+                "coincident points: the vacuum variance diverges")
+        # An infinite c|dt| falls through to the float-range refusal.
+        if rho < math.inf:
+            raise SoundConeSingularityError(
+                f"separation lies on the sound cone of speed {c!r} m/s "
+                f"(r = {r!r} m, c*|dt| = {b!r} m)")
+    a, beta = r / rho, b / rho
+    a2, b2 = a * a, beta * beta
+    d = a2 - k * b2
+    s = rho * rho
+    try:
+        value = -K / s / s * (a2 + 3.0 * b2) / (d * d * d)
+    except ZeroDivisionError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise FluctusError(
+            f"correlator outside the float range (r = {r!r} m, c*|dt| = {b!r} m)")
+    return value
 
 
-def _closed_form(medium: FluidMedium, r: float, dt: float) -> float:
-    # Single evaluation path shared by correlator and the equal-time
-    # limit so the two agree bit for bit at dt = 0.
-    b2 = (medium.cs * dt) ** 2
-    r2 = r * r
-    return (
-        -HBAR * medium.rho0 / (2.0 * math.pi**2 * medium.cs)
-        * (r2 + 3.0 * b2) / (r2 - b2) ** 3
-    )
+def _density(medium: FluidMedium, r: float, dt: float, k: float = 1.0) -> float:
+    # The density correlators' prefactor: hbar rho0 / (2 pi^2 cs).
+    return _kernel(HBAR * medium.rho0 / (2.0 * math.pi**2 * medium.cs),
+                   medium.cs, r, dt, k)
 
 
 def correlator(medium: FluidMedium, sep: Separation) -> CorrelatorValue:
@@ -145,9 +170,8 @@ def correlator(medium: FluidMedium, sep: Separation) -> CorrelatorValue:
     SoundConeSingularityError, CoincidenceDivergenceError
         On or at the apex of the sound cone.
     """
-    _require_off_cone(medium, sep)
     return CorrelatorValue(
-        value=_closed_form(medium, sep.r, sep.dt),
+        value=_density(medium, sep.r, sep.dt),
         formula="density-correlator",
         inputs={"material": medium.name, "r_m": sep.r, "dt_s": sep.dt},
     )
@@ -159,14 +183,10 @@ def equal_time_correlator(medium: FluidMedium, r: float) -> CorrelatorValue:
     Strictly negative, and identical (bit for bit) to
     ``correlator(medium, Separation(r, 0))``.
     """
-    if r == 0.0:
-        raise CoincidenceDivergenceError(
-            "coincident points: the vacuum density variance diverges"
-        )
-    if not r > 0.0:
+    if not r >= 0.0:
         raise ValueError(f"distance must be positive, got {r}")
     return CorrelatorValue(
-        value=_closed_form(medium, r, 0.0),
+        value=_density(medium, r, 0.0),
         formula="equal-time-correlator",
         inputs={"material": medium.name, "r_m": r},
     )
@@ -184,18 +204,11 @@ def scalar_field_analog(c_light: float, sep: Separation) -> float:
     Substituting c -> cs makes the ratio to ``correlator`` a single
     separation-independent constant, which is the analog-model map.
     """
-    if not c_light > 0.0:
-        raise ValueError(f"propagation speed must be positive, got {c_light}")
-    b = c_light * abs(sep.dt)
-    if sep.r == 0.0 and b == 0.0:
-        raise CoincidenceDivergenceError("coincident points: divergent")
-    if abs(sep.r - b) <= SOUND_CONE_TOLERANCE * max(sep.r, b):
-        raise SoundConeSingularityError(
-            f"separation lies on the cone of speed {c_light!r} m/s"
-        )
-    b2 = (c_light * sep.dt) ** 2
-    r2 = sep.r * sep.r
-    return -HBAR * c_light**3 / (2.0 * math.pi**2) * (r2 + 3.0 * b2) / (r2 - b2) ** 3
+    if not 0.0 < c_light < math.inf:
+        raise ValueError(f"propagation speed must be positive and finite, got {c_light}")
+    # c*c*c, not c**3: an overflow becomes inf, which the kernel refuses.
+    prefactor = HBAR * c_light * c_light * c_light / (2.0 * math.pi**2)
+    return _kernel(prefactor, c_light, sep.r, sep.dt)
 
 
 def boundary_shift_planar(medium: FluidMedium, z: float) -> CorrelatorValue:
@@ -204,27 +217,22 @@ def boundary_shift_planar(medium: FluidMedium, z: float) -> CorrelatorValue:
     An impenetrable wall forces the normal derivative of the density to
     vanish; renormalizing against the boundary-free vacuum leaves
 
-        <(delta rho)^2>_R = - hbar rho0 / (32 pi^2 cs z^4).
+        <(delta rho)^2>_R = - hbar rho0 / (32 pi^2 cs z^4),
 
-    The minus sign is a *reduction* of the fluctuations near the wall,
-    the acoustic counterpart of the shift in the mean squared
-    electromagnetic fields near a reflecting plate
-    (:func:`em_vacuum_shift_plate`).
+    the free equal-time correlator at the image distance 2z.  The minus
+    sign is a *reduction* of the fluctuations near the wall, the acoustic
+    counterpart of the shift in the mean squared electromagnetic fields
+    near a reflecting plate (:func:`em_vacuum_shift_plate`).
     """
     if z == 0.0:
         raise BoundaryContactError("z = 0: the renormalized variance diverges at the wall")
     if not z > 0.0:
         raise ValueError(f"distance to wall must be positive, got {z}")
-    value = -HBAR * medium.rho0 / (32.0 * math.pi**2 * medium.cs * z**4)
     return CorrelatorValue(
-        value=value,
+        value=_density(medium, 2.0 * z, 0.0),
         formula="planar-boundary-shift",
         inputs={"material": medium.name, "z_m": z},
     )
-
-
-def _image_distance(z1: float, z2: float, transverse: float) -> float:
-    return math.hypot(transverse, z1 + z2)
 
 
 def boundary_image_term(medium: FluidMedium, z1: float, z2: float,
@@ -240,10 +248,8 @@ def boundary_image_term(medium: FluidMedium, z1: float, z2: float,
     """
     if not (z1 > 0.0 and z2 > 0.0):
         raise ValueError("both points must be strictly inside the fluid (z1, z2 > 0)")
-    sep_image = Separation(_image_distance(z1, z2, transverse), dt)
-    _require_off_cone(medium, sep_image)
     return CorrelatorValue(
-        value=_closed_form(medium, sep_image.r, sep_image.dt),
+        value=_density(medium, math.hypot(transverse, z1 + z2), dt),
         formula="boundary-image-term",
         inputs={"material": medium.name, "z1_m": z1, "z2_m": z2,
                 "transverse_m": transverse, "dt_s": dt},
@@ -260,12 +266,8 @@ def boundary_correlator(medium: FluidMedium, z1: float, z2: float,
     Sending the transverse distance to infinity recovers the free
     correlator.
     """
-    if not (z1 > 0.0 and z2 > 0.0):
-        raise ValueError("both points must be strictly inside the fluid (z1, z2 > 0)")
-    sep_direct = Separation(math.hypot(transverse, z1 - z2), dt)
-    _require_off_cone(medium, sep_direct)
     image = boundary_image_term(medium, z1, z2, transverse, dt)
-    value = _closed_form(medium, sep_direct.r, sep_direct.dt) + image.value
+    value = _density(medium, math.hypot(transverse, z1 - z2), dt) + image.value
     return CorrelatorValue(
         value=value,
         formula="boundary-correlator",

@@ -8,15 +8,16 @@ anything else comes from a small ``key = value`` text file, see
 :func:`load_material`.
 
 The refractive index ``eta`` is the measured index at the probe
-frequency and the mean dielectric constant is pinned to ``epsilon0 =
-eta**2``.  The dimensionless product rho0 * (d eps / d rho)_S is stored
-directly (``drho``) because only the product ever enters an observable.
+frequency and the mean dielectric constant is derived from it,
+``epsilon0 = eta**2``.  The dimensionless product rho0 * (d eps / d rho)_S
+is stored directly (``drho``) because only the product ever enters an
+observable.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (
     MaterialFileError,
@@ -78,8 +79,6 @@ class FluidMedium:
         Speed of sound, m/s.
     eta : float
         Refractive index at the probe frequency (dimensionless, >= 1).
-    epsilon0 : float
-        Mean dielectric constant; pinned to eta**2.
     drho : float
         Dimensionless product rho0 * (d eps / d rho0) at constant entropy.
     cp : float or None
@@ -96,16 +95,20 @@ class FluidMedium:
     rho0: float
     cs: float
     eta: float
-    epsilon0: float
     drho: float
     cp: float | None = None
     deps_dt: float | None = None
     default_temperature: float = DEFAULT_TEMPERATURE
 
+    @property
+    def epsilon0(self) -> float:
+        """Mean dielectric constant, eta**2."""
+        return self.eta * self.eta
+
 
 def fluid_medium(name, rho0, cs, eta, drho, cp=None, deps_dt=None,
                  default_temperature=DEFAULT_TEMPERATURE) -> FluidMedium:
-    """Build a validated FluidMedium with epsilon0 = eta**2 enforced.
+    """Build a validated FluidMedium.
 
     Raises
     ------
@@ -117,7 +120,6 @@ def fluid_medium(name, rho0, cs, eta, drho, cp=None, deps_dt=None,
         rho0=float(rho0),
         cs=float(cs),
         eta=float(eta),
-        epsilon0=float(eta) * float(eta),
         drho=float(drho),
         cp=None if cp is None else float(cp),
         deps_dt=None if deps_dt is None else float(deps_dt),
@@ -142,14 +144,10 @@ def validate(medium: FluidMedium) -> list[str]:
         v.append("cS > 0")
     if not medium.eta >= 1:
         v.append("eta >= 1")
-    if not medium.epsilon0 >= 1:
-        v.append("epsilon0 >= 1")
     if not medium.default_temperature > 0:
         v.append("defaultT > 0")
     if not medium.cs < C_LIGHT:
         v.append("cS < c")
-    if abs(medium.epsilon0 - medium.eta * medium.eta) > 1e-12 * max(medium.epsilon0, 1.0):
-        v.append("epsilon0 = eta^2")
     if medium.cp is not None and not medium.cp > 0:
         v.append("cP > 0")
     return v
@@ -164,7 +162,6 @@ _WATER = FluidMedium(
     rho0=997.0,
     cs=1480.0,
     eta=1.4,
-    epsilon0=1.4 * 1.4,
     drho=0.79,
     default_temperature=DEFAULT_TEMPERATURE,
 )
@@ -306,8 +303,3 @@ def resolve_material(name_or_path: str) -> FluidMedium:
         f"({', '.join(builtin_names())}), not an existing file, and not "
         f"found under ${MATERIAL_PATH_ENV}"
     )
-
-
-def with_temperature(medium: FluidMedium, temperature: float) -> FluidMedium:
-    """Copy of ``medium`` with a different reference temperature."""
-    return replace(medium, default_temperature=float(temperature))

@@ -305,3 +305,19 @@ def test_bad_usage_never_tracebacks():
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--r", "1e100"],              # r^6 once overflowed
+    ["--r", "1e-300"],             # r^4 once underflowed to a division by zero
+    ["--r", "1e-9", "--dt=1e300"],
+])
+def test_extreme_separations_never_traceback(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fluctus.cli", "correlator", "--material", "water",
+         *argv, "--format", "json"],
+        capture_output=True, text=True)
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 0:
+        assert all(math.isfinite(rec["value"]) for rec in json.loads(proc.stdout))

@@ -18,6 +18,7 @@ from fluctus.correlator import (
 from fluctus.errors import (
     BoundaryContactError,
     CoincidenceDivergenceError,
+    FluctusError,
     SoundConeSingularityError,
 )
 from fluctus.medium import builtin_material
@@ -83,6 +84,10 @@ def test_on_cone_and_coincident_raise():
         correlator(WATER, Separation(0.0, 0.0))
     with pytest.raises(CoincidenceDivergenceError):
         equal_time_correlator(WATER, 0.0)
+    # cs*|dt| overflows to inf: refused as out of the float range, not on-cone
+    with pytest.raises(FluctusError) as exc:
+        correlator(WATER, Separation(1e-9, 1e306))
+    assert exc.type is FluctusError
 
 
 @given(
@@ -103,7 +108,7 @@ def test_sign_structure(r, ratio, timelike):
 @given(
     r=st.floats(1e-12, 1e-3),
     u=st.floats(0.0, 3.0).filter(lambda u: abs(u - 1.0) > 0.05),
-    lam=st.floats(1e-3, 1e3),
+    lam=st.floats(1e-60, 1e60),
 )
 def test_homogeneity_degree_minus_four(r, u, lam):
     dt = u * r / WATER.cs
@@ -137,6 +142,10 @@ def test_analog_homogeneity_and_sign():
     assert scalar_field_analog(c, Separation(0.0, 1e-15)) > 0
     with pytest.raises(SoundConeSingularityError):
         scalar_field_analog(c, Separation(3.0e-1, 1e-9))
+    with pytest.raises(ValueError):
+        scalar_field_analog(math.inf, Separation(1e-9, 0.0))
+    with pytest.raises(FluctusError):  # c^3 overflows the prefactor
+        scalar_field_analog(1e300, Separation(1e-9, 0.0))
 
 
 # --- boundary quantities ------------------------------------------------------

@@ -110,19 +110,13 @@ def test_scientific_notation_and_optional_keys():
 
 
 def test_validate_reports_violations_as_data():
-    bad = FluidMedium(name="x", rho0=-1.0, cs=1480.0, eta=0.5,
-                      epsilon0=2.5, drho=0.79)
+    bad = FluidMedium(name="x", rho0=-1.0, cs=1480.0, eta=0.5, drho=0.79)
     v = validate(bad)
     assert "rho0 > 0" in v
     assert "eta >= 1" in v
-    assert "epsilon0 >= 1" not in v  # 2.5 >= 1
-    assert "epsilon0 = eta^2" in v  # 0.5^2 != 2.5
 
 
 def test_epsilon0_pinned_to_eta_squared():
-    bad = FluidMedium(name="x", rho0=1.0, cs=1000.0, eta=1.4,
-                      epsilon0=2.5, drho=0.5)
-    assert "epsilon0 = eta^2" in validate(bad)
     good = fluid_medium("x", rho0=1.0, cs=1000.0, eta=1.4, drho=0.5)
     assert good.epsilon0 == 1.4 * 1.4
 
