@@ -26,7 +26,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .correlator import (
     em_vacuum_shift_plate,
 )
 from .errors import FluctusError
-from .medium import builtin_names, dumps_material, resolve_material, validate
+from .medium import builtin_names, dumps_material, resolve_material
 
 __all__ = ["main", "OutputRecord", "parse_range"]
 
@@ -51,16 +51,7 @@ class OutputRecord:
     value: float
     unit: str
     formula: str
-    provenance: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "inputs": self.inputs,
-            "value": self.value,
-            "unit": self.unit,
-            "formula": self.formula,
-            "provenance": self.provenance,
-        }
+    provenance: str = "closed-form"
 
 
 def parse_range(text: str) -> list[float]:
@@ -89,12 +80,14 @@ def _emit(records: list[OutputRecord], fmt: str, out=None) -> None:
     out = out or sys.stdout
     if not records:
         return
+    for r in records:
+        if not math.isfinite(r.value):
+            raise FluctusError(f"{r.formula} evaluated to {r.value}, not a finite number")
     if fmt == "json":
-        json.dump([r.to_json_dict() for r in records], out, indent=2)
-        out.write("\n")
+        out.write(json.dumps([asdict(r) for r in records], indent=2, allow_nan=False) + "\n")
         return
+    keys = sorted({k for r in records for k in r.inputs})
     if fmt == "csv":
-        keys = sorted({k for r in records for k in r.inputs})
         writer = csv.writer(out)
         writer.writerow(keys + ["value", "unit", "formula", "provenance"])
         for r in records:
@@ -102,7 +95,6 @@ def _emit(records: list[OutputRecord], fmt: str, out=None) -> None:
                             + [repr(float(r.value)), r.unit, r.formula, r.provenance])
         return
     # aligned human table
-    keys = sorted({k for r in records for k in r.inputs})
     header = keys + ["value", "unit", "formula"]
     rows = [[_cell(r.inputs.get(k, "")) for k in keys]
             + [f"{r.value:.6e}", r.unit, r.formula] for r in records]
@@ -122,33 +114,26 @@ def _cell(v) -> str:
 
 def _cmd_correlator(args) -> int:
     medium = resolve_material(args.material)
-    rs = parse_range(args.r) if args.r is not None else [None]
-    zs = parse_range(args.boundary) if args.boundary is not None else [None]
     if args.r is None and args.boundary is None:
         raise ValueError("give --r (bulk correlator) and/or --boundary (wall shift)")
+    rs = parse_range(args.r) if args.r is not None else []
+    zs = parse_range(args.boundary) if args.boundary is not None else []
     if len(rs) > 1 and len(zs) > 1:
         raise ValueError("only one of --r and --boundary may sweep at a time")
     dt = float(args.dt)
     records = []
     for r in rs:
-        if r is None:
-            continue
         value = correlator(medium, Separation(r, dt))
         records.append(OutputRecord(inputs=value.inputs, value=value.value,
-                                    unit="kg^2/m^6", formula=value.formula,
-                                    provenance="closed-form"))
+                                    unit="kg^2/m^6", formula=value.formula))
     for z in zs:
-        if z is None:
-            continue
         shift = boundary_shift_planar(medium, z)
         records.append(OutputRecord(inputs=shift.inputs, value=shift.value,
-                                    unit="kg^2/m^6", formula=shift.formula,
-                                    provenance="closed-form"))
+                                    unit="kg^2/m^6", formula=shift.formula))
         e2, b2 = em_vacuum_shift_plate(z)
         for tag, coeff in (("em-plate-shift-E2", e2), ("em-plate-shift-B2", b2)):
-            records.append(OutputRecord(
-                inputs={"z_m": z}, value=coeff, unit="hbar*c/z^4",
-                formula=tag, provenance="closed-form"))
+            records.append(OutputRecord(inputs={"z_m": z}, value=coeff,
+                                        unit="hbar*c/z^4", formula=tag))
     _emit(records, args.format)
     return 0
 
@@ -179,6 +164,8 @@ def _config_from_args(args, theta_rad: float) -> scattering.ScatteringConfig:
 
 
 def _cmd_xsection(args) -> int:
+    if not 0.0 < args.volume < math.inf:
+        raise ValueError(f"--volume must be positive and finite, got {args.volume}")
     medium = resolve_material(args.material)
     thetas_deg = parse_range(args.theta)
     records = []
@@ -193,11 +180,9 @@ def _cmd_xsection(args) -> int:
             "volume_m3": args.volume,
         }
         if args.kind.startswith("thermal"):
-            inputs["temperature_k"] = (cfg.temperature if cfg.temperature is not None
-                                       else medium.default_temperature)
-        records.append(OutputRecord(
-            inputs=inputs, value=xs.value * args.volume, unit="m^2/sr",
-            formula=xs.formula, provenance="closed-form"))
+            inputs["temperature_k"] = scattering._bath_temperature(medium, cfg)
+        records.append(OutputRecord(inputs=inputs, value=xs.value * args.volume,
+                                    unit="m^2/sr", formula=xs.formula))
     _emit(records, args.format)
     return 0
 
@@ -206,13 +191,11 @@ def _cmd_ratio(args) -> int:
     medium = resolve_material(args.material)
     cfg = _config_from_args(args, math.radians(float(args.theta)))
     value = scattering.ratio_zp_thermal(medium, cfg)
-    temperature = (cfg.temperature if cfg.temperature is not None
-                   else medium.default_temperature)
     record = OutputRecord(
         inputs={"material": medium.name, "omega_rad_s": cfg.omega,
-                "theta_deg": float(args.theta), "temperature_k": temperature},
-        value=value, unit="dimensionless", formula="zp-thermal-ratio",
-        provenance="closed-form")
+                "theta_deg": float(args.theta),
+                "temperature_k": scattering._bath_temperature(medium, cfg)},
+        value=value, unit="dimensionless", formula="zp-thermal-ratio")
     _emit([record], args.format)
     if args.format == "table":
         print(f"zero-point share of the Stokes line: {100.0 * value:.2f}%")
@@ -240,11 +223,7 @@ def _cmd_materials(args) -> int:
         for name in builtin_names():
             print(name)
         return 0
-    medium = resolve_material(args.name)
-    violations = validate(medium)
-    if violations:
-        raise FluctusError("; ".join(f"{v} violated" for v in violations))
-    print(dumps_material(medium), end="")
+    print(dumps_material(resolve_material(args.name)), end="")
     return 0
 
 
@@ -269,28 +248,26 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=_cmd_correlator)
 
-    p = sub.add_parser("xsection", help="light-scattering cross sections")
-    p.add_argument("--material", required=True)
-    p.add_argument("--lambda", dest="wavelength", type=float,
-                   help="vacuum wavelength in m")
-    p.add_argument("--omega", type=float, help="angular frequency in rad/s")
+    light = argparse.ArgumentParser(add_help=False)
+    light.add_argument("--material", required=True, help="built-in name or material file")
+    light.add_argument("--lambda", dest="wavelength", type=float,
+                       help="vacuum wavelength in m")
+    light.add_argument("--omega", type=float, help="angular frequency in rad/s")
+    light.add_argument("--temperature", type=float, help="bath temperature in K")
+
+    p = sub.add_parser("xsection", parents=[light], help="light-scattering cross sections")
     p.add_argument("--theta", required=True,
                    help="scattering angle in degrees (sweepable: lo..hi:steps[L])")
     p.add_argument("--pol", default="perpendicular",
                    choices=[pol.value for pol in scattering.Polarization])
     p.add_argument("--kind", default="zp", choices=sorted(_KINDS))
-    p.add_argument("--temperature", type=float, help="bath temperature in K")
     p.add_argument("--volume", type=float, default=1.0,
                    help="scattering volume multiplier in m^3 (default 1)")
     add_format(p)
     p.set_defaults(func=_cmd_xsection)
 
-    p = sub.add_parser("ratio", help="zero-point / thermal Brillouin ratio")
-    p.add_argument("--material", required=True)
-    p.add_argument("--lambda", dest="wavelength", type=float)
-    p.add_argument("--omega", type=float)
+    p = sub.add_parser("ratio", parents=[light], help="zero-point / thermal Brillouin ratio")
     p.add_argument("--theta", required=True, help="scattering angle in degrees")
-    p.add_argument("--temperature", type=float)
     add_format(p)
     p.set_defaults(func=_cmd_ratio)
 
@@ -314,7 +291,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FluctusError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (FluctusError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

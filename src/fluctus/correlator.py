@@ -90,10 +90,10 @@ class Separation:
         if not math.isfinite(self.r) or not math.isfinite(self.dt):
             raise ValueError("separation components must be finite")
 
-    def regime(self, cs: float, tol: float = SOUND_CONE_TOLERANCE) -> Regime:
+    def regime(self, cs: float) -> Regime:
         """Classify against the sound cone of speed cs by the correlators' refusals."""
         try:
-            _kernel(0.0, cs, self.r, self.dt, tol=tol)
+            _kernel(0.0, cs, self.r, self.dt)
         except CoincidenceDivergenceError:
             return Regime.COINCIDENT
         except SoundConeSingularityError:
@@ -116,20 +116,19 @@ class CorrelatorValue:
     inputs: dict
 
 
-def _kernel(K: float, c: float, r: float, dt: float, k: float = 1.0,
-            tol: float = SOUND_CONE_TOLERANCE) -> float:
+def _kernel(K: float, c: float, r: float, dt: float, k: float = 1.0) -> float:
     """-K (r^2 + 3 c^2 dt^2) / (r^2 - k c^2 dt^2)^3, evaluated scale-free as
 
         -K / rho^4 * (a^2 + 3 beta^2) / (a^2 - k beta^2)^3
 
     with rho = max(r, c|dt|), a = r / rho, beta = c|dt| / rho, so that no
     power of r over- or underflows.  k = 1, or 3 for the rejected variant.
-    Raises CoincidenceDivergenceError at rho = 0, SoundConeSingularityError
-    when |r - c|dt|| <= tol * rho, FluctusError outside the float range.
+    Raises CoincidenceDivergenceError at rho = 0, SoundConeSingularityError in
+    the SOUND_CONE_TOLERANCE band, FluctusError outside the float range.
     """
     b = c * abs(dt)
     rho = max(r, b)
-    if abs(r - b) <= tol * rho:
+    if abs(r - b) <= SOUND_CONE_TOLERANCE * rho:
         if rho == 0.0:
             raise CoincidenceDivergenceError(
                 "coincident points: the vacuum variance diverges")

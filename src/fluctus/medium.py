@@ -16,8 +16,9 @@ observable.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import (
     MaterialFileError,
@@ -138,6 +139,10 @@ def validate(medium: FluidMedium) -> list[str]:
     the invariant itself, e.g. ``"eta >= 1"``.
     """
     v = []
+    for f in fields(medium):
+        x = getattr(medium, f.name)
+        if isinstance(x, float) and not math.isfinite(x):
+            v.append(f"|{f.name}| < inf")
     if not medium.rho0 > 0:
         v.append("rho0 > 0")
     if not medium.cs > 0:
@@ -195,9 +200,19 @@ def builtin_material(name: str) -> FluidMedium:
 # UTF-8 text, one `key = value` per line, `#` starts a comment.  Unknown
 # keys are an error (typo protection).
 
-_REQUIRED_KEYS = ("name", "rho0_kg_m3", "cs_m_s", "refractive_index", "depsilon_drho")
-_OPTIONAL_KEYS = ("cp_j_kg_k", "depsilon_dt_per_k", "temperature_k")
-_STRING_KEYS = ("name",)
+#: (file key, FluidMedium field) in file order; the first
+#: _REQUIRED_COUNT keys are required.  The name is text, the rest numbers.
+_FILE_KEYS = (
+    ("name", "name"),
+    ("rho0_kg_m3", "rho0"),
+    ("cs_m_s", "cs"),
+    ("refractive_index", "eta"),
+    ("depsilon_drho", "drho"),
+    ("cp_j_kg_k", "cp"),
+    ("depsilon_dt_per_k", "deps_dt"),
+    ("temperature_k", "default_temperature"),
+)
+_REQUIRED_COUNT = 5
 
 
 def parse_material(text: str, source: str = "<string>") -> FluidMedium:
@@ -210,7 +225,8 @@ def parse_material(text: str, source: str = "<string>") -> FluidMedium:
     MaterialValidationError
         If the parsed material violates an invariant.
     """
-    pairs: dict[str, object] = {}
+    field_of = dict(_FILE_KEYS)
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -220,34 +236,25 @@ def parse_material(text: str, source: str = "<string>") -> FluidMedium:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _REQUIRED_KEYS and key not in _OPTIONAL_KEYS:
+        field = field_of.get(key)
+        if field is None:
             raise MaterialFileError(f"{source}:{lineno}: unknown key '{key}'")
-        if key in pairs:
+        if field in values:
             raise MaterialFileError(f"{source}:{lineno}: duplicate key '{key}'")
-        if key in _STRING_KEYS:
-            if not value:
-                raise MaterialFileError(f"{source}:{lineno}: empty value for '{key}'")
-            pairs[key] = value
-        else:
+        if field != "name":
             try:
-                pairs[key] = float(value)
+                value = float(value)
             except ValueError:
                 raise MaterialFileError(
                     f"{source}:{lineno}: value for '{key}' is not a number: {value!r}"
                 ) from None
-    for key in _REQUIRED_KEYS:
-        if key not in pairs:
+        elif not value:
+            raise MaterialFileError(f"{source}:{lineno}: empty value for '{key}'")
+        values[field] = value
+    for key, field in _FILE_KEYS[:_REQUIRED_COUNT]:
+        if field not in values:
             raise MaterialFileError(f"{source}: missing required key '{key}'")
-    return fluid_medium(
-        name=pairs["name"],
-        rho0=pairs["rho0_kg_m3"],
-        cs=pairs["cs_m_s"],
-        eta=pairs["refractive_index"],
-        drho=pairs["depsilon_drho"],
-        cp=pairs.get("cp_j_kg_k"),
-        deps_dt=pairs.get("depsilon_dt_per_k"),
-        default_temperature=pairs.get("temperature_k", DEFAULT_TEMPERATURE),
-    )
+    return fluid_medium(**values)
 
 
 def load_material(path) -> FluidMedium:
@@ -263,18 +270,11 @@ def dumps_material(medium: FluidMedium) -> str:
     Loading the result reproduces the medium exactly (round-trip identity
     on every present field).
     """
-    lines = [
-        f"name = {medium.name}",
-        f"rho0_kg_m3 = {medium.rho0!r}",
-        f"cs_m_s = {medium.cs!r}",
-        f"refractive_index = {medium.eta!r}",
-        f"depsilon_drho = {medium.drho!r}",
-    ]
-    if medium.cp is not None:
-        lines.append(f"cp_j_kg_k = {medium.cp!r}")
-    if medium.deps_dt is not None:
-        lines.append(f"depsilon_dt_per_k = {medium.deps_dt!r}")
-    lines.append(f"temperature_k = {medium.default_temperature!r}")
+    lines = []
+    for key, field in _FILE_KEYS:
+        value = getattr(medium, field)
+        if value is not None:
+            lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -73,7 +73,8 @@ class ScatteringConfig:
     ``omega`` is the vacuum-definition angular frequency (2 pi c over the
     vacuum wavelength), ``theta`` the scattering angle in radians in
     (0, pi], ``temperature`` the bath temperature for thermal quantities
-    (None defers to the medium's reference temperature).
+    (None defers to the medium's reference temperature).  ``omega`` and
+    ``temperature`` must be positive and finite.
     """
 
     omega: float
@@ -82,12 +83,14 @@ class ScatteringConfig:
     temperature: float | None = None
 
     def __post_init__(self):
-        if not self.omega > 0.0:
-            raise ValueError(f"angular frequency must be positive, got {self.omega}")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError(
+                f"angular frequency must be positive and finite, got {self.omega}")
         if not 0.0 < self.theta <= math.pi:
             raise ValueError(f"scattering angle must lie in (0, pi], got {self.theta}")
-        if self.temperature is not None and not self.temperature > 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if self.temperature is not None and not 0.0 < self.temperature < math.inf:
+            raise ValueError(
+                f"temperature must be positive and finite, got {self.temperature}")
 
 
 def omega_from_wavelength(wavelength: float) -> float:

@@ -175,6 +175,10 @@ def _panel_sums(r: float, b: float, epsilons: tuple[float, ...], width: float) -
     return out
 
 
+def _prefactor(medium: FluidMedium, r: float) -> float:
+    return HBAR * medium.rho0 / (4.0 * math.pi**2 * medium.cs * r)
+
+
 def _regulated_values(r: float, b: float, epsilons: tuple[float, ...],
                       quad_tol: float, max_refinements: int = 8) -> tuple[np.ndarray, float]:
     """Adaptively refined panel quadrature for a whole damping ladder.
@@ -217,8 +221,7 @@ def regulated_integrand_reduction(medium: FluidMedium, r: float, dt: float,
     if not eps > 0.0:
         raise ValueError(f"damping length must be positive, got {eps}")
     values, _ = _regulated_values(r, medium.cs * abs(dt), (eps,), quad_tol)
-    prefactor = HBAR * medium.rho0 / (4.0 * math.pi**2 * medium.cs * r)
-    return prefactor * float(values[0])
+    return _prefactor(medium, r) * float(values[0])
 
 
 def damped_closed_form(medium: FluidMedium, r: float, dt: float, eps: float) -> float:
@@ -226,7 +229,7 @@ def damped_closed_form(medium: FluidMedium, r: float, dt: float, eps: float) -> 
     s = eps + 1j * medium.cs * dt
     r2 = r * r
     integral = (2.0 * r * (3.0 * s * s - r2) / (s * s + r2) ** 3).real
-    return HBAR * medium.rho0 / (4.0 * math.pi**2 * medium.cs * r) * integral
+    return _prefactor(medium, r) * integral
 
 
 def _richardson(xs, ys, order: int) -> tuple[float, float]:
@@ -280,7 +283,7 @@ def extrapolated_correlator(medium: FluidMedium, r: float, dt: float,
 
     integrals, _ = _regulated_values(r, medium.cs * abs(dt), schedule.epsilons,
                                      schedule.quad_tol)
-    prefactor = HBAR * medium.rho0 / (4.0 * math.pi**2 * medium.cs * r)
+    prefactor = _prefactor(medium, r)
     xs = [e * e for e in schedule.epsilons]
     ys = [prefactor * float(v) for v in integrals]
     value, err = _richardson(xs, ys, schedule.extrap_order)

@@ -298,6 +298,41 @@ def test_console_entry_point_runs():
     assert rec["value"] == pytest.approx(0.0042345021887880737, rel=1e-12)
 
 
+NON_FINITE_MATERIAL = ("name = bad\nrho0_kg_m3 = 997\ncs_m_s = 1480\n"
+                       "refractive_index = inf\ndepsilon_drho = nan\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["materials", "show", "{bad}"],
+    ["ratio", "--material", "{bad}", "--lambda", "350e-9", "--theta", "180"],
+    ["xsection", "--material", "water", "--omega", "inf", "--theta", "90"],
+    ["xsection", "--material", "water", "--omega", "inf", "--theta", "90",
+     "--format", "json"],
+    ["ratio", "--material", "water", "--lambda", "350e-9", "--theta", "180",
+     "--temperature", "inf"],
+    ["xsection", "--material", "water", "--lambda", "350e-9", "--theta", "90",
+     "--kind", "thermal-brillouin", "--temperature", "inf"],
+    ["xsection", "--material", "water", "--lambda", "350e-9", "--theta", "90",
+     "--volume", "-1"],
+    ["xsection", "--material", "water", "--lambda", "350e-9", "--theta", "90",
+     "--volume", "inf"],
+    ["xsection", "--material", "water", "--omega", "1e100", "--theta", "90"],
+    ["xsection", "--material", "water", "--omega", "1e60", "--theta", "90",
+     "--volume", "1e300", "--format", "json"],
+    ["xsection", "--material", "water", "--omega", "1e60", "--theta", "90",
+     "--volume", "1e300", "--format", "csv"],
+    ["xsection", "--material", "water", "--omega", "1e60", "--theta", "90",
+     "--volume", "1e300"],
+])
+def test_non_finite_inputs_and_results_exit_2(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.mat"
+    bad.write_text(NON_FINITE_MATERIAL)
+    code, out, err = run_cli(capsys, *(a.replace("{bad}", str(bad)) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_bad_usage_never_tracebacks():
     proc = subprocess.run(
         [sys.executable, "-m", "fluctus.cli", "correlator", "--material",

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from fluctus.errors import (
+    MaterialError,
     MaterialFileError,
     MaterialValidationError,
     UnknownMaterialError,
@@ -114,6 +117,10 @@ def test_validate_reports_violations_as_data():
     v = validate(bad)
     assert "rho0 > 0" in v
     assert "eta >= 1" in v
+    unbounded = FluidMedium(name="x", rho0=997.0, cs=1480.0, eta=math.inf,
+                            drho=math.nan, cp=math.inf, deps_dt=-math.inf)
+    assert validate(unbounded) == ["|eta| < inf", "|drho| < inf", "|cp| < inf",
+                                   "|deps_dt| < inf"]
 
 
 def test_epsilon0_pinned_to_eta_squared():
@@ -135,6 +142,42 @@ def test_serialize_parse_round_trip(rho0, cs, eta, drho, cp, deps_dt, temperatur
                      cp=cp, deps_dt=deps_dt, default_temperature=temperature)
     again = parse_material(dumps_material(m))
     assert again == m
+
+
+def _float_or(valid):
+    # Mixing in a valid value lets most draws reach validation with only
+    # one or two keys off, non-finite ones included.
+    return st.floats() | st.just(valid)
+
+
+@given(st.fixed_dictionaries(
+    {"rho0_kg_m3": _float_or(997.0), "cs_m_s": _float_or(1480.0),
+     "refractive_index": _float_or(1.4), "depsilon_drho": _float_or(0.79)},
+    optional={"cp_j_kg_k": _float_or(4181.0), "depsilon_dt_per_k": _float_or(-1e-4),
+              "temperature_k": _float_or(295.0)}))
+def test_parsed_media_are_finite_or_refused(values):
+    text = "name = drawn\n" + "".join(f"{k} = {v!r}\n" for k, v in values.items())
+    try:
+        m = parse_material(text)
+    except MaterialError:
+        return
+    numbers = [m.rho0, m.cs, m.eta, m.drho, m.cp, m.deps_dt, m.default_temperature]
+    assert all(math.isfinite(x) for x in numbers if x is not None)
+
+
+def test_dumps_material_text_is_pinned():
+    m = fluid_medium("glycerol", rho0=1261, cs=1920, eta=1.47, drho=1.1,
+                     cp=2430, deps_dt=-2e-4, default_temperature=300)
+    assert dumps_material(m) == (
+        "name = glycerol\n"
+        "rho0_kg_m3 = 1261.0\n"
+        "cs_m_s = 1920.0\n"
+        "refractive_index = 1.47\n"
+        "depsilon_drho = 1.1\n"
+        "cp_j_kg_k = 2430.0\n"
+        "depsilon_dt_per_k = -0.0002\n"
+        "temperature_k = 300.0\n"
+    )
 
 
 def test_resolve_material_builtin_file_and_search_dir(tmp_path, monkeypatch):
