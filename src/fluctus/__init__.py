@@ -39,10 +39,8 @@ from .errors import (
 )
 from .lattice import ConvergenceStudy, ModeGrid, convergence_study, lattice_correlator
 from .medium import (
-    CONSTANTS,
     DEFAULT_TEMPERATURE,
     FluidMedium,
-    PhysicalConstants,
     builtin_material,
     builtin_names,
     dumps_material,

@@ -76,19 +76,18 @@ def parse_range(text: str) -> list[float]:
     return [float(x) for x in np.linspace(lo, hi, n)]
 
 
-def _emit(records: list[OutputRecord], fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def _emit(records: list[OutputRecord], fmt: str) -> None:
     if not records:
         return
     for r in records:
         if not math.isfinite(r.value):
             raise FluctusError(f"{r.formula} evaluated to {r.value}, not a finite number")
     if fmt == "json":
-        out.write(json.dumps([asdict(r) for r in records], indent=2, allow_nan=False) + "\n")
+        print(json.dumps([asdict(r) for r in records], indent=2, allow_nan=False))
         return
     keys = sorted({k for r in records for k in r.inputs})
     if fmt == "csv":
-        writer = csv.writer(out)
+        writer = csv.writer(sys.stdout)
         writer.writerow(keys + ["value", "unit", "formula", "provenance"])
         for r in records:
             writer.writerow([r.inputs.get(k, "") for k in keys]
@@ -99,9 +98,9 @@ def _emit(records: list[OutputRecord], fmt: str, out=None) -> None:
     rows = [[_cell(r.inputs.get(k, "")) for k in keys]
             + [f"{r.value:.6e}", r.unit, r.formula] for r in records]
     widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(header)]
-    out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
+    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
     for row in rows:
-        out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
 def _cell(v) -> str:
@@ -291,6 +290,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except OverflowError:  # its message is a raw (errno, text) tuple
+        print(f"error: {args.command}: result outside the float range", file=sys.stderr)
+        return 2
     except (FluctusError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

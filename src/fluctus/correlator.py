@@ -85,10 +85,10 @@ class Separation:
     dt: float = 0.0
 
     def __post_init__(self):
-        if not self.r >= 0.0:
-            raise ValueError(f"separation distance must be >= 0, got {self.r}")
-        if not math.isfinite(self.r) or not math.isfinite(self.dt):
-            raise ValueError("separation components must be finite")
+        if not 0.0 <= self.r < math.inf:
+            raise ValueError(f"separation distance r must be finite and >= 0, got {self.r}")
+        if not math.isfinite(self.dt):
+            raise ValueError(f"time lag dt must be finite, got {self.dt}")
 
     def regime(self, cs: float) -> Regime:
         """Classify against the sound cone of speed cs by the correlators' refusals."""

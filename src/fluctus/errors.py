@@ -59,7 +59,7 @@ class AliasingError(FluctusError):
 
 
 class IllPosedStudyError(FluctusError):
-    """Convergence-study geometry fails a <= r/4 or r <= L/8."""
+    """Convergence-study lattice spacing a = L/N exceeds r/4."""
 
 
 class MissingPropertyError(MaterialError):

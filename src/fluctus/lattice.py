@@ -57,8 +57,8 @@ class ModeGrid:
     N: int
 
     def __post_init__(self):
-        if not self.L > 0.0:
-            raise ValueError(f"box side must be positive, got {self.L}")
+        if not 0.0 < self.L < math.inf:
+            raise ValueError(f"box side L must be positive and finite, got {self.L}")
         if self.N < 8 or self.N % 2 != 0:
             raise ValueError(f"modes per axis must be even and >= 8, got {self.N}")
 
@@ -97,7 +97,10 @@ def lattice_correlator(medium: FluidMedium, grid: ModeGrid, dx, eps: float) -> f
     """
     if not eps > 0.0:
         raise ValueError(f"damping length must be positive, got {eps}")
-    dx = _wrap_to_box(np.asarray(dx, dtype=float).reshape(3), grid.L)
+    dx = np.asarray(dx, dtype=float).reshape(3)
+    if not np.isfinite(dx).all():
+        raise ValueError(f"displacement dx must be finite, got {dx}")
+    dx = _wrap_to_box(dx, grid.L)
     if float(np.linalg.norm(dx)) >= grid.L / 2.0:
         raise AliasingError(
             f"|dx| = {float(np.linalg.norm(dx)):.3e} m reaches L/2 = {grid.L / 2.0:.3e} m; "
@@ -145,39 +148,32 @@ class ConvergenceStudy:
         return all(a > b for a, b in zip(errs, errs[1:]))
 
 
-def convergence_study(medium: FluidMedium, r: float, eps_over_r: float = 0.125,
-                      ns=(64, 128, 256), box_side: float | None = None,
-                      direction=STUDY_DIRECTION) -> ConvergenceStudy:
+def convergence_study(medium: FluidMedium, r: float, ns=(64, 128, 256)) -> ConvergenceStudy:
     """Quantify the approach of the mode sum to the continuum integral.
 
-    The box defaults to the standard study geometry L = 16 r; the
-    displacement points along ``direction`` with length r and the
-    damping is eps_over_r * r on both sides of the comparison.
+    Runs the standard study geometry: box side L = 16 r, displacement of
+    length r along :data:`STUDY_DIRECTION`, and damping r/8 on both
+    sides of the comparison.
 
     Raises
     ------
     IllPosedStudyError
-        If any geometry fails a <= r/4 (with a = L/N) or r <= L/8.
+        If any N leaves the separation unresolved, a = L/N > r/4.
     """
-    if not r > 0.0:
-        raise ValueError(f"separation must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"separation r must be positive and finite, got {r}")
     ns = tuple(int(n) for n in ns)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("mode counts must be strictly increasing")
-    L = 16.0 * r if box_side is None else float(box_side)
-    if r > L / 8.0:
-        raise IllPosedStudyError(
-            f"r = {r:.3e} m exceeds L/8 = {L / 8.0:.3e} m: separation not small "
-            "against the box"
-        )
+    L = 16.0 * r
     for n in ns:
         if L / n > r / 4.0:
             raise IllPosedStudyError(
                 f"lattice spacing a = L/{n} = {L / n:.3e} m exceeds r/4 = {r / 4.0:.3e} m: "
                 "separation not resolved"
             )
-    eps = eps_over_r * r
-    d = np.asarray(direction, dtype=float)
+    eps = 0.125 * r
+    d = np.asarray(STUDY_DIRECTION)
     dx = r * d / np.linalg.norm(d)
     continuum = regulated_integrand_reduction(medium, r, 0.0, eps)
     rows = []

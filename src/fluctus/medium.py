@@ -27,8 +27,6 @@ from .errors import (
 )
 
 __all__ = [
-    "PhysicalConstants",
-    "CONSTANTS",
     "HBAR",
     "C_LIGHT",
     "K_B",
@@ -46,21 +44,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """SI values of the three constants used throughout the package."""
-
-    hbar: float  # reduced Planck constant, J s
-    c: float     # speed of light in vacuum, m/s
-    kB: float    # Boltzmann constant, J/K
-
-
-#: Single source of truth; every module imports from here.
-CONSTANTS = PhysicalConstants(hbar=1.054571817e-34, c=299792458.0, kB=1.380649e-23)
-
-HBAR = CONSTANTS.hbar
-C_LIGHT = CONSTANTS.c
-K_B = CONSTANTS.kB
+# SI values of the three constants used throughout the package; every
+# module imports them from here.
+HBAR = 1.054571817e-34  # reduced Planck constant, J s
+C_LIGHT = 299792458.0   # speed of light in vacuum, m/s
+K_B = 1.380649e-23      # Boltzmann constant, J/K
 
 #: "Room temperature" used when a material file or call gives no temperature.
 DEFAULT_TEMPERATURE = 295.0

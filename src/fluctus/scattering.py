@@ -113,8 +113,13 @@ class Kinematics:
     q: float
 
 
-def phonon_kinematics(medium: FluidMedium, cfg: ScatteringConfig,
-                      in_medium: bool = False) -> Kinematics:
+def _angular(theta: float) -> float:
+    # sqrt(2 (1 - cos theta)) written without the cancellation that
+    # zeroes it below theta ~ 1e-8.
+    return 2.0 * math.sin(0.5 * theta)
+
+
+def phonon_kinematics(medium: FluidMedium, cfg: ScatteringConfig) -> Kinematics:
     """Emitted-phonon frequency and scattered light frequency.
 
     Energy and momentum conservation with a phonon much slower than the
@@ -123,14 +128,8 @@ def phonon_kinematics(medium: FluidMedium, cfg: ScatteringConfig,
         Omega_q = sqrt(2 (1 - cos theta)) (cs / c) omega,
 
     always a tiny fraction of omega (at most 2 cs/c at backscatter).
-    With ``in_medium=True`` the momentum balance uses in-medium photon
-    wavevectors, multiplying Omega_q by the refractive index; default is
-    the bare form above.
     """
-    factor = math.sqrt(2.0 * (1.0 - math.cos(cfg.theta)))
-    omega_q = factor * (medium.cs / C_LIGHT) * cfg.omega
-    if in_medium:
-        omega_q *= medium.eta
+    omega_q = _angular(cfg.theta) * (medium.cs / C_LIGHT) * cfg.omega
     omega_prime = cfg.omega - omega_q
     # Re-derive the shift from the rounded difference so that
     # omega_prime + omega_q reproduces omega exactly in floating point.
@@ -249,8 +248,7 @@ def zp_cross_section_reduced(medium: FluidMedium, cfg: ScatteringConfig) -> Cros
     the neglected recoil is bounded by 4 Omega_q / omega.
     """
     pol = polarization_factor(cfg.theta, cfg.pol)
-    angular = math.sqrt(2.0 * (1.0 - math.cos(cfg.theta)))
-    value = (angular * HBAR * cfg.omega**5 * medium.eta**4
+    value = (_angular(cfg.theta) * HBAR * cfg.omega**5 * medium.eta**4
              / (32.0 * math.pi**2 * C_LIGHT**5 * medium.cs * medium.rho0)) * pol
     return CrossSectionValue(value=value, formula="zp-omega5", pol_factor=pol)
 
@@ -310,12 +308,11 @@ def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
     quotient, as does rho0 on its own: only the product drho enters.
     Grows linearly with frequency, falls as 1/T.
     """
-    if medium.drho == 0.0:
+    if medium.drho**2 == 0.0:  # also catches a drho whose square underflows
         raise ZeroDivisionError(
-            f"material '{medium.name}' has drho = 0; the thermal Brillouin "
-            "cross section vanishes and the ratio is undefined"
+            f"material '{medium.name}' has drho = {medium.drho!r}, whose square is 0; "
+            "the thermal Brillouin cross section vanishes and the ratio is undefined"
         )
     T = _bath_temperature(medium, cfg)
-    angular = math.sqrt(2.0 * (1.0 - math.cos(cfg.theta)))
-    return (angular * (HBAR * cfg.omega / (2.0 * K_B * T))
+    return (_angular(cfg.theta) * (HBAR * cfg.omega / (2.0 * K_B * T))
             * (medium.cs / C_LIGHT) * medium.eta**4 / medium.drho**2)

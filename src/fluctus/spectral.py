@@ -179,19 +179,30 @@ def _prefactor(medium: FluidMedium, r: float) -> float:
     return HBAR * medium.rho0 / (4.0 * math.pi**2 * medium.cs * r)
 
 
+def _separation(r: float, dt: float, eps: float | None = None) -> Separation:
+    """The point (r, dt) with r > 0, both finite, and a damping length
+    ``eps``, when one is given, positive and finite."""
+    sep = Separation(r, dt)
+    if sep.r == 0.0:
+        raise ValueError(f"distance r must be positive, got {r} (the reduced integrand is radial)")
+    if eps is not None and not 0.0 < eps < math.inf:
+        raise ValueError(f"damping length eps must be positive and finite, got {eps}")
+    return sep
+
+
 def _regulated_values(r: float, b: float, epsilons: tuple[float, ...],
-                      quad_tol: float, max_refinements: int = 8) -> tuple[np.ndarray, float]:
+                      quad_tol: float) -> tuple[np.ndarray, float]:
     """Adaptively refined panel quadrature for a whole damping ladder.
 
     The base panel width is the half-period of the fastest oscillation
     (zeros of sin(qr), subdivided further when the cos(q cs dt) factor
-    oscillates faster); panels are halved until two successive passes
-    agree to quad_tol on every ladder entry.
+    oscillates faster); panels are halved, at most eight times, until
+    two successive passes agree to quad_tol on every ladder entry.
     """
     width = math.pi / (r + b)
     prev = _panel_sums(r, b, epsilons, width)
     achieved = math.inf
-    for _ in range(max_refinements):
+    for _ in range(8):
         width *= 0.5
         cur = _panel_sums(r, b, epsilons, width)
         scale = np.maximum(np.abs(cur), 1e-300)
@@ -216,16 +227,14 @@ def regulated_integrand_reduction(medium: FluidMedium, r: float, dt: float,
     ConvergenceError
         If the panel budget is exhausted, carrying the achieved estimate.
     """
-    if not r > 0.0:
-        raise ValueError(f"distance must be positive, got {r}")
-    if not eps > 0.0:
-        raise ValueError(f"damping length must be positive, got {eps}")
+    _separation(r, dt, eps)
     values, _ = _regulated_values(r, medium.cs * abs(dt), (eps,), quad_tol)
     return _prefactor(medium, r) * float(values[0])
 
 
 def damped_closed_form(medium: FluidMedium, r: float, dt: float, eps: float) -> float:
     """Closed form of the damped integral; the quadrature's own oracle."""
+    _separation(r, dt, eps)
     s = eps + 1j * medium.cs * dt
     r2 = r * r
     integral = (2.0 * r * (3.0 * s * s - r2) / (s * s + r2) ** 3).real
@@ -268,11 +277,7 @@ def extrapolated_correlator(medium: FluidMedium, r: float, dt: float,
         If the relative error estimate exceeds 100x the schedule's
         quadrature tolerance.
     """
-    if not r > 0.0:
-        raise ValueError(
-            f"distance must be positive, got {r} (the reduced integrand is radial)"
-        )
-    sep = Separation(r, dt)
+    sep = _separation(r, dt)
     if sep.regime(medium.cs) is Regime.ON_CONE:
         raise SoundConeSingularityError(
             f"separation lies on the sound cone of '{medium.name}'"

@@ -92,9 +92,9 @@ def rejected_variant_correlator(medium: FluidMedium, r: float, dt: float) -> flo
     return _density(medium, r, dt, 3.0)
 
 
-def verify_spectral(medium: FluidMedium | None = None) -> list[CheckResult]:
-    """Closed form vs regulated spectral quadrature on the standard grid."""
-    medium = medium or builtin_material("water")
+def verify_spectral() -> list[CheckResult]:
+    """Closed form vs regulated spectral quadrature on the standard grid (water)."""
+    medium = builtin_material("water")
     grid = standard_separation_grid()
 
     # Quadrature self-check against the damped closed form.
@@ -126,10 +126,9 @@ def verify_spectral(medium: FluidMedium | None = None) -> list[CheckResult]:
     return results
 
 
-def verify_lattice(medium: FluidMedium | None = None) -> list[CheckResult]:
-    """Mode-sum convergence on the standard study geometry."""
-    medium = medium or builtin_material("water")
-    study = lattice.convergence_study(medium, r=16e-9)
+def verify_lattice() -> list[CheckResult]:
+    """Mode-sum convergence on the standard study geometry (water, r = 16 nm)."""
+    study = lattice.convergence_study(builtin_material("water"), r=16e-9)
     errs = [e for _, e in study.rows]
     largest_increase = max((b - a for a, b in zip(errs, errs[1:])), default=0.0)
     results = [CheckResult(
@@ -170,9 +169,9 @@ def _random_media_and_configs(n: int, seed: int = 20260809):
     return out
 
 
-def verify_chain(n: int = 100) -> list[CheckResult]:
-    """Golden-rule assembly identities over randomized inputs."""
-    cases = _random_media_and_configs(n)
+def verify_chain() -> list[CheckResult]:
+    """Golden-rule assembly identities over 100 seeded random inputs."""
+    cases = _random_media_and_configs(100)
 
     worst_chain = 0.0
     worst_volume = 0.0
@@ -200,7 +199,7 @@ def verify_chain(n: int = 100) -> list[CheckResult]:
 
     return [
         CheckResult(
-            name=f"golden-rule chain equals closed form ({n} random configs)",
+            name=f"golden-rule chain equals closed form ({len(cases)} random configs)",
             tolerance=1e-12, achieved=worst_chain, passed=worst_chain <= 1e-12),
         CheckResult(
             name="chain independent of quantization volume (V = 1e-6 vs 1 m^3)",

@@ -67,7 +67,7 @@ def test_criterion_1_water_benchmark(capsys):
 
 def test_criterion_2_denominator_resolution(capsys):
     start = time.perf_counter()
-    checks = verify_spectral(WATER)
+    checks = verify_spectral()
     elapsed = time.perf_counter() - start
     agreement = next(c for c in checks if "40-point" in c.name)
     discrimination = next(c for c in checks if "rejected" in c.name)
@@ -196,7 +196,7 @@ def test_criterion_7_scaling_laws(capsys):
 
 def test_criterion_8_lattice_convergence(capsys):
     start = time.perf_counter()
-    checks = verify_lattice(WATER)
+    checks = verify_lattice()
     elapsed = time.perf_counter() - start
     monotone = next(c for c in checks if "monotonically" in c.name)
     slope = next(c for c in checks if "exponent" in c.name)

@@ -1,11 +1,16 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fluctus.cli import main, parse_range
 from fluctus.medium import builtin_material
@@ -356,3 +361,77 @@ def test_extreme_separations_never_traceback(argv):
     assert "Traceback" not in proc.stderr
     if proc.returncode == 0:
         assert all(math.isfinite(rec["value"]) for rec in json.loads(proc.stdout))
+
+
+def _numbers(draw, defaults):
+    """``defaults`` with one or two values drawn from st.floats() instead,
+    which brings nan, +-inf and extremes to an otherwise valid call."""
+    wild = draw(st.sets(st.sampled_from(sorted(defaults)), min_size=1, max_size=2))
+    return {k: draw(st.floats()) if k in wild else v for k, v in defaults.items()}
+
+
+_MATERIAL = {"rho0_kg_m3": 997.0, "cs_m_s": 1480.0, "refractive_index": 1.4,
+             "depsilon_drho": 0.79, "cp_j_kg_k": 4181.0, "depsilon_dt_per_k": -1e-4,
+             "temperature_k": 295.0}
+_FORMAT = st.sampled_from(["table", "csv", "json"])
+
+
+@st.composite
+def _argv(draw):
+    """(argv, material-file text); "{file}" in argv names that file."""
+    material = "name = drawn\n" + "".join(
+        f"{k} = {v!r}\n" for k, v in _numbers(draw, _MATERIAL).items())
+    command = draw(st.sampled_from(["correlator", "xsection", "ratio", "materials"]))
+    if command == "materials":
+        return ["materials", "show", "{file}"], material
+    argv = [command, "--material", draw(st.sampled_from(["water", "{file}"]))]
+    if command == "correlator":
+        n = _numbers(draw, {"r": 1e-9, "dt": 0.0, "boundary": 1e-9})
+        argv += [f"--r={n['r']!r}", f"--dt={n['dt']!r}"]
+        if draw(st.booleans()):
+            argv.append(f"--boundary={n['boundary']!r}")
+    else:
+        light = draw(st.sampled_from([("lambda", 350e-9), ("omega", 5.4e15)]))
+        n = _numbers(draw, {light[0]: light[1], "theta": 90.0, "temperature": 295.0,
+                            "volume": 1.0})
+        argv += [f"--{light[0]}={n[light[0]]!r}", f"--theta={n['theta']!r}"]
+        if draw(st.booleans()):
+            argv.append(f"--temperature={n['temperature']!r}")
+        if command == "xsection":
+            argv += ["--kind", draw(st.sampled_from(["zp", "zp-exact", "thermal-brillouin",
+                                                     "thermal-total"])),
+                     f"--volume={n['volume']!r}"]
+    return argv + ["--format", draw(_FORMAT)], material
+
+
+def _finite_json(node) -> bool:
+    if isinstance(node, float):
+        return math.isfinite(node)
+    if isinstance(node, dict):
+        return all(_finite_json(v) for v in node.values())
+    if isinstance(node, list):
+        return all(_finite_json(v) for v in node)
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_argv())
+def test_drawn_argv_exits_cleanly_with_finite_output(case):
+    # In process; ``verify`` is left out (seconds per call, and no inputs).
+    argv, material = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.mat")
+        with open(path, "w") as fh:
+            fh.write(material)
+        argv = [a.replace("{file}", path) for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusals
+                code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert not re.search(r"\(\d+, '", err.getvalue()), err.getvalue()
+    if code == 0 and argv[-2:] == ["--format", "json"]:
+        assert _finite_json(json.loads(out.getvalue())), out.getvalue()

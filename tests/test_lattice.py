@@ -169,8 +169,6 @@ def test_convergence_study_monotone_with_frozen_slope():
 
 def test_convergence_study_rejects_degenerate_geometry():
     with pytest.raises(IllPosedStudyError):
-        convergence_study(WATER, r=16e-9, ns=(8,), box_side=4 * 16e-9)
-    with pytest.raises(IllPosedStudyError):
         convergence_study(WATER, r=16e-9, ns=(8, 16))  # a = 2r at N = 8
     with pytest.raises(ValueError):
         convergence_study(WATER, r=16e-9, ns=(128, 64))

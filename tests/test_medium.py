@@ -10,9 +10,10 @@ from fluctus.errors import (
     UnknownMaterialError,
 )
 from fluctus.medium import (
-    CONSTANTS,
     C_LIGHT,
     DEFAULT_TEMPERATURE,
+    HBAR,
+    K_B,
     FluidMedium,
     builtin_material,
     builtin_names,
@@ -35,9 +36,9 @@ depsilon_drho = 0.79
 
 
 def test_constants_are_the_expected_si_values():
-    assert CONSTANTS.hbar == 1.054571817e-34
-    assert CONSTANTS.c == 299792458.0
-    assert CONSTANTS.kB == 1.380649e-23
+    assert HBAR == 1.054571817e-34
+    assert C_LIGHT == 299792458.0
+    assert K_B == 1.380649e-23
 
 
 def test_builtin_water_matches_handbook_values():

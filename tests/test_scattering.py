@@ -96,13 +96,6 @@ def test_phonon_frequency_small_and_bounded_by_backscatter(medium, cfg):
     assert 0.0 <= kin.omega_q / cfg.omega <= 2.0 * medium.cs / C_LIGHT * (1 + 1e-9)
 
 
-def test_in_medium_flag_multiplies_by_eta():
-    cfg = benchmark_config()
-    bare = phonon_kinematics(WATER, cfg)
-    dressed = phonon_kinematics(WATER, cfg, in_medium=True)
-    assert dressed.omega_q == pytest.approx(bare.omega_q * WATER.eta, rel=1e-9)
-
-
 # --- polarization ----------------------------------------------------------------
 
 def test_polarization_factors():
@@ -172,8 +165,10 @@ def test_reduced_frozen_value_and_forward_limit():
     cfg = benchmark_config()
     assert zp_cross_section_reduced(WATER, cfg).value == \
         pytest.approx(ZP_REDUCED_BENCHMARK, rel=1e-12)
+    # forward limit: linear in theta (angular factor 2 sin(theta/2) ~ theta
+    # against 2 at backscatter), not the 0 that 1 - cos(theta) cancels to
     tiny = zp_cross_section_reduced(WATER, benchmark_config(theta=1e-12)).value
-    assert tiny < 1e-15 * ZP_REDUCED_BENCHMARK
+    assert tiny == pytest.approx(0.5e-12 * ZP_REDUCED_BENCHMARK, rel=1e-12)
 
 
 def test_reduced_within_recoil_bound_of_exact():
@@ -303,10 +298,27 @@ def test_ratio_is_independent_of_rho0_at_fixed_drho():
     assert ratio_zp_thermal(heavy, cfg) == ratio_zp_thermal(WATER, cfg)
 
 
+def test_small_angle_forms_stay_linear_in_theta():
+    # sqrt(2 (1 - cos theta)) ~ theta (1 - theta^2/24); the curvature is
+    # below 5e-14 here, so value/theta must be flat to 1e-12 and nowhere 0
+    thetas = (1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
+    cfgs = [benchmark_config(theta=t) for t in thetas]
+    xs = [zp_cross_section_reduced(WATER, c).value / t for c, t in zip(cfgs, thetas)]
+    ratios = [ratio_zp_thermal(WATER, c) / t for c, t in zip(cfgs, thetas)]
+    assert xs[0] > 0.0 and ratios[0] > 0.0
+    assert xs == pytest.approx([xs[0]] * len(thetas), rel=1e-12)
+    assert ratios == pytest.approx([ratios[0]] * len(thetas), rel=1e-12)
+    for c in cfgs:
+        assert zp_cross_section_exact(WATER, c).value > 0.0
+        assert zp_cross_section_chain(WATER, c).value > 0.0
+
+
 def test_ratio_rejects_vanishing_drho():
-    flat = fluid_medium("flat", rho0=997.0, cs=1480.0, eta=1.4, drho=0.0)
-    with pytest.raises(ZeroDivisionError):
-        ratio_zp_thermal(flat, benchmark_config())
+    # 1e-200 is nonzero but its square underflows to 0
+    for drho in (0.0, 1e-200):
+        flat = fluid_medium("flat", rho0=997.0, cs=1480.0, eta=1.4, drho=drho)
+        with pytest.raises(ZeroDivisionError, match="ratio is undefined"):
+            ratio_zp_thermal(flat, benchmark_config())
 
 
 # --- config validation -------------------------------------------------------------------

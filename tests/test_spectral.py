@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from fluctus.correlator import Separation, correlator
 from fluctus.errors import SoundConeSingularityError
+from fluctus.lattice import ModeGrid, convergence_study, lattice_correlator
 from fluctus.medium import builtin_material
 from fluctus.spectral import (
     RegulatorSchedule,
@@ -89,6 +92,25 @@ def test_quadrature_rejects_bad_arguments():
         regulated_integrand_reduction(WATER, 0.0, 0.0, 1e-10)
     with pytest.raises(ValueError):
         regulated_integrand_reduction(WATER, 1e-9, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("call, argument", [
+    (lambda: regulated_integrand_reduction(WATER, 1e-9, math.inf, 1e-11), "dt"),
+    (lambda: regulated_integrand_reduction(WATER, 1e-9, math.nan, 1e-11), "dt"),
+    (lambda: regulated_integrand_reduction(WATER, math.inf, 0.0, 1e-11), "r"),
+    (lambda: regulated_integrand_reduction(WATER, 1e-9, 0.0, math.inf), "eps"),
+    (lambda: damped_closed_form(WATER, 1e-9, math.nan, 1e-11), "dt"),
+    (lambda: lattice_correlator(WATER, ModeGrid(L=16e-9, N=8), (math.nan, 0.0, 0.0), 1e-10),
+     "dx"),
+    (lambda: ModeGrid(L=math.inf, N=8), "L"),
+    (lambda: convergence_study(WATER, r=math.inf), "r"),
+], ids=["reduction-dt-inf", "reduction-dt-nan", "reduction-r-inf", "reduction-eps-inf",
+        "damped-dt-nan", "lattice-dx-nan", "grid-L-inf", "study-r-inf"])
+def test_oracle_inputs_refused_by_name(call, argument):
+    # each oracle refuses a non-finite input with a ValueError naming it,
+    # never a ZeroDivisionError or a nan result
+    with pytest.raises(ValueError, match=f" {argument} "):
+        call()
 
 
 def test_unreachable_tolerance_raises_with_achieved_estimate():
