@@ -11,7 +11,6 @@ Run:  python demos/spectral_crosscheck.py
 """
 
 from fluctus import (
-    RegulatorSchedule,
     Separation,
     builtin_material,
     correlator,
@@ -28,17 +27,20 @@ dt = 0.5 * r / water.cs   # spacelike, u = 0.5
 print(f"separation: r = {r * 1e9:.1f} nm, cs*dt/r = 0.5 (spacelike)\n")
 
 # --- the damping ladder ---------------------------------------------------------
-print("damped integral vs its own closed form (the quadrature self-test):")
-print(f"{'eps/r':>8}  {'quadrature':>16}  {'damped closed form':>18}  {'rel dev':>9}")
-epsilons = tuple(r / 16 / 2**k for k in range(4))
+# The oracle's one standard: four damping lengths halving from a sixteenth
+# of the distance scale min(r, |r - cs dt|), which contracts near the cone.
+scale = min(r, abs(r - water.cs * dt))
+epsilons = tuple(scale / 16 / 2**k for k in range(4))
+print("damped integral vs its own closed form on the standard ladder")
+print("(the quadrature self-test):")
+print(f"{'eps/r':>9}  {'quadrature':>16}  {'damped closed form':>18}  {'rel dev':>9}")
 for eps in epsilons:
     num = regulated_integrand_reduction(water, r, dt, eps)
     ref = damped_closed_form(water, r, dt, eps)
-    print(f"{eps / r:8.5f}  {num:16.9e}  {ref:18.9e}  {abs(num - ref) / abs(ref):9.2e}")
+    print(f"{eps / r:9.7f}  {num:16.9e}  {ref:18.9e}  {abs(num - ref) / abs(ref):9.2e}")
 
 # --- removing the regulator ------------------------------------------------------
-schedule = RegulatorSchedule(epsilons=epsilons)
-estimate = extrapolated_correlator(water, r, dt, schedule)
+estimate = extrapolated_correlator(water, r, dt)
 closed = correlator(water, Separation(r, dt)).value
 print(f"\nextrapolated to eps = 0: {estimate.value:.9e}"
       f"  (error estimate {estimate.error_estimate:.2e})")

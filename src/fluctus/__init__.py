@@ -70,10 +70,8 @@ from .scattering import (
     zp_cross_section_reduced,
 )
 from .spectral import (
-    RegulatorSchedule,
     SpectralEstimate,
     damped_closed_form,
-    default_schedule,
     extrapolated_correlator,
     regulated_integrand_reduction,
 )

@@ -290,9 +290,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OverflowError:  # its message is a raw (errno, text) tuple
-        print(f"error: {args.command}: result outside the float range", file=sys.stderr)
-        return 2
     except (FluctusError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,10 +30,11 @@ frequency-downshifted (Stokes) side of the Brillouin doublet.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
-from .errors import MissingPropertyError
+from .errors import FluctusError, MissingPropertyError
 from .medium import C_LIGHT, HBAR, K_B, FluidMedium
 
 __all__ = [
@@ -117,6 +118,25 @@ def _angular(theta: float) -> float:
     # sqrt(2 (1 - cos theta)) written without the cancellation that
     # zeroes it below theta ~ 1e-8.
     return 2.0 * math.sin(0.5 * theta)
+
+
+def _finite(formula):
+    """Wrap a public formula ``formula(medium, cfg, ...)`` so that it returns a
+    finite value or raises a FluctusError naming it, the medium and omega,
+    also where the arithmetic inside raises OverflowError."""
+    @functools.wraps(formula)
+    def checked(medium: FluidMedium, cfg: ScatteringConfig, *args, **kwargs):
+        try:
+            result = formula(medium, cfg, *args, **kwargs)
+            value = getattr(result, "value", result)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise FluctusError(
+                f"{formula.__name__} for '{medium.name}' at omega = {cfg.omega:.6g} rad/s "
+                "has no finite floating-point value")
+        return result
+    return checked
 
 
 def phonon_kinematics(medium: FluidMedium, cfg: ScatteringConfig) -> Kinematics:
@@ -204,6 +224,7 @@ def incident_flux(epsilon0: float, volume: float) -> float:
     return C_LIGHT / (volume * math.sqrt(epsilon0))
 
 
+@_finite
 def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
                            volume: float = 1.0) -> CrossSectionValue:
     """Zero-point cross section assembled from the golden-rule chain.
@@ -224,6 +245,7 @@ def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
     return CrossSectionValue(value=value, formula="zp-golden-rule-chain", pol_factor=pol)
 
 
+@_finite
 def zp_cross_section_exact(medium: FluidMedium, cfg: ScatteringConfig) -> CrossSectionValue:
     """Closed-form zero-point cross section with exact kinematics.
 
@@ -238,6 +260,7 @@ def zp_cross_section_exact(medium: FluidMedium, cfg: ScatteringConfig) -> CrossS
     return CrossSectionValue(value=value, formula="zp-exact", pol_factor=pol)
 
 
+@_finite
 def zp_cross_section_reduced(medium: FluidMedium, cfg: ScatteringConfig) -> CrossSectionValue:
     """Zero-point cross section in the fifth-power-of-frequency form.
 
@@ -262,6 +285,7 @@ def _bath_temperature(medium: FluidMedium, cfg: ScatteringConfig) -> float:
     return cfg.temperature if cfg.temperature is not None else medium.default_temperature
 
 
+@_finite
 def thermal_brillouin_cross_section(medium: FluidMedium,
                                     cfg: ScatteringConfig) -> CrossSectionValue:
     """Thermal Brillouin cross section per unit scattering volume.
@@ -276,6 +300,7 @@ def thermal_brillouin_cross_section(medium: FluidMedium,
     return CrossSectionValue(value=value, formula="thermal-brillouin", pol_factor=pol)
 
 
+@_finite
 def thermal_total_cross_section(medium: FluidMedium,
                                 cfg: ScatteringConfig) -> CrossSectionValue:
     """Brillouin plus Rayleigh thermal cross section per unit volume.
@@ -300,6 +325,7 @@ def thermal_total_cross_section(medium: FluidMedium,
     return CrossSectionValue(value=value, formula="thermal-total", pol_factor=pol)
 
 
+@_finite
 def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
     """Zero-point share of the Stokes Brillouin line (dimensionless).
 

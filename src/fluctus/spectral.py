@@ -39,8 +39,6 @@ from .errors import ConvergenceError, SoundConeSingularityError
 from .medium import HBAR, FluidMedium
 
 __all__ = [
-    "RegulatorSchedule",
-    "default_schedule",
     "regulated_integrand_reduction",
     "damped_closed_form",
     "extrapolated_correlator",
@@ -54,62 +52,19 @@ _DAMPING_FLOOR = 1e-14
 #: Gauss-Legendre rule applied per oscillation panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
+#: The regulator standard.  The damping ladder has _LADDER_RUNGS lengths
+#: halving from scale/_LADDER_START (see :func:`_ladder`); every rung is
+#: integrated to relative tolerance _QUAD_TOL, and the eps^2 extrapolation
+#: runs through all rungs.  Read at call time.
+_LADDER_START = 16.0
+_LADDER_RUNGS = 4
+_QUAD_TOL = 1e-9
+_EXTRAP_ORDER = _LADDER_RUNGS - 1
 
-@dataclass(frozen=True)
-class RegulatorSchedule:
-    """Damping lengths and extrapolation settings for regulator removal.
-
-    Attributes
-    ----------
-    epsilons : tuple of float
-        Strictly decreasing damping lengths (m); at least 3 entries.
-    quad_tol : float
-        Relative quadrature tolerance per damping length, in (0, 1e-6].
-    extrap_order : int
-        Polynomial order of the eps^2 extrapolation; at least 1 and
-        strictly smaller than the number of damping lengths.
-    """
-
-    epsilons: tuple[float, ...]
-    quad_tol: float = 1e-9
-    extrap_order: int = 3
-
-    def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
-        object.__setattr__(self, "epsilons", eps)
-        if len(eps) < 3:
-            raise ValueError(f"schedule needs at least 3 damping lengths, got {len(eps)}")
-        if any(not e > 0.0 for e in eps):
-            raise ValueError("all damping lengths must be positive")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("damping lengths must be strictly decreasing")
-        if not 0.0 < self.quad_tol <= 1e-6:
-            raise ValueError(f"quad_tol must lie in (0, 1e-6], got {self.quad_tol}")
-        if not 1 <= self.extrap_order < len(eps):
-            raise ValueError(
-                f"extrap_order must satisfy 1 <= order < {len(eps)}, got {self.extrap_order}"
-            )
-
-    def check_against_distance(self, r: float) -> None:
-        """Every damping length must be at least 10x smaller than r."""
-        if max(self.epsilons) > r / 10.0:
-            raise ValueError(
-                f"largest damping length {max(self.epsilons):.3e} m exceeds r/10 = {r / 10.0:.3e} m"
-            )
-
-
-def default_schedule(medium: FluidMedium, r: float, dt: float = 0.0) -> RegulatorSchedule:
-    """Halving ladder of four damping lengths starting at scale/16.
-
-    The scale is r away from the sound cone and shrinks with the cone
-    distance |r - cs|dt|| near it, keeping the eps^2 extrapolation
-    accurate where the correlator steepens.
-    """
-    scale = min(r, abs(r - medium.cs * abs(dt)))
-    if not scale > 0.0:
-        raise SoundConeSingularityError("separation lies on the sound cone")
-    eps0 = scale / 16.0
-    return RegulatorSchedule(epsilons=(eps0, eps0 / 2.0, eps0 / 4.0, eps0 / 8.0))
+#: Refinement budget of the panel quadrature: at most this many panel
+#: halvings, and at most this many points evaluated in one pass.
+_MAX_HALVINGS = 8
+_MAX_POINTS = 2**24
 
 
 @dataclass(frozen=True)
@@ -118,6 +73,18 @@ class SpectralEstimate:
 
     value: float
     error_estimate: float
+
+
+def _ladder(medium: FluidMedium, r: float, dt: float) -> tuple[float, ...]:
+    """_LADDER_RUNGS damping lengths halving from scale/_LADDER_START, where
+    scale = min(r, |r - cs|dt||).
+
+    The scale is r away from the sound cone and shrinks with the cone
+    distance near it, keeping the eps^2 extrapolation accurate where the
+    correlator steepens.
+    """
+    eps0 = float(min(r, abs(r - medium.cs * abs(dt)))) / _LADDER_START
+    return tuple(eps0 / 2.0**k for k in range(_LADDER_RUNGS))
 
 
 def _truncation_wavenumber(eps: float) -> float:
@@ -130,48 +97,30 @@ def _truncation_wavenumber(eps: float) -> float:
     return x / eps
 
 
-def _power_of_two_ratio(eps: float, eps_min: float) -> int | None:
-    ratio = eps / eps_min
-    rounded = round(ratio)
-    if rounded >= 1 and rounded & (rounded - 1) == 0 and rounded <= 64 \
-            and ratio == float(rounded):
-        return rounded
-    return None
+def _panel_sums(r: float, b: float, epsilons: tuple[float, ...], width: float,
+                panels: int) -> np.ndarray:
+    """Quadrature of q^2 sin(qr) cos(qb) e^{-eps q} for a halving ladder.
 
-
-def _panel_sums(r: float, b: float, epsilons: tuple[float, ...], width: float) -> np.ndarray:
-    """Quadrature of q^2 sin(qr) cos(qb) e^{-eps q} for every eps at once.
-
-    Panels of the given width cover [0, qmax] for the smallest damping
-    length; the oscillatory factor is evaluated once and shared, only
-    the damping differs between ladder entries.  Damping lengths that
-    are exact binary multiples of the smallest one (the default halving
-    ladder) reuse its exponential by repeated squaring.  Single-threaded
+    ``panels`` panels of the given width cover the domain of the smallest
+    damping length, the last one.  The oscillatory factor is evaluated
+    once and shared; the damping exp(-eps_min q) is evaluated once and
+    squared rung by rung, smallest damping length first.  Single-threaded
     with a fixed panel order, so results are bitwise reproducible.
     """
-    eps_min = min(epsilons)
-    qmax = _truncation_wavenumber(eps_min)
-    n = int(math.ceil(qmax / width))
-    edges = np.linspace(0.0, n * width, n + 1)
+    edges = np.linspace(0.0, panels * width, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * width
     q = mid[:, None] + half * _GL_NODES[None, :]
     osc = q * q * np.sin(q * r)
     if b != 0.0:
         osc = osc * np.cos(q * b)
-    base_damping = np.exp(-eps_min * q)
+    damping = np.exp(-epsilons[-1] * q)
     out = np.empty(len(epsilons))
-    for i, eps in enumerate(epsilons):
-        m = _power_of_two_ratio(eps, eps_min)
-        if m is None:
-            damping = np.exp(-eps * q)
-        else:
-            damping = base_damping
-            while m > 1:
-                damping = damping * damping
-                m //= 2
+    for i in reversed(range(len(epsilons))):
         f = osc * damping
         out[i] = float((f @ _GL_WEIGHTS).sum() * half)
+        if i:
+            damping = damping * damping
     return out
 
 
@@ -190,37 +139,46 @@ def _separation(r: float, dt: float, eps: float | None = None) -> Separation:
     return sep
 
 
-def _regulated_values(r: float, b: float, epsilons: tuple[float, ...],
-                      quad_tol: float) -> tuple[np.ndarray, float]:
-    """Adaptively refined panel quadrature for a whole damping ladder.
+def _regulated_values(r: float, b: float,
+                      epsilons: tuple[float, ...]) -> tuple[np.ndarray, float]:
+    """Adaptively refined panel quadrature for a whole halving ladder.
 
     The base panel width is the half-period of the fastest oscillation
     (zeros of sin(qr), subdivided further when the cos(q cs dt) factor
-    oscillates faster); panels are halved, at most eight times, until
-    two successive passes agree to quad_tol on every ladder entry.
+    oscillates faster); panels are halved, at most _MAX_HALVINGS times,
+    until two successive passes agree to _QUAD_TOL on every ladder
+    entry.  A pass that would evaluate more than _MAX_POINTS points is
+    refused before anything is allocated.
     """
+    qmax = _truncation_wavenumber(epsilons[-1])
     width = math.pi / (r + b)
-    prev = _panel_sums(r, b, epsilons, width)
+    prev = None
     achieved = math.inf
-    for _ in range(8):
-        width *= 0.5
-        cur = _panel_sums(r, b, epsilons, width)
-        scale = np.maximum(np.abs(cur), 1e-300)
-        achieved = float(np.max(np.abs(cur - prev) / scale))
-        if achieved <= quad_tol:
-            return cur, achieved
+    for _ in range(_MAX_HALVINGS + 1):
+        panels = qmax / width
+        if not panels <= _MAX_POINTS // len(_GL_NODES):  # also refuses inf and nan
+            raise ConvergenceError(
+                f"panel quadrature needs {panels * len(_GL_NODES):.3g} points in one pass, "
+                f"over the budget of {_MAX_POINTS}", achieved)
+        cur = _panel_sums(r, b, epsilons, width, math.ceil(panels))
+        if prev is not None:
+            scale = np.maximum(np.abs(cur), 1e-300)
+            achieved = float(np.max(np.abs(cur - prev) / scale))
+            if achieved <= _QUAD_TOL:
+                return cur, achieved
         prev = cur
+        width *= 0.5
     raise ConvergenceError("panel quadrature did not converge within the panel budget",
                            achieved)
 
 
 def regulated_integrand_reduction(medium: FluidMedium, r: float, dt: float,
-                                  eps: float, quad_tol: float = 1e-9) -> float:
+                                  eps: float) -> float:
     """Damped spectral integral at fixed regulator eps (kg^2/m^6).
 
     Numerically integrates the reduced one-dimensional form (module
-    docstring) to relative tolerance ``quad_tol``; the domain is
-    truncated where the damping falls below 1e-14 of the envelope peak.
+    docstring) to relative tolerance 1e-9; the domain is truncated
+    where the damping falls below 1e-14 of the envelope peak.
 
     Raises
     ------
@@ -228,7 +186,7 @@ def regulated_integrand_reduction(medium: FluidMedium, r: float, dt: float,
         If the panel budget is exhausted, carrying the achieved estimate.
     """
     _separation(r, dt, eps)
-    values, _ = _regulated_values(r, medium.cs * abs(dt), (eps,), quad_tol)
+    values, _ = _regulated_values(r, medium.cs * abs(dt), (eps,))
     return _prefactor(medium, r) * float(values[0])
 
 
@@ -261,38 +219,35 @@ def _richardson(xs, ys, order: int) -> tuple[float, float]:
     return value, abs(value - prev)
 
 
-def extrapolated_correlator(medium: FluidMedium, r: float, dt: float,
-                            schedule: RegulatorSchedule | None = None) -> SpectralEstimate:
+def extrapolated_correlator(medium: FluidMedium, r: float, dt: float) -> SpectralEstimate:
     """Regulator-free correlator from the spectral integral.
 
-    Evaluates the damped integral on the schedule's damping ladder and
-    extrapolates polynomially in eps^2 to eps = 0.  The error estimate
-    is the difference between the last two extrapolation orders.
+    Evaluates the damped integral on the standard ladder of four damping
+    lengths, halving from a sixteenth of the distance scale (which
+    contracts near the sound cone), and extrapolates polynomially in
+    eps^2 to eps = 0.  The error estimate is the difference between the
+    last two extrapolation orders.
 
     Raises
     ------
     SoundConeSingularityError
         If (r, dt) lies on the sound cone (no finite limit exists).
     ConvergenceError
-        If the relative error estimate exceeds 100x the schedule's
-        quadrature tolerance.
+        If the quadrature exhausts its budget, or the relative error
+        estimate exceeds 100x the quadrature tolerance of 1e-9.
     """
     sep = _separation(r, dt)
     if sep.regime(medium.cs) is Regime.ON_CONE:
         raise SoundConeSingularityError(
             f"separation lies on the sound cone of '{medium.name}'"
         )
-    if schedule is None:
-        schedule = default_schedule(medium, r, dt)
-    schedule.check_against_distance(r)
-
-    integrals, _ = _regulated_values(r, medium.cs * abs(dt), schedule.epsilons,
-                                     schedule.quad_tol)
+    epsilons = _ladder(medium, r, dt)
+    integrals, _ = _regulated_values(r, medium.cs * abs(dt), epsilons)
     prefactor = _prefactor(medium, r)
-    xs = [e * e for e in schedule.epsilons]
+    xs = [e * e for e in epsilons]
     ys = [prefactor * float(v) for v in integrals]
-    value, err = _richardson(xs, ys, schedule.extrap_order)
-    if err > 100.0 * schedule.quad_tol * abs(value):
+    value, err = _richardson(xs, ys, _EXTRAP_ORDER)
+    if err > 100.0 * _QUAD_TOL * abs(value):
         raise ConvergenceError("regulator extrapolation did not converge",
                                err / abs(value) if value else math.inf)
     return SpectralEstimate(value=value, error_estimate=err)

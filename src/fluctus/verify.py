@@ -75,7 +75,7 @@ def standard_separation_grid() -> list[tuple[float, float]]:
     water = builtin_material("water")
     radii = (0.5e-9, 1e-9, 2e-9, 5e-9)
     grid = []
-    ratios = list(np.linspace(0.10, 0.94, 20)) + list(np.linspace(1.06, 3.00, 20))
+    ratios = np.linspace(0.10, 0.94, 20).tolist() + np.linspace(1.06, 3.00, 20).tolist()
     for i, u in enumerate(ratios):
         r = radii[i % len(radii)]
         grid.append((r, u * r / water.cs))

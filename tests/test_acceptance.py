@@ -8,6 +8,7 @@ asserted with ``time.perf_counter`` around the computation itself.
 import json
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -33,6 +34,15 @@ from fluctus.verify import (
 WATER = builtin_material("water")
 
 R_WATER_BENCHMARK = 0.0042345021887880737  # frozen independent arithmetic
+
+
+def assert_plain_python(checks):
+    # check results serialise with json.dumps(asdict(check)): no numpy scalars
+    for check in checks:
+        assert type(check.tolerance) is float, check.name
+        assert type(check.achieved) is float, check.name
+        assert type(check.passed) is bool, check.name
+        json.dumps(asdict(check))
 
 
 def report(number, name, passed, detail=""):
@@ -69,6 +79,7 @@ def test_criterion_2_denominator_resolution(capsys):
     start = time.perf_counter()
     checks = verify_spectral()
     elapsed = time.perf_counter() - start
+    assert_plain_python(checks)
     agreement = next(c for c in checks if "40-point" in c.name)
     discrimination = next(c for c in checks if "rejected" in c.name)
     ok = (agreement.passed and agreement.achieved <= 1e-6
@@ -198,6 +209,7 @@ def test_criterion_8_lattice_convergence(capsys):
     start = time.perf_counter()
     checks = verify_lattice()
     elapsed = time.perf_counter() - start
+    assert_plain_python(checks)
     monotone = next(c for c in checks if "monotonically" in c.name)
     slope = next(c for c in checks if "exponent" in c.name)
     lo, hi = LATTICE_SLOPE_BAND

@@ -1,0 +1,38 @@
+"""The names the ``fluctus`` package exports, pinned.
+
+Adding or removing a public name is an API change: it shows up here as
+a test edit, and CHANGES.md declares it.
+"""
+
+import inspect
+
+import fluctus
+
+PUBLIC_NAMES = [
+    "AliasingError", "BoundaryContactError", "CoincidenceDivergenceError",
+    "ConvergenceError", "ConvergenceStudy", "CorrelatorValue", "CrossSectionValue",
+    "DEFAULT_TEMPERATURE", "FluctusError", "FluidMedium", "IllPosedStudyError",
+    "Kinematics", "MaterialError", "MaterialFileError", "MaterialValidationError",
+    "MissingPropertyError", "ModeGrid", "Polarization", "Regime", "ScatteringConfig",
+    "Separation", "SoundConeSingularityError", "SpectralEstimate",
+    "UnknownMaterialError", "adiabatic_compressibility", "boundary_correlator",
+    "boundary_image_term", "boundary_shift_planar", "builtin_material",
+    "builtin_names", "convergence_study", "correlator", "damped_closed_form",
+    "density_of_states", "dumps_material", "em_vacuum_shift_plate",
+    "equal_time_correlator", "extrapolated_correlator", "fluid_medium",
+    "incident_flux", "lattice_correlator", "load_material", "matrix_element_sq",
+    "omega_from_wavelength", "parse_material", "phonon_kinematics",
+    "polarization_factor", "ratio_zp_thermal", "regulated_integrand_reduction",
+    "resolve_material", "scalar_field_analog", "thermal_brillouin_cross_section",
+    "thermal_total_cross_section", "validate", "verify_all", "verify_chain",
+    "verify_lattice", "verify_spectral", "zero_point_structure_factor",
+    "zp_cross_section_chain", "zp_cross_section_exact", "zp_cross_section_reduced",
+]
+
+
+def test_public_names_are_pinned():
+    # submodules are left out: which of them are attributes depends on
+    # what else has been imported
+    exported = sorted(name for name, value in vars(fluctus).items()
+                      if not name.startswith("_") and not inspect.ismodule(value))
+    assert exported == PUBLIC_NAMES

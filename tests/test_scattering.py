@@ -1,9 +1,10 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fluctus.errors import MissingPropertyError
+from fluctus.errors import FluctusError, MissingPropertyError
 from fluctus.medium import C_LIGHT, HBAR, builtin_material, fluid_medium
 from fluctus.scattering import (
     Polarization,
@@ -319,6 +320,29 @@ def test_ratio_rejects_vanishing_drho():
         flat = fluid_medium("flat", rho0=997.0, cs=1480.0, eta=1.4, drho=drho)
         with pytest.raises(ZeroDivisionError, match="ratio is undefined"):
             ratio_zp_thermal(flat, benchmark_config())
+
+
+_TINY_DRHO = fluid_medium("tiny-drho", rho0=997.0, cs=1480.0, eta=1.4, drho=1e-160)
+_HUGE_ETA = fluid_medium("huge-eta", rho0=997.0, cs=1480.0, eta=1e100, drho=0.79)
+_HUGE_OMEGA = ScatteringConfig(omega=1e100, theta=math.pi)
+
+
+@pytest.mark.parametrize("formula, medium, cfg", [
+    (ratio_zp_thermal, _TINY_DRHO, benchmark_config()),          # drho**2 is subnormal
+    (zp_cross_section_reduced, WATER, _HUGE_OMEGA),               # omega**5 overflows
+    (thermal_brillouin_cross_section, WATER, _HUGE_OMEGA),        # omega**4 overflows
+    (zp_cross_section_exact, WATER, _HUGE_OMEGA),                 # product reaches inf
+    (zp_cross_section_chain, WATER, _HUGE_OMEGA),
+    (zp_cross_section_exact, _HUGE_ETA, benchmark_config()),      # eta**4 overflows
+    (zp_cross_section_reduced, _HUGE_ETA, benchmark_config()),
+    (ratio_zp_thermal, _HUGE_ETA, benchmark_config()),
+], ids=["ratio-tiny-drho", "reduced-omega", "brillouin-omega", "exact-omega", "chain-omega",
+        "exact-eta", "reduced-eta", "ratio-eta"])
+def test_out_of_range_result_is_a_typed_error(formula, medium, cfg):
+    # a finite value or a FluctusError naming the formula and omega,
+    # never inf or a bare OverflowError
+    with pytest.raises(FluctusError, match=re.escape(f"{formula.__name__} for '{medium.name}' at omega = {cfg.omega:.6g}")):
+        formula(medium, cfg)
 
 
 # --- config validation -------------------------------------------------------------------

@@ -2,14 +2,13 @@ import math
 
 import pytest
 
+from fluctus import spectral
 from fluctus.correlator import Separation, correlator
-from fluctus.errors import SoundConeSingularityError
+from fluctus.errors import ConvergenceError, SoundConeSingularityError
 from fluctus.lattice import ModeGrid, convergence_study, lattice_correlator
 from fluctus.medium import builtin_material
 from fluctus.spectral import (
-    RegulatorSchedule,
     damped_closed_form,
-    default_schedule,
     extrapolated_correlator,
     regulated_integrand_reduction,
 )
@@ -19,41 +18,17 @@ WATER = builtin_material("water")
 EQ_TIME_WATER_1NM = -3.598983558786755
 
 
-# --- schedule validation -----------------------------------------------------
-
-def test_schedule_needs_three_epsilons():
-    with pytest.raises(ValueError):
-        RegulatorSchedule(epsilons=(1e-10, 5e-11))
-
-
-def test_schedule_must_decrease_strictly():
-    with pytest.raises(ValueError):
-        RegulatorSchedule(epsilons=(1e-10, 1e-10, 5e-11))
-
-
-def test_schedule_tolerance_and_order_bounds():
-    with pytest.raises(ValueError):
-        RegulatorSchedule(epsilons=(4e-11, 2e-11, 1e-11), quad_tol=1e-3)
-    with pytest.raises(ValueError):
-        RegulatorSchedule(epsilons=(4e-11, 2e-11, 1e-11), extrap_order=3)
-    with pytest.raises(ValueError):
-        RegulatorSchedule(epsilons=(4e-11, 2e-11, 1e-11), extrap_order=0)
-
-
-def test_schedule_epsilons_must_clear_the_distance():
-    sched = RegulatorSchedule(epsilons=(2e-10, 1e-10, 5e-11), extrap_order=2)
-    with pytest.raises(ValueError):
-        extrapolated_correlator(WATER, 1e-9, 0.0, sched)  # eps0 = r/5 too coarse
-
+# --- the regulator standard --------------------------------------------------
 
 def test_default_schedule_is_a_sixteenth_halving_ladder():
-    sched = default_schedule(WATER, 1e-9, 0.0)
-    assert sched.epsilons == (1e-9 / 16, 1e-9 / 32, 1e-9 / 64, 1e-9 / 128)
-    assert sched.extrap_order == 3
+    ladder = spectral._ladder(WATER, 1e-9, 0.0)
+    assert ladder == (1e-9 / 16, 1e-9 / 32, 1e-9 / 64, 1e-9 / 128)
+    assert all(type(eps) is float for eps in ladder)
+    assert spectral._EXTRAP_ORDER == 3
     # near the cone the ladder contracts with the cone distance
     dt = 0.9e-9 / WATER.cs
-    near = default_schedule(WATER, 1e-9, dt)
-    assert near.epsilons[0] == pytest.approx(abs(1e-9 - WATER.cs * dt) / 16, rel=1e-12)
+    near = spectral._ladder(WATER, 1e-9, dt)
+    assert near[0] == pytest.approx(abs(1e-9 - WATER.cs * dt) / 16, rel=1e-12)
 
 
 # --- fixed-regulator quadrature ----------------------------------------------
@@ -113,12 +88,25 @@ def test_oracle_inputs_refused_by_name(call, argument):
         call()
 
 
-def test_unreachable_tolerance_raises_with_achieved_estimate():
-    from fluctus.errors import ConvergenceError
+def test_unreachable_tolerance_raises_with_achieved_estimate(monkeypatch):
+    monkeypatch.setattr(spectral, "_QUAD_TOL", 1e-17)
     with pytest.raises(ConvergenceError) as exc:
-        regulated_integrand_reduction(WATER, 1e-9, 0.0, 1e-10, quad_tol=1e-17)
+        regulated_integrand_reduction(WATER, 1e-9, 0.0, 1e-10)
     assert exc.value.achieved > 0.0
     assert "relative error estimate" in str(exc.value)
+
+
+@pytest.mark.parametrize("call, estimated", [
+    # off the cone by the tolerance: the first pass would need 2.6e8 points
+    (lambda: extrapolated_correlator(WATER, 1e-9, 0.9998e-9 / WATER.cs), False),
+    # the fifth pass would need 3.2e7 points
+    (lambda: regulated_integrand_reduction(WATER, 1e-9, 0.0, 1e-13), True),
+], ids=["near-cone", "weak-damping"])
+def test_point_budget_refuses_before_allocating(call, estimated):
+    with pytest.raises(ConvergenceError, match="over the budget") as exc:
+        call()
+    # the error carries the last pass-to-pass estimate, inf before the second pass
+    assert math.isfinite(exc.value.achieved) is estimated
 
 
 # --- regulator removal ---------------------------------------------------------
@@ -144,26 +132,27 @@ def test_on_cone_rejected():
         extrapolated_correlator(WATER, r, r / WATER.cs)
 
 
+def _extrapolate(r, dt, epsilons, order):
+    # the extrapolation step of the oracle, on a ladder of our choosing
+    ys = [regulated_integrand_reduction(WATER, r, dt, eps) for eps in epsilons]
+    return spectral._richardson([eps * eps for eps in epsilons], ys, order)
+
+
 def test_error_estimate_shrinks_as_epsilons_are_appended():
     r = 1e-9
     base = [r / 16, r / 32, r / 64]
     estimates = []
     for extra in range(3):
-        eps = tuple(base + [base[-1] / 2**(k + 1) for k in range(extra)])
-        # coarse ladders carry honestly larger estimates, so give the
-        # non-convergence gate (100x quad_tol) room to admit them
-        sched = RegulatorSchedule(epsilons=eps, extrap_order=2, quad_tol=1e-6)
-        estimates.append(extrapolated_correlator(WATER, r, 0.0, sched).error_estimate)
+        eps = base + [base[-1] / 2**(k + 1) for k in range(extra)]
+        estimates.append(_extrapolate(r, 0.0, eps, 2)[1])
     assert estimates[0] > estimates[1] > estimates[2]
 
 
 def test_result_is_schedule_independent():
     r, dt = 1e-9, 0.4e-9 / WATER.cs
-    a = RegulatorSchedule(epsilons=(r / 16, r / 32, r / 64, r / 128))
-    b = RegulatorSchedule(epsilons=(r / 20, r / 44, r / 92, r / 190))
-    ea = extrapolated_correlator(WATER, r, dt, a)
-    eb = extrapolated_correlator(WATER, r, dt, b)
-    assert abs(ea.value - eb.value) <= ea.error_estimate + eb.error_estimate
+    va, ea = _extrapolate(r, dt, [r / 16, r / 32, r / 64, r / 128], 3)
+    vb, eb = _extrapolate(r, dt, [r / 20, r / 44, r / 92, r / 190], 3)
+    assert abs(va - vb) <= ea + eb
 
 
 def test_extrapolation_is_deterministic():
