@@ -27,10 +27,10 @@ dt = 0.5 * r / water.cs   # spacelike, u = 0.5
 print(f"separation: r = {r * 1e9:.1f} nm, cs*dt/r = 0.5 (spacelike)\n")
 
 # --- the damping ladder ---------------------------------------------------------
-# The oracle's one standard: four damping lengths halving from a sixteenth
+# The oracle's one standard: four damping lengths halving from a tenth
 # of the distance scale min(r, |r - cs dt|), which contracts near the cone.
 scale = min(r, abs(r - water.cs * dt))
-epsilons = tuple(scale / 16 / 2**k for k in range(4))
+epsilons = tuple(scale / 10 / 2**k for k in range(4))
 print("damped integral vs its own closed form on the standard ladder")
 print("(the quadrature self-test):")
 print(f"{'eps/r':>9}  {'quadrature':>16}  {'damped closed form':>18}  {'rel dev':>9}")

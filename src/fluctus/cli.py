@@ -25,6 +25,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 
@@ -196,8 +197,9 @@ def _cmd_ratio(args) -> int:
                 "temperature_k": scattering._bath_temperature(medium, cfg)},
         value=value, unit="dimensionless", formula="zp-thermal-ratio")
     _emit([record], args.format)
-    if args.format == "table":
-        print(f"zero-point share of the Stokes line: {100.0 * value:.2f}%")
+    share = 100.0 * value
+    if args.format == "table" and math.isfinite(share):
+        print(f"zero-point share of the Stokes line: {share:.2f}%")
     return 0
 
 
@@ -239,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlator", help="vacuum density correlator")
     p.add_argument("--material", required=True, help="built-in name or material file")
     p.add_argument("--r", help="spatial distance in m (sweepable: lo..hi:steps[L])")
-    p.add_argument("--dt", default="0", help="time lag in s (default 0); write "
-                   "a negative value in exponent notation as --dt=-1e-13")
+    p.add_argument("--dt", default="0", help="time lag in s (default 0)")
     p.add_argument("--boundary", metavar="Z",
                    help="also report the variance shift at distance Z from a plane "
                         "wall (sweepable)")
@@ -285,9 +286,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The start of a negative number, also of a sweep with a negative lower end.
+_NEGATIVE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join an option and a negative value after it, '--dt -1e-13' ->
+    '--dt=-1e-13'; argparse reads a bare '-1e-13' as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (FluctusError, ValueError, ArithmeticError, OSError) as exc:

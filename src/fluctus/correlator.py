@@ -303,6 +303,10 @@ def zero_point_structure_factor(medium: FluidMedium, q: float) -> float:
     thermal light scattering into the fifth power for the zero-point
     contribution (kg^2/m^3).
     """
-    if not q >= 0.0:
-        raise ValueError(f"wavenumber must be >= 0, got {q}")
-    return HBAR * medium.rho0 * q / (2.0 * medium.cs)
+    if not 0.0 <= q < math.inf:
+        raise ValueError(f"wavenumber q must be finite and >= 0, got {q}")
+    value = HBAR * medium.rho0 * q / (2.0 * medium.cs)
+    if value == math.inf:
+        raise FluctusError(f"zero_point_structure_factor for '{medium.name}' at "
+                           f"q = {q:.6g} 1/m has no finite floating-point value")
+    return value

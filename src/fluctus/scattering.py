@@ -96,9 +96,13 @@ class ScatteringConfig:
 
 def omega_from_wavelength(wavelength: float) -> float:
     """Angular frequency from the vacuum wavelength (m)."""
-    if not wavelength > 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    return 2.0 * math.pi * C_LIGHT / wavelength
+    if not 0.0 < wavelength < math.inf:
+        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
+    omega = 2.0 * math.pi * C_LIGHT / wavelength
+    if omega == math.inf:
+        raise FluctusError(f"omega_from_wavelength at wavelength = {wavelength:.6g} m "
+                           "has no finite floating-point value")
+    return omega
 
 
 @dataclass(frozen=True)

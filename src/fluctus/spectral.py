@@ -56,7 +56,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 #: halving from scale/_LADDER_START (see :func:`_ladder`); every rung is
 #: integrated to relative tolerance _QUAD_TOL, and the eps^2 extrapolation
 #: runs through all rungs.  Read at call time.
-_LADDER_START = 16.0
+_LADDER_START = 10.0
 _LADDER_RUNGS = 4
 _QUAD_TOL = 1e-9
 _EXTRAP_ORDER = _LADDER_RUNGS - 1
@@ -69,10 +69,19 @@ _MAX_POINTS = 2**24
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Extrapolated correlator value with its error estimate (both kg^2/m^6)."""
+    """Extrapolated correlator value with its error estimate (both kg^2/m^6).
+
+    ``quadrature_error`` is the relative pass-to-pass difference the panel
+    quadrature achieved on the damping ladder; ``passes`` and ``points``
+    count the quadrature passes and the integrand points evaluated over
+    all of them.
+    """
 
     value: float
     error_estimate: float
+    quadrature_error: float
+    passes: int
+    points: int
 
 
 def _ladder(medium: FluidMedium, r: float, dt: float) -> tuple[float, ...]:
@@ -140,7 +149,7 @@ def _separation(r: float, dt: float, eps: float | None = None) -> Separation:
 
 
 def _regulated_values(r: float, b: float,
-                      epsilons: tuple[float, ...]) -> tuple[np.ndarray, float]:
+                      epsilons: tuple[float, ...]) -> tuple[np.ndarray, float, int, int]:
     """Adaptively refined panel quadrature for a whole halving ladder.
 
     The base panel width is the half-period of the fastest oscillation
@@ -148,24 +157,27 @@ def _regulated_values(r: float, b: float,
     oscillates faster); panels are halved, at most _MAX_HALVINGS times,
     until two successive passes agree to _QUAD_TOL on every ladder
     entry.  A pass that would evaluate more than _MAX_POINTS points is
-    refused before anything is allocated.
+    refused before anything is allocated.  Returns the values, the
+    achieved pass-to-pass difference, and the passes and points spent.
     """
     qmax = _truncation_wavenumber(epsilons[-1])
     width = math.pi / (r + b)
     prev = None
     achieved = math.inf
-    for _ in range(_MAX_HALVINGS + 1):
+    points = 0
+    for passes in range(1, _MAX_HALVINGS + 2):
         panels = qmax / width
         if not panels <= _MAX_POINTS // len(_GL_NODES):  # also refuses inf and nan
             raise ConvergenceError(
                 f"panel quadrature needs {panels * len(_GL_NODES):.3g} points in one pass, "
                 f"over the budget of {_MAX_POINTS}", achieved)
         cur = _panel_sums(r, b, epsilons, width, math.ceil(panels))
+        points += math.ceil(panels) * len(_GL_NODES)
         if prev is not None:
             scale = np.maximum(np.abs(cur), 1e-300)
             achieved = float(np.max(np.abs(cur - prev) / scale))
             if achieved <= _QUAD_TOL:
-                return cur, achieved
+                return cur, achieved, passes, points
         prev = cur
         width *= 0.5
     raise ConvergenceError("panel quadrature did not converge within the panel budget",
@@ -186,7 +198,7 @@ def regulated_integrand_reduction(medium: FluidMedium, r: float, dt: float,
         If the panel budget is exhausted, carrying the achieved estimate.
     """
     _separation(r, dt, eps)
-    values, _ = _regulated_values(r, medium.cs * abs(dt), (eps,))
+    values = _regulated_values(r, medium.cs * abs(dt), (eps,))[0]
     return _prefactor(medium, r) * float(values[0])
 
 
@@ -223,7 +235,7 @@ def extrapolated_correlator(medium: FluidMedium, r: float, dt: float) -> Spectra
     """Regulator-free correlator from the spectral integral.
 
     Evaluates the damped integral on the standard ladder of four damping
-    lengths, halving from a sixteenth of the distance scale (which
+    lengths, halving from a tenth of the distance scale (which
     contracts near the sound cone), and extrapolates polynomially in
     eps^2 to eps = 0.  The error estimate is the difference between the
     last two extrapolation orders.
@@ -242,7 +254,7 @@ def extrapolated_correlator(medium: FluidMedium, r: float, dt: float) -> Spectra
             f"separation lies on the sound cone of '{medium.name}'"
         )
     epsilons = _ladder(medium, r, dt)
-    integrals, _ = _regulated_values(r, medium.cs * abs(dt), epsilons)
+    integrals, achieved, passes, points = _regulated_values(r, medium.cs * abs(dt), epsilons)
     prefactor = _prefactor(medium, r)
     xs = [e * e for e in epsilons]
     ys = [prefactor * float(v) for v in integrals]
@@ -250,4 +262,5 @@ def extrapolated_correlator(medium: FluidMedium, r: float, dt: float) -> Spectra
     if err > 100.0 * _QUAD_TOL * abs(value):
         raise ConvergenceError("regulator extrapolation did not converge",
                                err / abs(value) if value else math.inf)
-    return SpectralEstimate(value=value, error_estimate=err)
+    return SpectralEstimate(value=value, error_estimate=err, quadrature_error=achieved,
+                            passes=passes, points=points)

@@ -63,6 +63,18 @@ def test_correlator_timelike_positive(capsys):
     assert json.loads(out)[0]["value"] > 0
 
 
+def test_negative_values_in_exponent_notation_are_accepted(capsys):
+    def value(*dt):
+        code, out, _ = run_cli(capsys, "correlator", "--material", "water",
+                               "--r", "1e-9", *dt, "--format", "json")
+        assert code == 0
+        return json.loads(out)[0]["value"]
+
+    # the correlator is even in dt; argparse alone reads -1e-13 as an option
+    assert value("--dt", "-1e-13") == value("--dt=-1e-13") == value("--dt", "1e-13")
+    assert value("--dt", "-.5e-13") == value("--dt", "5e-14")
+
+
 def test_correlator_on_cone_exits_2(capsys):
     code, _, err = run_cli(capsys, "correlator", "--material", "water",
                            "--r", "1", "--dt", "6.7568e-4")
@@ -336,6 +348,18 @@ def test_non_finite_inputs_and_results_exit_2(argv, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_ratio_share_beyond_the_float_range_is_not_printed(tmp_path, capsys):
+    # depsilon_drho**2 is subnormal: the ratio is finite (~2e306), 100x it is not
+    tiny = tmp_path / "tiny.mat"
+    tiny.write_text("name = tiny\nrho0_kg_m3 = 997\ncs_m_s = 1480\n"
+                    "refractive_index = 1.33\ndepsilon_drho = 3e-155\n")
+    code, out, _ = run_cli(capsys, "ratio", "--material", str(tiny),
+                           "--lambda", "350e-9", "--theta", "180")
+    assert code == 0
+    assert "e+306" in out
+    assert "inf" not in out and "%" not in out
 
 
 def test_bad_usage_never_tracebacks():

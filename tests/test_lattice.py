@@ -6,7 +6,7 @@ import pytest
 from fluctus.correlator import zero_point_structure_factor
 from fluctus.errors import AliasingError, IllPosedStudyError
 from fluctus.lattice import ModeGrid, STUDY_DIRECTION, convergence_study, lattice_correlator
-from fluctus.medium import builtin_material
+from fluctus.medium import HBAR, builtin_material
 from fluctus.spectral import regulated_integrand_reduction
 
 WATER = builtin_material("water")
@@ -43,8 +43,44 @@ def brute_force_mode_sum(medium, grid, dx, eps):
                     paired += pair.real
                 else:
                     unpaired += weight * math.cos(float(q @ dx))
-    from fluctus.medium import HBAR
     return HBAR * medium.rho0 * (paired + unpaired) / (2.0 * grid.L**3 * medium.cs)
+
+
+@pytest.mark.parametrize("N", [8, 10])
+@pytest.mark.parametrize("dx_over_l", [
+    (0.23, -0.31, 0.17),     # every component nonzero, off every axis and diagonal
+    (-0.05, 0.29, 0.37),
+    tuple(0.4 * c for c in STUDY_DIRECTION),
+])
+def test_octant_sum_equals_every_mode(N, dx_over_l):
+    # the unpaired -N/2 edge carries a sine part wherever two or more
+    # components sit on it; a real edge weight cos(N/2 dq dx) loses it
+    grid = ModeGrid(L=64e-9, N=N)
+    dx = grid.L * np.asarray(dx_over_l)
+    eps = 2e-9
+    lib = lattice_correlator(WATER, grid, dx, eps)
+    assert lib == pytest.approx(brute_force_mode_sum(WATER, grid, dx, eps), rel=1e-12)
+
+
+# The standard study (water, r = 16 nm) as computed by the full N^3 mode sum.
+STUDY_LATTICE = {64: -9.89512894927413e-05, 128: -5.873358915433063e-05,
+                 256: -5.009727578568727e-05, 512: -4.997703841042211e-05}
+STUDY_ROWS = ((64, 0.9804861655037045), (128, 0.17553860456829237),
+              (256, 0.002684877898994479))
+
+
+def test_study_values_unchanged_by_the_octant_sum():
+    r = 16e-9
+    dx = r * DIRECTION / np.linalg.norm(DIRECTION)
+    for n, value in STUDY_LATTICE.items():
+        lat = lattice_correlator(WATER, ModeGrid(L=16.0 * r, N=n), dx, r / 8)
+        assert lat == pytest.approx(value, rel=1e-12)
+    # a row is |lattice - continuum| / |continuum| with |lattice| ~ |continuum|,
+    # so rel 1e-12 on the lattice value is abs 1e-12 on the row
+    study = convergence_study(WATER, r=r)
+    assert [n for n, _ in study.rows] == [n for n, _ in STUDY_ROWS]
+    for (_, err), (_, pinned) in zip(study.rows, STUDY_ROWS):
+        assert err == pytest.approx(pinned, abs=1e-12)
 
 
 def test_mode_grid_counts_and_extent():

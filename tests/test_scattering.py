@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from fluctus.correlator import zero_point_structure_factor
 from fluctus.errors import FluctusError, MissingPropertyError
 from fluctus.medium import C_LIGHT, HBAR, builtin_material, fluid_medium
 from fluctus.scattering import (
@@ -343,6 +344,30 @@ def test_out_of_range_result_is_a_typed_error(formula, medium, cfg):
     # never inf or a bare OverflowError
     with pytest.raises(FluctusError, match=re.escape(f"{formula.__name__} for '{medium.name}' at omega = {cfg.omega:.6g}")):
         formula(medium, cfg)
+
+
+_HEAVY = fluid_medium("heavy", rho0=1e300, cs=1480.0, eta=1.4, drho=0.79)
+
+
+@pytest.mark.parametrize("call, argument", [
+    (lambda: omega_from_wavelength(math.inf), "wavelength"),
+    (lambda: omega_from_wavelength(math.nan), "wavelength"),
+    (lambda: zero_point_structure_factor(WATER, math.inf), "q"),
+    (lambda: zero_point_structure_factor(WATER, math.nan), "q"),
+], ids=["wavelength-inf", "wavelength-nan", "q-inf", "q-nan"])
+def test_non_finite_library_input_is_refused_by_name(call, argument):
+    with pytest.raises(ValueError, match=rf"\b{argument}\b"):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: omega_from_wavelength(1e-320), "omega_from_wavelength"),
+    (lambda: zero_point_structure_factor(_HEAVY, 1e300), "zero_point_structure_factor"),
+], ids=["omega-tiny-wavelength", "structure-factor-heavy"])
+def test_overflowing_library_result_is_a_typed_error(call, name):
+    # a finite value or a FluctusError naming the function, never inf
+    with pytest.raises(FluctusError, match=name):
+        call()
 
 
 # --- config validation -------------------------------------------------------------------

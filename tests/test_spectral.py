@@ -12,6 +12,7 @@ from fluctus.spectral import (
     extrapolated_correlator,
     regulated_integrand_reduction,
 )
+from fluctus.verify import standard_separation_grid
 
 WATER = builtin_material("water")
 
@@ -20,15 +21,26 @@ EQ_TIME_WATER_1NM = -3.598983558786755
 
 # --- the regulator standard --------------------------------------------------
 
-def test_default_schedule_is_a_sixteenth_halving_ladder():
+def test_default_schedule_is_a_tenth_halving_ladder():
     ladder = spectral._ladder(WATER, 1e-9, 0.0)
-    assert ladder == (1e-9 / 16, 1e-9 / 32, 1e-9 / 64, 1e-9 / 128)
+    assert ladder == (1e-9 / 10, 1e-9 / 20, 1e-9 / 40, 1e-9 / 80)
     assert all(type(eps) is float for eps in ladder)
     assert spectral._EXTRAP_ORDER == 3
     # near the cone the ladder contracts with the cone distance
     dt = 0.9e-9 / WATER.cs
     near = spectral._ladder(WATER, 1e-9, dt)
-    assert near[0] == pytest.approx(abs(1e-9 - WATER.cs * dt) / 16, rel=1e-12)
+    assert near[0] == pytest.approx(abs(1e-9 - WATER.cs * dt) / 10, rel=1e-12)
+
+
+def test_standard_grid_work_is_bounded():
+    # the work the 40-point certification grid costs, counted in integrand
+    # points: a ladder that chases the roundoff floor shows up here
+    estimates = [extrapolated_correlator(WATER, r, dt) for r, dt in standard_separation_grid()]
+    assert sum(est.points for est in estimates) <= 2.0e7
+    assert max(est.points for est in estimates) <= 2**22
+    for est in estimates:
+        assert est.passes >= 2
+        assert 0.0 <= est.quadrature_error <= spectral._QUAD_TOL
 
 
 # --- fixed-regulator quadrature ----------------------------------------------
