@@ -103,8 +103,8 @@ def lattice_correlator(medium: FluidMedium, grid: ModeGrid, dx, eps: float) -> f
     AliasingError
         If the nearest-image displacement has |dx| >= L/2.
     """
-    if not eps > 0.0:
-        raise ValueError(f"damping length must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"damping length eps must be positive and finite, got {eps}")
     dx = np.asarray(dx, dtype=float).reshape(3)
     if not np.isfinite(dx).all():
         raise ValueError(f"displacement dx must be finite, got {dx}")

@@ -16,6 +16,17 @@ giving a value for the correlator that shares no algebra with the
 closed form in ``fluctus.correlator``.  Agreement between the two is
 the decisive test of the closed form's denominator.
 
+The quadrature is a 16-point Gauss-Legendre rule per panel, evaluated
+in factored form: each panel's contribution is its centre's sin, cos
+and damping times node sums shared by all panels (:func:`_panel_sums`),
+so a pass costs O(panels), not O(16 panels).  The integrand cancels by
+Sigma|f| / |Sigma f| ~ 1e6-1e7 at small eps, so the phase at each panel
+centre is reduced exactly rather than formed as q r; a phase rounded at
+the magnitude of q r leaves node-to-node noise that the pass-to-pass
+rule would otherwise chase.  Everything is computed in units of r (the
+integral scales as r^-3), so only the final scaling to kg^2/m^6 can
+leave the float range, and that raises ``FluctusError``.
+
 The exponential regulator is chosen because the damped integral has a
 closed form of its own,
 
@@ -35,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlator import Regime, Separation
-from .errors import ConvergenceError, SoundConeSingularityError
+from .errors import ConvergenceError, FluctusError, SoundConeSingularityError
 from .medium import HBAR, FluidMedium
 
 __all__ = [
@@ -52,6 +63,10 @@ _DAMPING_FLOOR = 1e-14
 #: Gauss-Legendre rule applied per oscillation panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
+#: Panel-centre phases of the slow frequency are reduced on a grid of
+#: 2**-_TURN_BITS turns (:func:`_slow_centre_sin_cos`).
+_TURN_BITS = 20
+
 #: The regulator standard.  The damping ladder has _LADDER_RUNGS lengths
 #: halving from scale/_LADDER_START (see :func:`_ladder`); every rung is
 #: integrated to relative tolerance _QUAD_TOL, and the eps^2 extrapolation
@@ -62,7 +77,8 @@ _QUAD_TOL = 1e-9
 _EXTRAP_ORDER = _LADDER_RUNGS - 1
 
 #: Refinement budget of the panel quadrature: at most this many panel
-#: halvings, and at most this many points evaluated in one pass.
+#: halvings, and at most this many quadrature nodes (16 per panel) in one
+#: pass.
 _MAX_HALVINGS = 8
 _MAX_POINTS = 2**24
 
@@ -72,9 +88,9 @@ class SpectralEstimate:
     """Extrapolated correlator value with its error estimate (both kg^2/m^6).
 
     ``quadrature_error`` is the relative pass-to-pass difference the panel
-    quadrature achieved on the damping ladder; ``passes`` and ``points``
-    count the quadrature passes and the integrand points evaluated over
-    all of them.
+    quadrature achieved on the damping ladder; ``passes`` counts the
+    quadrature passes and ``points`` the quadrature nodes they covered,
+    16 per panel, over all of them.
     """
 
     value: float
@@ -103,38 +119,99 @@ def _truncation_wavenumber(eps: float) -> float:
     target = -math.log(_DAMPING_FLOOR)
     for _ in range(8):
         x = target + 2.0 * math.log(x)
-    return x / eps
+    # A damping length that underflowed to 0 would need unbounded work.
+    return x / eps if eps > 0.0 else math.inf
 
 
-def _panel_sums(r: float, b: float, epsilons: tuple[float, ...], width: float,
-                panels: int) -> np.ndarray:
-    """Quadrature of q^2 sin(qr) cos(qb) e^{-eps q} for a halving ladder.
+def _slow_centre_sin_cos(n: np.ndarray, turns: float) -> tuple[np.ndarray, np.ndarray]:
+    """sin and cos of the phase 2 pi n turns at integers n, reduced exactly.
 
-    ``panels`` panels of the given width cover the domain of the smallest
-    damping length, the last one.  The oscillatory factor is evaluated
-    once and shared; the damping exp(-eps_min q) is evaluated once and
-    squared rung by rung, smallest damping length first.  Single-threaded
-    with a fixed panel order, so results are bitwise reproducible.
+    ``turns`` is split into a part on the 2**-_TURN_BITS grid, whose
+    product with n is reduced modulo one turn in integer arithmetic, and
+    a remainder of at most 2**-(_TURN_BITS + 1), whose product with n is
+    below one turn.  The phase, taken into [-pi, pi], is therefore
+    accurate to a few ulp of pi, however large n is.
     """
-    edges = np.linspace(0.0, panels * width, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * width
-    q = mid[:, None] + half * _GL_NODES[None, :]
-    osc = q * q * np.sin(q * r)
+    steps = round(turns * 2**_TURN_BITS)
+    rest = turns - steps / 2**_TURN_BITS  # exact: the low bits of turns
+    frac = (n * steps % 2**_TURN_BITS) / 2**_TURN_BITS + n * rest
+    phase = (2.0 * math.pi) * (frac - np.round(frac))
+    return np.sin(phase), np.cos(phase)
+
+
+def _panel_sums(b: float, epsilons: tuple[float, ...], halvings: int,
+                panels: int) -> np.ndarray:
+    """Quadrature of q^2 sin(q) cos(qb) e^{-eps q} for every damping length.
+
+    In units of r (r = 1): the 16-point Gauss-Legendre rule on ``panels``
+    panels of width pi / ((1 + b) 2**halvings) from q = 0, evaluated in
+    factored form.  With sin(q) cos(qb) = [sin q(1+b) + sin q(1-b)] / 2
+    (one frequency when b = 0), a node q = m + t at panel centre m = n h
+    (n odd, h the half width) and offset t = h x_j splits every factor
+    into a centre part and a node part:
+
+        e^{-eps q} = e^{-eps m} e^{-eps t},
+        sin(q a) = sin(m a) cos(t a) + cos(m a) sin(t a),
+        q^2 = m^2 + 2 m t + t^2.
+
+    The node sums of w_j t^p e^{-eps t} {cos, sin}(t a), p = 0, 1, 2, are
+    the same on every panel, so a pass is one (rungs x 12) by
+    (12 x panels) product plus, per panel, the centre sin and cos of each
+    frequency and one exp per rung.  The centre phases are reduced
+    exactly: the fast one, m (1 + b) = n pi / 2**(halvings + 1), repeats
+    with period 2**(halvings + 2) in n and is looked up; the slow one is
+    counted in turns (:func:`_slow_centre_sin_cos`).  Neither is rounded
+    at the magnitude of q.  The panel order and the summation are
+    fixed, so results are bitwise reproducible.
+    """
+    fast = 1.0 + b
+    period = 2 ** (halvings + 2)
+    h = 2.0 * math.pi / (fast * period)
+    t = h * _GL_NODES
+    n = np.arange(1, 2 * panels, 2, dtype=np.int64)
+    m = n * h
+    eps = np.asarray(epsilons)
+    node = _GL_WEIGHTS * np.exp(-np.multiply.outer(eps, t))
+    moments = np.stack((node, node * t, node * (t * t)))
+    # The fast centre phase is n / period turns: a table over n mod period,
+    # with every entry reduced into [-pi, pi].
+    turns = np.arange(period) / period
+    table = (2.0 * math.pi) * (turns - np.round(turns))
+    k = n % period
+    centres = [(fast, np.sin(table)[k], np.cos(table)[k])]
     if b != 0.0:
-        osc = osc * np.cos(q * b)
-    damping = np.exp(-epsilons[-1] * q)
-    out = np.empty(len(epsilons))
-    for i in reversed(range(len(epsilons))):
-        f = osc * damping
-        out[i] = float((f @ _GL_WEIGHTS).sum() * half)
-        if i:
-            damping = damping * damping
-    return out
+        centres.append((1.0 - b, *_slow_centre_sin_cos(n, (1.0 - b) / fast / period)))
+    weight = 1.0 / len(centres)
+    features = np.empty((6 * len(centres), panels))
+    coeffs = np.empty((6 * len(centres), len(eps)))
+    m2, two_m = m * m, 2.0 * m
+    row = 0
+    for a, sin_m, cos_m in centres:
+        for centre, node_osc in ((sin_m, np.cos(t * a)), (cos_m, np.sin(t * a))):
+            np.multiply(centre, m2, out=features[row])
+            np.multiply(centre, two_m, out=features[row + 1])
+            features[row + 2] = centre
+            coeffs[row:row + 3] = weight * (moments @ node_osc)
+            row += 3
+    per_panel = coeffs.T @ features
+    damping = np.multiply.outer(-eps, m)
+    per_panel *= np.exp(damping, out=damping)
+    return per_panel.sum(axis=1) * h
 
 
-def _prefactor(medium: FluidMedium, r: float) -> float:
-    return HBAR * medium.rho0 / (4.0 * math.pi**2 * medium.cs * r)
+def _in_units_of_r(medium: FluidMedium, r: float, integral: float, call: str) -> float:
+    """The correlator from its damped integral computed in units of r.
+
+    Substituting q -> q / r scales the integral by r^-3, so the
+    quadrature and the closed form work with r = 1 and only this product
+    can leave the float range.  Raises FluctusError naming ``call`` when
+    it does.
+    """
+    prefactor = HBAR * medium.rho0 / (4.0 * math.pi**2 * medium.cs * r)
+    value = prefactor * integral / r / r / r
+    if not math.isfinite(value):
+        raise FluctusError(f"{call} is outside the float range")
+    return value
 
 
 def _separation(r: float, dt: float, eps: float | None = None) -> Separation:
@@ -148,38 +225,37 @@ def _separation(r: float, dt: float, eps: float | None = None) -> Separation:
     return sep
 
 
-def _regulated_values(r: float, b: float,
+def _regulated_values(b: float,
                       epsilons: tuple[float, ...]) -> tuple[np.ndarray, float, int, int]:
-    """Adaptively refined panel quadrature for a whole halving ladder.
+    """Adaptively refined panel quadrature for a whole damping ladder.
 
-    The base panel width is the half-period of the fastest oscillation
-    (zeros of sin(qr), subdivided further when the cos(q cs dt) factor
-    oscillates faster); panels are halved, at most _MAX_HALVINGS times,
-    until two successive passes agree to _QUAD_TOL on every ladder
-    entry.  A pass that would evaluate more than _MAX_POINTS points is
-    refused before anything is allocated.  Returns the values, the
-    achieved pass-to-pass difference, and the passes and points spent.
+    Works in units of r: ``b`` is cs|dt| / r and ``epsilons`` are the
+    damping lengths over r, smallest last.  The base panel width is the
+    half-period of the fastest oscillation, pi / (1 + b); pass p halves
+    it p times, at most _MAX_HALVINGS, until two successive passes agree
+    to _QUAD_TOL on every ladder entry.  A pass that would evaluate more
+    than _MAX_POINTS points is refused before anything is allocated.
+    Returns the values, the achieved pass-to-pass difference, and the
+    passes and points spent.
     """
     qmax = _truncation_wavenumber(epsilons[-1])
-    width = math.pi / (r + b)
     prev = None
     achieved = math.inf
     points = 0
-    for passes in range(1, _MAX_HALVINGS + 2):
-        panels = qmax / width
+    for halvings in range(_MAX_HALVINGS + 1):
+        panels = qmax * (1.0 + b) * 2.0**halvings / math.pi
         if not panels <= _MAX_POINTS // len(_GL_NODES):  # also refuses inf and nan
             raise ConvergenceError(
                 f"panel quadrature needs {panels * len(_GL_NODES):.3g} points in one pass, "
                 f"over the budget of {_MAX_POINTS}", achieved)
-        cur = _panel_sums(r, b, epsilons, width, math.ceil(panels))
+        cur = _panel_sums(b, epsilons, halvings, math.ceil(panels))
         points += math.ceil(panels) * len(_GL_NODES)
         if prev is not None:
             scale = np.maximum(np.abs(cur), 1e-300)
             achieved = float(np.max(np.abs(cur - prev) / scale))
             if achieved <= _QUAD_TOL:
-                return cur, achieved, passes, points
+                return cur, achieved, halvings + 1, points
         prev = cur
-        width *= 0.5
     raise ConvergenceError("panel quadrature did not converge within the panel budget",
                            achieved)
 
@@ -196,19 +272,40 @@ def regulated_integrand_reduction(medium: FluidMedium, r: float, dt: float,
     ------
     ConvergenceError
         If the panel budget is exhausted, carrying the achieved estimate.
+    FluctusError
+        If the value lies outside the float range.
     """
     _separation(r, dt, eps)
-    values = _regulated_values(r, medium.cs * abs(dt), (eps,))[0]
-    return _prefactor(medium, r) * float(values[0])
+    values = _regulated_values(medium.cs * abs(dt) / r, (eps / r,))[0]
+    return _in_units_of_r(medium, r, float(values[0]), "regulated_integrand_reduction at "
+                          f"r = {r!r} m, dt = {dt!r} s, eps = {eps!r} m")
 
 
 def damped_closed_form(medium: FluidMedium, r: float, dt: float, eps: float) -> float:
-    """Closed form of the damped integral; the quadrature's own oracle."""
+    """Closed form of the damped integral; the quadrature's own oracle.
+
+    Raises FluctusError if the value lies outside the float range.
+    """
     _separation(r, dt, eps)
-    s = eps + 1j * medium.cs * dt
-    r2 = r * r
-    integral = (2.0 * r * (3.0 * s * s - r2) / (s * s + r2) ** 3).real
-    return _prefactor(medium, r) * integral
+    s = complex(eps, medium.cs * dt)
+    # In units of r the integral is 2 (3 z^2 - 1) / (z^2 + 1)^3 with
+    # z = s / r; past |z| = 1 it is written in powers of 1 / z instead,
+    # so that neither form overflows on the way to a finite value.
+    try:
+        if abs(s) <= r:
+            z = s / r
+            x = z * z
+            d = x + 1.0
+            reduced = (3.0 * x - 1.0) / (d * d * d)
+        else:
+            z = r / s
+            x = z * z
+            d = 1.0 + x
+            reduced = x * x * (3.0 - x) / (d * d * d)
+    except ZeroDivisionError:  # d underflowed to 0 at the undamped cone
+        reduced = complex(math.inf)
+    return _in_units_of_r(medium, r, 2.0 * reduced.real, "damped_closed_form at "
+                          f"r = {r!r} m, dt = {dt!r} s, eps = {eps!r} m")
 
 
 def _richardson(xs, ys, order: int) -> tuple[float, float]:
@@ -246,21 +343,26 @@ def extrapolated_correlator(medium: FluidMedium, r: float, dt: float) -> Spectra
         If (r, dt) lies on the sound cone (no finite limit exists).
     ConvergenceError
         If the quadrature exhausts its budget, or the relative error
-        estimate exceeds 100x the quadrature tolerance of 1e-9.
+        estimate exceeds 100x the quadrature tolerance of 1e-9 (or is
+        not a number).
+    FluctusError
+        If the value lies outside the float range.
     """
     sep = _separation(r, dt)
     if sep.regime(medium.cs) is Regime.ON_CONE:
         raise SoundConeSingularityError(
             f"separation lies on the sound cone of '{medium.name}'"
         )
-    epsilons = _ladder(medium, r, dt)
-    integrals, achieved, passes, points = _regulated_values(r, medium.cs * abs(dt), epsilons)
-    prefactor = _prefactor(medium, r)
-    xs = [e * e for e in epsilons]
-    ys = [prefactor * float(v) for v in integrals]
-    value, err = _richardson(xs, ys, _EXTRAP_ORDER)
-    if err > 100.0 * _QUAD_TOL * abs(value):
+    epsilons = tuple(eps / r for eps in _ladder(medium, r, dt))
+    integrals, achieved, passes, points = _regulated_values(medium.cs * abs(dt) / r, epsilons)
+    # The extrapolant does not depend on the unit of eps^2; in units of the
+    # first rung the abscissae are exact and never over- or underflow.
+    xs = [(eps / epsilons[0]) ** 2 for eps in epsilons]
+    value, err = _richardson(xs, [float(v) for v in integrals], _EXTRAP_ORDER)
+    if not err <= 100.0 * _QUAD_TOL * abs(value):  # a nan fails too
         raise ConvergenceError("regulator extrapolation did not converge",
                                err / abs(value) if value else math.inf)
-    return SpectralEstimate(value=value, error_estimate=err, quadrature_error=achieved,
-                            passes=passes, points=points)
+    call = f"extrapolated_correlator at r = {r!r} m, dt = {dt!r} s"
+    return SpectralEstimate(value=_in_units_of_r(medium, r, value, call),
+                            error_estimate=abs(_in_units_of_r(medium, r, err, call)),
+                            quadrature_error=achieved, passes=passes, points=points)

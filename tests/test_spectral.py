@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from fluctus import spectral
 from fluctus.correlator import Separation, correlator
-from fluctus.errors import ConvergenceError, SoundConeSingularityError
+from fluctus.errors import ConvergenceError, FluctusError, SoundConeSingularityError
 from fluctus.lattice import ModeGrid, convergence_study, lattice_correlator
 from fluctus.medium import builtin_material
 from fluctus.spectral import (
@@ -12,7 +13,7 @@ from fluctus.spectral import (
     extrapolated_correlator,
     regulated_integrand_reduction,
 )
-from fluctus.verify import standard_separation_grid
+from fluctus.verify import standard_separation_grid, verify_spectral
 
 WATER = builtin_material("water")
 
@@ -41,6 +42,63 @@ def test_standard_grid_work_is_bounded():
     for est in estimates:
         assert est.passes >= 2
         assert 0.0 <= est.quadrature_error <= spectral._QUAD_TOL
+
+
+def test_standard_grid_converges_on_the_second_pass():
+    # with the panel-centre phases reduced exactly, the first halving
+    # already agrees to the tolerance: no pass is spent on roundoff
+    estimates = [extrapolated_correlator(WATER, r, dt) for r, dt in standard_separation_grid()]
+    assert [est.passes for est in estimates] == [2] * len(estimates)
+    assert sum(est.points for est in estimates) <= 1.25e7
+
+
+def test_off_grid_timelike_sweep_converges_without_chasing_roundoff():
+    # far inside the cone the integrand cancels hardest; every point must
+    # still converge, agree with the closed form and stay cheap
+    rng = np.random.default_rng(20261018)
+    for _ in range(40):
+        r = 10.0 ** rng.uniform(-10.0, -7.0)
+        dt = rng.uniform(3.0, 5.0) * r / WATER.cs
+        est = extrapolated_correlator(WATER, r, dt)
+        ref = correlator(WATER, Separation(r, dt)).value
+        assert est.value == pytest.approx(ref, rel=1e-6)
+        assert est.points <= 2**21
+
+
+def test_spectral_suite_reports_the_quadrature_work():
+    check = next(c for c in verify_spectral() if c.name.startswith("closed form vs spectral"))
+    estimates = [extrapolated_correlator(WATER, r, dt) for r, dt in standard_separation_grid()]
+    worst = max(est.quadrature_error for est in estimates)
+    assert f"{sum(est.passes for est in estimates)} quadrature passes" in check.detail
+    assert f"{sum(est.points for est in estimates)} points" in check.detail
+    assert f"worst quadrature error {worst:.2e}" in check.detail
+
+
+# --- the factored panel rule -----------------------------------------------------
+
+def direct_panel_sums(b, epsilons, halvings, panels):
+    """The 16-point Gauss-Legendre rule node by node, with the sum of |w f|.
+
+    Panels of width pi / ((1 + b) 2**halvings) from q = 0, as in the
+    oracle (in units of r); every node evaluates q^2 sin(q) cos(qb)
+    e^{-eps q} directly.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    half = math.pi / ((1.0 + b) * 2.0 ** (halvings + 1))
+    q = ((2 * np.arange(panels) + 1)[:, None] + nodes[None, :]) * half
+    wf = [(weights * half) * q * q * np.sin(q) * np.cos(q * b) * np.exp(-eps * q)
+          for eps in epsilons]
+    return [math.fsum(f.ravel()) for f in wf], [float(np.abs(f).sum()) for f in wf]
+
+
+@pytest.mark.parametrize("b", [0.0, 0.375, 2.5], ids=["b=0", "b<r", "b>r"])  # r = 1
+@pytest.mark.parametrize("halvings", [0, 1, 2])
+def test_factored_panel_sums_equal_the_direct_rule(b, halvings):
+    epsilons = (0.1, 0.05, 0.025, 0.0125)
+    factored = spectral._panel_sums(b, epsilons, halvings, 200)
+    direct, magnitude = direct_panel_sums(b, epsilons, halvings, 200)
+    for got, want, scale in zip(factored, direct, magnitude):
+        assert abs(got - want) <= 1e-13 * scale
 
 
 # --- fixed-regulator quadrature ----------------------------------------------
@@ -89,15 +147,60 @@ def test_quadrature_rejects_bad_arguments():
     (lambda: damped_closed_form(WATER, 1e-9, math.nan, 1e-11), "dt"),
     (lambda: lattice_correlator(WATER, ModeGrid(L=16e-9, N=8), (math.nan, 0.0, 0.0), 1e-10),
      "dx"),
+    (lambda: lattice_correlator(WATER, ModeGrid(L=16e-9, N=8), (1e-9, 0.0, 0.0), math.inf),
+     "eps"),
     (lambda: ModeGrid(L=math.inf, N=8), "L"),
     (lambda: convergence_study(WATER, r=math.inf), "r"),
 ], ids=["reduction-dt-inf", "reduction-dt-nan", "reduction-r-inf", "reduction-eps-inf",
-        "damped-dt-nan", "lattice-dx-nan", "grid-L-inf", "study-r-inf"])
+        "damped-dt-nan", "lattice-dx-nan", "lattice-eps-inf", "grid-L-inf",
+        "study-r-inf"])
 def test_oracle_inputs_refused_by_name(call, argument):
     # each oracle refuses a non-finite input with a ValueError naming it,
     # never a ZeroDivisionError or a nan result
     with pytest.raises(ValueError, match=f" {argument} "):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, name", [
+    (lambda: extrapolated_correlator(WATER, 1e-300, 0.0), "extrapolated_correlator"),
+    (lambda: damped_closed_form(WATER, 1e-300, 0.0, 1e-300), "damped_closed_form"),
+    (lambda: regulated_integrand_reduction(WATER, 1e-300, 0.0, 1e-301),
+     "regulated_integrand_reduction"),
+], ids=["extrapolated-r-1e-300", "damped-r-1e-300", "reduction-r-1e-300"])
+def test_values_outside_the_float_range_are_refused_by_name(call, name):
+    # the correlator scales as r^-4: at r = 1e-300 it has no double value
+    with pytest.raises(FluctusError, match=f"^{name} at r = 1e-300 m.*outside the float range"):
+        call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r", [1e200, 1e300])
+def test_extrapolation_far_away_underflows_to_a_finite_zero(r):
+    # the integral is computed in units of r, so only the final scaling
+    # underflows, to zero, never to nan
+    est = extrapolated_correlator(WATER, r, 0.0)
+    assert est.value == 0.0
+    assert est.error_estimate == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dt, eps", [(0.0, 1e300), (1e306, 1e-10)], ids=["eps-1e300", "dt-1e306"])
+def test_damped_closed_form_underflows_to_a_finite_zero(dt, eps):
+    assert damped_closed_form(WATER, 1e-9, dt, eps) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_unbounded_work_is_refused_not_divided_by_zero():
+    # cs|dt| overflows: the panel count is infinite and refused by the budget
+    with pytest.raises(ConvergenceError, match="over the budget"):
+        extrapolated_correlator(WATER, 1e-9, 1e306)
+
+
+def test_extrapolation_gate_refuses_nan(monkeypatch):
+    monkeypatch.setattr(spectral, "_richardson", lambda xs, ys, order: (math.nan, math.nan))
+    with pytest.raises(ConvergenceError, match="regulator extrapolation"):
+        extrapolated_correlator(WATER, 1e-9, 0.0)
 
 
 def test_unreachable_tolerance_raises_with_achieved_estimate(monkeypatch):
