@@ -93,10 +93,11 @@ def lattice_correlator(medium: FluidMedium, grid: ModeGrid, dx, eps: float) -> f
     """Damped mode sum at displacement ``dx`` (3-vector, m); kg^2/m^6.
 
     Summed over the octant of component magnitudes (module docstring),
-    (N/2 + 1)^3 weights instead of N^3.  Deterministic: slabs of fixed
-    first-axis magnitude are accumulated in a fixed order, with the slab
-    partial sums combined by exact compensated summation, so the result
-    does not depend on how the work would be chunked.
+    (N/2 + 1)^3 terms instead of N^3, with the weight tabulated once over
+    the 3 (N/2)^2 + 1 values of |n|^2 it depends on.  Deterministic:
+    slabs of fixed first-axis magnitude are accumulated in a fixed order,
+    with the slab partial sums combined by exact compensated summation,
+    so the result does not depend on how the work would be chunked.
 
     Raises
     ------
@@ -122,13 +123,15 @@ def lattice_correlator(medium: FluidMedium, grid: ModeGrid, dx, eps: float) -> f
     axis = 2.0 * np.cos(phase) + 0j
     axis[:, 0] = 1.0
     axis[:, half] = np.exp(-1j * phase[:, half])
-    q_yz_sq = q1[:, None] ** 2 + q1[None, :] ** 2
+    # The weight depends only on s = mx^2 + my^2 + mz^2: tabulate it once.
+    m_sq = np.arange(half + 1) ** 2
+    yz_sq = m_sq[:, None] + m_sq[None, :]
+    qmag = dq * np.sqrt(np.arange(3 * half * half + 1))
+    weight = qmag * np.exp(-eps * qmag)
+    weight[0] = 0.0  # zero mode excluded
     slab_sums = []
     for mx in range(half + 1):
-        qmag = np.sqrt(q1[mx] * q1[mx] + q_yz_sq)
-        w = qmag * np.exp(-eps * qmag)
-        if mx == 0:
-            w[0, 0] = 0.0  # zero mode excluded
+        w = weight[m_sq[mx] + yz_sq]
         slab_sums.append(float((axis[0, mx] * (axis[1] @ (w @ axis[2]))).real))
     total = math.fsum(slab_sums)
     # Omega_q = cs |q| cancels one cs of the 1/cs^2 normalization.

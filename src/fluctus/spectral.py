@@ -17,13 +17,15 @@ closed form in ``fluctus.correlator``.  Agreement between the two is
 the decisive test of the closed form's denominator.
 
 The quadrature is a 16-point Gauss-Legendre rule per panel, evaluated
-in factored form: each panel's contribution is its centre's sin, cos
-and damping times node sums shared by all panels (:func:`_panel_sums`),
-so a pass costs O(panels), not O(16 panels).  The integrand cancels by
-Sigma|f| / |Sigma f| ~ 1e6-1e7 at small eps, so the phase at each panel
-centre is reduced exactly rather than formed as q r; a phase rounded at
-the magnitude of q r leaves node-to-node noise that the pass-to-pass
-rule would otherwise chase.  Everything is computed in units of r (the
+in factored form over blocks of consecutive panels: each block's
+contribution is its first edge's sin, cos and damping times node sums
+shared by all blocks (:func:`_panel_sums`), so a pass costs
+O(panels / _BLOCK_PANELS), not O(16 panels).  The integrand cancels by
+Sigma|f| / |Sigma f| ~ 1e6-1e7 at small eps, so every phase (the block
+edge's, and the integer part of each node's offset from it) is reduced
+exactly rather than formed as q r; a phase rounded at the magnitude of
+q r leaves node-to-node noise that the pass-to-pass rule would
+otherwise chase.  Everything is computed in units of r (the
 integral scales as r^-3), so only the final scaling to kg^2/m^6 can
 leave the float range, and that raises ``FluctusError``.
 
@@ -63,9 +65,22 @@ _DAMPING_FLOOR = 1e-14
 #: Gauss-Legendre rule applied per oscillation panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-#: Panel-centre phases of the slow frequency are reduced on a grid of
-#: 2**-_TURN_BITS turns (:func:`_slow_centre_sin_cos`).
+#: Phases are reduced on a grid of 2**-_TURN_BITS turns (:func:`_phase`).
 _TURN_BITS = 20
+
+#: The panel rule is factored over blocks of this many consecutive panels
+#: (:func:`_panel_sums`).  Odd, so the fast phase never advances by a whole
+#: number of turns from block to block: the roundoff of the node sums,
+#: which every block shares, then cancels over the blocks instead of
+#: adding up (at eps = 1e-4 r two passes differed by 1.0e-4 with 32-panel
+#: blocks, by 2.2e-7 with 31).
+_BLOCK_PANELS = 31
+
+#: A block's panel offsets k_i = 2i + 1 and node offsets k_i + x_j from its
+#: first edge, in half widths, and the Gauss weight of each node.
+_PANEL_OFFSETS = np.arange(1, 2 * _BLOCK_PANELS, 2)
+_NODE_OFFSETS = (_PANEL_OFFSETS[:, None] + _GL_NODES).ravel()
+_NODE_WEIGHTS = np.tile(_GL_WEIGHTS, _BLOCK_PANELS)
 
 #: The regulator standard.  The damping ladder has _LADDER_RUNGS lengths
 #: halving from scale/_LADDER_START (see :func:`_ladder`); every rung is
@@ -100,15 +115,16 @@ class SpectralEstimate:
     points: int
 
 
-def _ladder(medium: FluidMedium, r: float, dt: float) -> tuple[float, ...]:
-    """_LADDER_RUNGS damping lengths halving from scale/_LADDER_START, where
-    scale = min(r, |r - cs|dt||).
+def _ladder(b: float) -> tuple[float, ...]:
+    """_LADDER_RUNGS damping lengths halving from scale/_LADDER_START, in
+    units of r, where scale = min(r, |r - cs|dt||) and b = cs|dt| / r.
 
     The scale is r away from the sound cone and shrinks with the cone
     distance near it, keeping the eps^2 extrapolation accurate where the
-    correlator steepens.
+    correlator steepens.  Being relative to r, the rungs neither under-
+    nor overflow however large or small r is.
     """
-    eps0 = float(min(r, abs(r - medium.cs * abs(dt)))) / _LADDER_START
+    eps0 = min(1.0, abs(1.0 - b)) / _LADDER_START
     return tuple(eps0 / 2.0**k for k in range(_LADDER_RUNGS))
 
 
@@ -123,20 +139,19 @@ def _truncation_wavenumber(eps: float) -> float:
     return x / eps if eps > 0.0 else math.inf
 
 
-def _slow_centre_sin_cos(n: np.ndarray, turns: float) -> tuple[np.ndarray, np.ndarray]:
-    """sin and cos of the phase 2 pi n turns at integers n, reduced exactly.
+def _phase(n: np.ndarray, turns: np.ndarray) -> np.ndarray:
+    """The phase 2 pi n turns at integers n, reduced exactly into [-pi, pi].
 
     ``turns`` is split into a part on the 2**-_TURN_BITS grid, whose
     product with n is reduced modulo one turn in integer arithmetic, and
     a remainder of at most 2**-(_TURN_BITS + 1), whose product with n is
-    below one turn.  The phase, taken into [-pi, pi], is therefore
-    accurate to a few ulp of pi, however large n is.
+    below one turn.  The phase is therefore accurate to a few ulp of pi,
+    however large n is.  Broadcasts over n and turns.
     """
-    steps = round(turns * 2**_TURN_BITS)
+    steps = np.rint(turns * 2**_TURN_BITS).astype(np.int64)
     rest = turns - steps / 2**_TURN_BITS  # exact: the low bits of turns
     frac = (n * steps % 2**_TURN_BITS) / 2**_TURN_BITS + n * rest
-    phase = (2.0 * math.pi) * (frac - np.round(frac))
-    return np.sin(phase), np.cos(phase)
+    return (2.0 * math.pi) * (frac - np.rint(frac))
 
 
 def _panel_sums(b: float, epsilons: tuple[float, ...], halvings: int,
@@ -144,59 +159,67 @@ def _panel_sums(b: float, epsilons: tuple[float, ...], halvings: int,
     """Quadrature of q^2 sin(q) cos(qb) e^{-eps q} for every damping length.
 
     In units of r (r = 1): the 16-point Gauss-Legendre rule on ``panels``
-    panels of width pi / ((1 + b) 2**halvings) from q = 0, evaluated in
-    factored form.  With sin(q) cos(qb) = [sin q(1+b) + sin q(1-b)] / 2
-    (one frequency when b = 0), a node q = m + t at panel centre m = n h
-    (n odd, h the half width) and offset t = h x_j splits every factor
-    into a centre part and a node part:
+    panels of half width h = pi / ((1 + b) 2**(halvings + 1)) from q = 0,
+    evaluated in factored form over blocks of _BLOCK_PANELS consecutive
+    panels (the last block holds the rest).  With
+    sin(q) cos(qb) = [sin q(1+b) + sin q(1-b)] / 2 (one frequency when
+    b = 0), a node q = s + u at offset u = h (k_i + x_j) from its block's
+    first edge s (k_i = 2i + 1 in the block's i-th panel, x_j the Gauss
+    nodes) splits every factor into a block part and a node part:
 
-        e^{-eps q} = e^{-eps m} e^{-eps t},
-        sin(q a) = sin(m a) cos(t a) + cos(m a) sin(t a),
-        q^2 = m^2 + 2 m t + t^2.
+        e^{-eps q} = e^{-eps s} e^{-eps u},
+        sin(q a) = sin(s a) cos(u a) + cos(s a) sin(u a),
+        q^2 = s^2 + 2 s u + u^2.
 
-    The node sums of w_j t^p e^{-eps t} {cos, sin}(t a), p = 0, 1, 2, are
-    the same on every panel, so a pass is one (rungs x 12) by
-    (12 x panels) product plus, per panel, the centre sin and cos of each
-    frequency and one exp per rung.  The centre phases are reduced
-    exactly: the fast one, m (1 + b) = n pi / 2**(halvings + 1), repeats
-    with period 2**(halvings + 2) in n and is looked up; the slow one is
-    counted in turns (:func:`_slow_centre_sin_cos`).  Neither is rounded
-    at the magnitude of q.  The panel order and the summation are
-    fixed, so results are bitwise reproducible.
+    The node sums of w_j u^p e^{-eps u} {cos, sin}(u a), p = 0, 1, 2, over
+    a block's 16 _BLOCK_PANELS nodes are the same for every full block
+    (the last block takes a prefix of them), so a pass is one
+    (rungs x 12) by (12 x blocks) product plus, per block, the sin and
+    cos of each frequency and one exp per rung.  As s, u >= 0, neither
+    damping factor exceeds 1 and the q^2 terms do not cancel.
+
+    Every phase is reduced exactly (:func:`_phase`): the block phase s a
+    and the panel phase h k_i a are integers times a turn count (the
+    fast one, 1 / 2**(halvings + 2) turns, lies on the turn grid), and
+    only the Gauss part h x_j a, under a quarter turn, is added in
+    floating point.  No phase is rounded at the magnitude of q, which
+    would leave node-to-node noise that the cancellation amplifies.  The
+    block order and the summation are fixed, so results are bitwise
+    reproducible.
     """
     fast = 1.0 + b
     period = 2 ** (halvings + 2)
     h = 2.0 * math.pi / (fast * period)
-    t = h * _GL_NODES
-    n = np.arange(1, 2 * panels, 2, dtype=np.int64)
-    m = n * h
+    turns = np.array([1.0, (1.0 - b) / fast] if b != 0.0 else [1.0])[:, None] / period
     eps = np.asarray(epsilons)
-    node = _GL_WEIGHTS * np.exp(-np.multiply.outer(eps, t))
-    moments = np.stack((node, node * t, node * (t * t)))
-    # The fast centre phase is n / period turns: a table over n mod period,
-    # with every entry reduced into [-pi, pi].
-    turns = np.arange(period) / period
-    table = (2.0 * math.pi) * (turns - np.round(turns))
-    k = n % period
-    centres = [(fast, np.sin(table)[k], np.cos(table)[k])]
-    if b != 0.0:
-        centres.append((1.0 - b, *_slow_centre_sin_cos(n, (1.0 - b) / fast / period)))
-    weight = 1.0 / len(centres)
-    features = np.empty((6 * len(centres), panels))
-    coeffs = np.empty((6 * len(centres), len(eps)))
-    m2, two_m = m * m, 2.0 * m
-    row = 0
-    for a, sin_m, cos_m in centres:
-        for centre, node_osc in ((sin_m, np.cos(t * a)), (cos_m, np.sin(t * a))):
-            np.multiply(centre, m2, out=features[row])
-            np.multiply(centre, two_m, out=features[row + 1])
-            features[row + 2] = centre
-            coeffs[row:row + 3] = weight * (moments @ node_osc)
-            row += 3
-    per_panel = coeffs.T @ features
-    damping = np.multiply.outer(-eps, m)
-    per_panel *= np.exp(damping, out=damping)
-    return per_panel.sum(axis=1) * h
+    blocks = -(-panels // _BLOCK_PANELS)
+    size = min(panels, _BLOCK_PANELS)
+    start = 2 * _BLOCK_PANELS * np.arange(blocks)
+    s = start * h
+    # One exact reduction for the panels' integer offsets and the block edges.
+    phase = _phase(np.concatenate((_PANEL_OFFSETS[:size], start)), turns)
+    node_phase = (phase[:, :size, None]
+                  + (2.0 * math.pi) * turns[:, :, None] * _GL_NODES).reshape(len(turns), -1)
+    # Row i of the block factors pairs with row i of the node factors:
+    # sin(s a) with cos(u a), cos(s a) with sin(u a), for each frequency.
+    node_osc = np.concatenate((np.cos(node_phase), np.sin(node_phase)))
+    edge = np.concatenate((np.sin(phase[:, size:]), np.cos(phase[:, size:])))
+    u = h * _NODE_OFFSETS[:node_phase.shape[1]]
+    node = _NODE_WEIGHTS[:len(u)] * np.exp(-np.multiply.outer(eps, u))
+    moments = np.stack((node, node * u, node * (u * u)))
+    features = (edge[:, None, :] * np.stack((s * s, 2.0 * s, np.ones(blocks)))).reshape(-1, blocks)
+
+    def node_sums(nodes: int) -> np.ndarray:
+        sums = moments[:, :, :nodes] @ node_osc[:, :nodes].T
+        return sums.transpose(2, 0, 1).reshape(-1, len(eps))
+
+    per_block = node_sums(len(u)).T @ features
+    last = panels - (blocks - 1) * _BLOCK_PANELS
+    if last < size:
+        per_block[:, -1] = node_sums(len(_GL_NODES) * last).T @ features[:, -1]
+    damping = np.multiply.outer(-eps, s)
+    per_block *= np.exp(damping, out=damping)
+    return per_block.sum(axis=1) * (h / len(turns))
 
 
 def _in_units_of_r(medium: FluidMedium, r: float, integral: float, call: str) -> float:
@@ -225,18 +248,19 @@ def _separation(r: float, dt: float, eps: float | None = None) -> Separation:
     return sep
 
 
-def _regulated_values(b: float,
-                      epsilons: tuple[float, ...]) -> tuple[np.ndarray, float, int, int]:
+def _regulated_values(b: float, epsilons: tuple[float, ...],
+                      call: str) -> tuple[np.ndarray, float, int, int]:
     """Adaptively refined panel quadrature for a whole damping ladder.
 
     Works in units of r: ``b`` is cs|dt| / r and ``epsilons`` are the
     damping lengths over r, smallest last.  The base panel width is the
     half-period of the fastest oscillation, pi / (1 + b); pass p halves
     it p times, at most _MAX_HALVINGS, until two successive passes agree
-    to _QUAD_TOL on every ladder entry.  A pass that would evaluate more
-    than _MAX_POINTS points is refused before anything is allocated.
+    to _QUAD_TOL on every ladder entry (and none sums to exactly 0).  A
+    pass that would evaluate more than _MAX_POINTS points is refused
+    before anything is allocated.
     Returns the values, the achieved pass-to-pass difference, and the
-    passes and points spent.
+    passes and points spent.  A ConvergenceError names ``call``.
     """
     qmax = _truncation_wavenumber(epsilons[-1])
     prev = None
@@ -246,17 +270,21 @@ def _regulated_values(b: float,
         panels = qmax * (1.0 + b) * 2.0**halvings / math.pi
         if not panels <= _MAX_POINTS // len(_GL_NODES):  # also refuses inf and nan
             raise ConvergenceError(
-                f"panel quadrature needs {panels * len(_GL_NODES):.3g} points in one pass, "
+                f"{call}: panel quadrature needs {panels * len(_GL_NODES):.3g} points in one pass, "
                 f"over the budget of {_MAX_POINTS}", achieved)
-        cur = _panel_sums(b, epsilons, halvings, math.ceil(panels))
-        points += math.ceil(panels) * len(_GL_NODES)
+        panels = math.ceil(panels)
+        cur = _panel_sums(b, epsilons, halvings, panels)
+        points += panels * len(_GL_NODES)
         if prev is not None:
-            scale = np.maximum(np.abs(cur), 1e-300)
-            achieved = float(np.max(np.abs(cur - prev) / scale))
+            # A rung whose nodes all underflowed sums to exactly 0: its
+            # damping is not resolved, so it never counts as converged.
+            achieved = float(np.max(np.divide(np.abs(cur - prev), np.abs(cur),
+                                              out=np.full_like(cur, math.inf),
+                                              where=cur != 0.0)))
             if achieved <= _QUAD_TOL:
                 return cur, achieved, halvings + 1, points
         prev = cur
-    raise ConvergenceError("panel quadrature did not converge within the panel budget",
+    raise ConvergenceError(f"{call}: panel quadrature did not converge within the panel budget",
                            achieved)
 
 
@@ -273,12 +301,14 @@ def regulated_integrand_reduction(medium: FluidMedium, r: float, dt: float,
     ConvergenceError
         If the panel budget is exhausted, carrying the achieved estimate.
     FluctusError
-        If the value lies outside the float range.
+        If the value, or eps / r, lies outside the float range.
     """
     _separation(r, dt, eps)
-    values = _regulated_values(medium.cs * abs(dt) / r, (eps / r,))[0]
-    return _in_units_of_r(medium, r, float(values[0]), "regulated_integrand_reduction at "
-                          f"r = {r!r} m, dt = {dt!r} s, eps = {eps!r} m")
+    call = f"regulated_integrand_reduction at r = {r!r} m, dt = {dt!r} s, eps = {eps!r} m"
+    if eps / r == math.inf:
+        raise FluctusError(f"{call}: eps / r is outside the float range")
+    values = _regulated_values(medium.cs * abs(dt) / r, (eps / r,), call)[0]
+    return _in_units_of_r(medium, r, float(values[0]), call)
 
 
 def damped_closed_form(medium: FluidMedium, r: float, dt: float, eps: float) -> float:
@@ -353,16 +383,17 @@ def extrapolated_correlator(medium: FluidMedium, r: float, dt: float) -> Spectra
         raise SoundConeSingularityError(
             f"separation lies on the sound cone of '{medium.name}'"
         )
-    epsilons = tuple(eps / r for eps in _ladder(medium, r, dt))
-    integrals, achieved, passes, points = _regulated_values(medium.cs * abs(dt) / r, epsilons)
+    call = f"extrapolated_correlator at r = {r!r} m, dt = {dt!r} s"
+    b = medium.cs * abs(dt) / r
+    epsilons = _ladder(b)
+    integrals, achieved, passes, points = _regulated_values(b, epsilons, call)
     # The extrapolant does not depend on the unit of eps^2; in units of the
     # first rung the abscissae are exact and never over- or underflow.
     xs = [(eps / epsilons[0]) ** 2 for eps in epsilons]
     value, err = _richardson(xs, [float(v) for v in integrals], _EXTRAP_ORDER)
     if not err <= 100.0 * _QUAD_TOL * abs(value):  # a nan fails too
-        raise ConvergenceError("regulator extrapolation did not converge",
+        raise ConvergenceError(f"{call}: regulator extrapolation did not converge",
                                err / abs(value) if value else math.inf)
-    call = f"extrapolated_correlator at r = {r!r} m, dt = {dt!r} s"
     return SpectralEstimate(value=_in_units_of_r(medium, r, value, call),
                             error_estimate=abs(_in_units_of_r(medium, r, err, call)),
                             quadrature_error=achieved, passes=passes, points=points)
