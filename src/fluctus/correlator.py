@@ -151,10 +151,21 @@ def _kernel(K: float, c: float, r: float, dt: float, k: float = 1.0) -> float:
     return value
 
 
+# hbar / (2 pi^2), folded once: the density correlators' prefactor is
+# this times rho0 / cs, and the scalar analog's this times c^3.
+_HBAR_2PI2 = HBAR / (2.0 * math.pi**2)
+
+
 def _density(medium: FluidMedium, r: float, dt: float, k: float = 1.0) -> float:
-    # The density correlators' prefactor: hbar rho0 / (2 pi^2 cs).
-    return _kernel(HBAR * medium.rho0 / (2.0 * math.pi**2 * medium.cs),
-                   medium.cs, r, dt, k)
+    cs = medium.cs
+    return _kernel(_HBAR_2PI2 * medium.rho0 / cs, cs, r, dt, k)
+
+
+def _image(medium: FluidMedium, z1: float, z2: float, transverse: float, dt: float) -> float:
+    # The image term's value: the free correlator at z2 reflected to -z2.
+    if not (z1 > 0.0 and z2 > 0.0):
+        raise ValueError("both points must be strictly inside the fluid (z1, z2 > 0)")
+    return _density(medium, math.hypot(transverse, z1 + z2), dt)
 
 
 def correlator(medium: FluidMedium, sep: Separation) -> CorrelatorValue:
@@ -169,11 +180,9 @@ def correlator(medium: FluidMedium, sep: Separation) -> CorrelatorValue:
     SoundConeSingularityError, CoincidenceDivergenceError
         On or at the apex of the sound cone.
     """
-    return CorrelatorValue(
-        value=_density(medium, sep.r, sep.dt),
-        formula="density-correlator",
-        inputs={"material": medium.name, "r_m": sep.r, "dt_s": sep.dt},
-    )
+    r, dt = sep.r, sep.dt
+    return CorrelatorValue(_density(medium, r, dt), "density-correlator",
+                           {"material": medium.name, "r_m": r, "dt_s": dt})
 
 
 def equal_time_correlator(medium: FluidMedium, r: float) -> CorrelatorValue:
@@ -184,11 +193,8 @@ def equal_time_correlator(medium: FluidMedium, r: float) -> CorrelatorValue:
     """
     if not r >= 0.0:
         raise ValueError(f"distance must be positive, got {r}")
-    return CorrelatorValue(
-        value=_density(medium, r, 0.0),
-        formula="equal-time-correlator",
-        inputs={"material": medium.name, "r_m": r},
-    )
+    return CorrelatorValue(_density(medium, r, 0.0), "equal-time-correlator",
+                           {"material": medium.name, "r_m": r})
 
 
 def scalar_field_analog(c_light: float, sep: Separation) -> float:
@@ -206,8 +212,7 @@ def scalar_field_analog(c_light: float, sep: Separation) -> float:
     if not 0.0 < c_light < math.inf:
         raise ValueError(f"propagation speed must be positive and finite, got {c_light}")
     # c*c*c, not c**3: an overflow becomes inf, which the kernel refuses.
-    prefactor = HBAR * c_light * c_light * c_light / (2.0 * math.pi**2)
-    return _kernel(prefactor, c_light, sep.r, sep.dt)
+    return _kernel(_HBAR_2PI2 * c_light * c_light * c_light, c_light, sep.r, sep.dt)
 
 
 def boundary_shift_planar(medium: FluidMedium, z: float) -> CorrelatorValue:
@@ -227,11 +232,8 @@ def boundary_shift_planar(medium: FluidMedium, z: float) -> CorrelatorValue:
         raise BoundaryContactError("z = 0: the renormalized variance diverges at the wall")
     if not z > 0.0:
         raise ValueError(f"distance to wall must be positive, got {z}")
-    return CorrelatorValue(
-        value=_density(medium, 2.0 * z, 0.0),
-        formula="planar-boundary-shift",
-        inputs={"material": medium.name, "z_m": z},
-    )
+    return CorrelatorValue(_density(medium, 2.0 * z, 0.0), "planar-boundary-shift",
+                           {"material": medium.name, "z_m": z})
 
 
 def boundary_image_term(medium: FluidMedium, z1: float, z2: float,
@@ -245,14 +247,9 @@ def boundary_image_term(medium: FluidMedium, z1: float, z2: float,
     image sits at distance 2z and the term equals
     :func:`boundary_shift_planar` exactly.
     """
-    if not (z1 > 0.0 and z2 > 0.0):
-        raise ValueError("both points must be strictly inside the fluid (z1, z2 > 0)")
-    return CorrelatorValue(
-        value=_density(medium, math.hypot(transverse, z1 + z2), dt),
-        formula="boundary-image-term",
-        inputs={"material": medium.name, "z1_m": z1, "z2_m": z2,
-                "transverse_m": transverse, "dt_s": dt},
-    )
+    return CorrelatorValue(_image(medium, z1, z2, transverse, dt), "boundary-image-term",
+                           {"material": medium.name, "z1_m": z1, "z2_m": z2,
+                            "transverse_m": transverse, "dt_s": dt})
 
 
 def boundary_correlator(medium: FluidMedium, z1: float, z2: float,
@@ -263,16 +260,18 @@ def boundary_correlator(medium: FluidMedium, z1: float, z2: float,
     the free correlator at the image separation.  Both separations must
     be off the sound cone; the direct one must not be coincident.
     Sending the transverse distance to infinity recovers the free
-    correlator.
+    correlator.  Two finite terms whose sum leaves the float range raise
+    FluctusError.
     """
-    image = boundary_image_term(medium, z1, z2, transverse, dt)
-    value = _density(medium, math.hypot(transverse, z1 - z2), dt) + image.value
-    return CorrelatorValue(
-        value=value,
-        formula="boundary-correlator",
-        inputs={"material": medium.name, "z1_m": z1, "z2_m": z2,
-                "transverse_m": transverse, "dt_s": dt},
-    )
+    image = _image(medium, z1, z2, transverse, dt)
+    value = _density(medium, math.hypot(transverse, z1 - z2), dt) + image
+    if not math.isfinite(value):
+        raise FluctusError(
+            f"boundary_correlator outside the float range (z1 = {z1!r} m, z2 = {z2!r} m, "
+            f"transverse = {transverse!r} m, dt = {dt!r} s)")
+    return CorrelatorValue(value, "boundary-correlator",
+                           {"material": medium.name, "z1_m": z1, "z2_m": z2,
+                            "transverse_m": transverse, "dt_s": dt})
 
 
 def em_vacuum_shift_plate(z: float) -> tuple[float, float]:

@@ -118,6 +118,16 @@ class Kinematics:
     q: float
 
 
+# Constant factors of the closed forms, folded once.
+_TWO_PI_HBAR = 2.0 * math.pi / HBAR                            # golden rule
+_HBAR3_8 = HBAR * HBAR * HBAR / 8.0                            # matrix element
+_DOS = 1.0 / (HBAR * (2.0 * math.pi * C_LIGHT) ** 3)           # density of states
+_ZP_EXACT = HBAR / (32.0 * math.pi**2 * C_LIGHT**4)            # zero-point, exact
+_ZP_REDUCED = HBAR / (32.0 * math.pi**2 * C_LIGHT**5)          # zero-point, omega^5
+_THERMAL = K_B / (16.0 * math.pi**2 * C_LIGHT**4)              # thermal lines
+_HBAR_2KB = HBAR / (2.0 * K_B)                                 # ratio
+
+
 def _angular(theta: float) -> float:
     # sqrt(2 (1 - cos theta)) written without the cancellation that
     # zeroes it below theta ~ 1e-8.
@@ -132,7 +142,7 @@ def _finite(formula):
     def checked(medium: FluidMedium, cfg: ScatteringConfig, *args, **kwargs):
         try:
             result = formula(medium, cfg, *args, **kwargs)
-            value = getattr(result, "value", result)
+            value = result.value if type(result) is CrossSectionValue else result
         except OverflowError:
             value = math.inf
         if not math.isfinite(value):
@@ -141,6 +151,15 @@ def _finite(formula):
                 "has no finite floating-point value")
         return result
     return checked
+
+
+def _shift(medium: FluidMedium, cfg: ScatteringConfig) -> tuple[float, float]:
+    # (omega_prime, omega_q) of phonon_kinematics.
+    omega = cfg.omega
+    omega_prime = omega - _angular(cfg.theta) * (medium.cs / C_LIGHT) * omega
+    # Re-derive the shift from the rounded difference so that
+    # omega_prime + omega_q reproduces omega exactly in floating point.
+    return omega_prime, omega - omega_prime
 
 
 def phonon_kinematics(medium: FluidMedium, cfg: ScatteringConfig) -> Kinematics:
@@ -153,13 +172,8 @@ def phonon_kinematics(medium: FluidMedium, cfg: ScatteringConfig) -> Kinematics:
 
     always a tiny fraction of omega (at most 2 cs/c at backscatter).
     """
-    omega_q = _angular(cfg.theta) * (medium.cs / C_LIGHT) * cfg.omega
-    omega_prime = cfg.omega - omega_q
-    # Re-derive the shift from the rounded difference so that
-    # omega_prime + omega_q reproduces omega exactly in floating point.
-    omega_q = cfg.omega - omega_prime
-    return Kinematics(omega=cfg.omega, omega_prime=omega_prime,
-                      omega_q=omega_q, q=omega_q / medium.cs)
+    omega_prime, omega_q = _shift(medium, cfg)
+    return Kinematics(cfg.omega, omega_prime, omega_q, omega_q / medium.cs)
 
 
 def polarization_factor(theta: float, pol: Polarization) -> float:
@@ -170,9 +184,9 @@ def polarization_factor(theta: float, pol: Polarization) -> float:
     average over incident and sum over scattered linear polarizations,
     (1 + cos^2 theta)/2.
     """
-    c = math.cos(theta)
     if pol is Polarization.PERPENDICULAR:
         return 1.0
+    c = math.cos(theta)
     if pol is Polarization.PARALLEL:
         return c * c
     if pol is Polarization.CROSSED:
@@ -206,8 +220,9 @@ def matrix_element_sq(medium: FluidMedium, omega: float, omega_prime: float,
         raise ValueError("all frequencies must be positive")
     if not volume > 0.0:
         raise ValueError(f"quantization volume must be positive, got {volume}")
-    return (HBAR**3 * omega * omega_prime * omega_q
-            / (8.0 * volume * medium.rho0 * medium.cs**2)) * pol_factor
+    cs = medium.cs
+    return (_HBAR3_8 * omega * omega_prime * omega_q
+            / volume / medium.rho0 / cs / cs) * pol_factor
 
 
 def density_of_states(omega_prime: float, epsilon0: float, volume: float) -> float:
@@ -218,7 +233,7 @@ def density_of_states(omega_prime: float, epsilon0: float, volume: float) -> flo
     """
     if not (omega_prime > 0.0 and epsilon0 > 0.0 and volume > 0.0):
         raise ValueError("all inputs must be positive")
-    return volume * omega_prime**2 * epsilon0**1.5 / (HBAR * (2.0 * math.pi * C_LIGHT) ** 3)
+    return volume * omega_prime * omega_prime * epsilon0**1.5 * _DOS
 
 
 def incident_flux(epsilon0: float, volume: float) -> float:
@@ -238,15 +253,17 @@ def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
     is independent of ``volume``; the parameter exists to demonstrate
     that cancellation.
     """
-    kin = phonon_kinematics(medium, cfg)
+    omega_prime, omega_q = _shift(medium, cfg)
     pol = polarization_factor(cfg.theta, cfg.pol)
     if pol == 0.0:
-        return CrossSectionValue(value=0.0, formula="zp-golden-rule-chain", pol_factor=pol)
-    m2 = matrix_element_sq(medium, kin.omega, kin.omega_prime, kin.omega_q, volume, pol)
-    rate = (2.0 * math.pi / HBAR) * m2 * density_of_states(kin.omega_prime,
-                                                           medium.epsilon0, volume)
-    value = rate / (incident_flux(medium.epsilon0, volume) * volume)
-    return CrossSectionValue(value=value, formula="zp-golden-rule-chain", pol_factor=pol)
+        return CrossSectionValue(0.0, "zp-golden-rule-chain", pol)
+    epsilon0 = medium.epsilon0
+    m2 = matrix_element_sq(medium, cfg.omega, omega_prime, omega_q, volume, pol)
+    rate = _TWO_PI_HBAR * m2 * density_of_states(omega_prime, epsilon0, volume)
+    flux_volume = incident_flux(epsilon0, volume) * volume
+    # A flux that underflows to 0 leaves a value beyond the float range.
+    value = rate / flux_volume if flux_volume else math.inf
+    return CrossSectionValue(value, "zp-golden-rule-chain", pol)
 
 
 @_finite
@@ -257,11 +274,19 @@ def zp_cross_section_exact(medium: FluidMedium, cfg: ScatteringConfig) -> CrossS
     polarization factor, per unit scattering volume.  Linear in hbar:
     this channel disappears in the classical limit.
     """
-    kin = phonon_kinematics(medium, cfg)
+    omega_prime, omega_q = _shift(medium, cfg)
+    if omega_q == 0.0:
+        # Omega_q > 0 for every theta > 0; 0 means the shift fell below
+        # the float resolution of omega, and 0 would be a wrong value.
+        raise FluctusError(
+            f"zp_cross_section_exact for '{medium.name}' at omega = {cfg.omega:.6g} rad/s: "
+            "the phonon shift lies below the float resolution of omega")
     pol = polarization_factor(cfg.theta, cfg.pol)
-    value = (HBAR * kin.omega * kin.omega_prime**3 * kin.omega_q * medium.eta**4
-             / (32.0 * math.pi**2 * C_LIGHT**4 * medium.cs**2 * medium.rho0)) * pol
-    return CrossSectionValue(value=value, formula="zp-exact", pol_factor=pol)
+    eta, cs = medium.eta, medium.cs
+    eta2 = eta * eta
+    value = (_ZP_EXACT * cfg.omega * omega_prime * omega_prime * omega_prime * omega_q
+             * eta2 * eta2 / cs / cs / medium.rho0) * pol
+    return CrossSectionValue(value, "zp-exact", pol)
 
 
 @_finite
@@ -275,14 +300,24 @@ def zp_cross_section_reduced(medium: FluidMedium, cfg: ScatteringConfig) -> Cros
     the neglected recoil is bounded by 4 Omega_q / omega.
     """
     pol = polarization_factor(cfg.theta, cfg.pol)
-    value = (_angular(cfg.theta) * HBAR * cfg.omega**5 * medium.eta**4
-             / (32.0 * math.pi**2 * C_LIGHT**5 * medium.cs * medium.rho0)) * pol
-    return CrossSectionValue(value=value, formula="zp-omega5", pol_factor=pol)
+    omega, eta = cfg.omega, medium.eta
+    omega2, eta2 = omega * omega, eta * eta
+    value = (_angular(cfg.theta) * _ZP_REDUCED * omega2 * omega2 * omega * eta2 * eta2
+             / medium.cs / medium.rho0) * pol
+    return CrossSectionValue(value, "zp-omega5", pol)
 
 
 def adiabatic_compressibility(medium: FluidMedium) -> float:
-    """beta_S = 1 / (rho0 cs^2), in 1/Pa."""
-    return 1.0 / (medium.rho0 * medium.cs**2)
+    """beta_S = 1 / (rho0 cs^2), in 1/Pa.
+
+    Raises FluctusError where the value leaves the float range.
+    """
+    cs = medium.cs
+    value = 1.0 / medium.rho0 / cs / cs
+    if value == math.inf:
+        raise FluctusError(f"adiabatic_compressibility for '{medium.name}' "
+                           "has no finite floating-point value")
+    return value
 
 
 def _bath_temperature(medium: FluidMedium, cfg: ScatteringConfig) -> float:
@@ -299,9 +334,10 @@ def thermal_brillouin_cross_section(medium: FluidMedium,
     """
     T = _bath_temperature(medium, cfg)
     pol = polarization_factor(cfg.theta, cfg.pol)
-    value = (cfg.omega**4 * K_B * T * medium.drho**2
-             / (16.0 * math.pi**2 * C_LIGHT**4 * medium.cs**2 * medium.rho0)) * pol
-    return CrossSectionValue(value=value, formula="thermal-brillouin", pol_factor=pol)
+    omega2, drho, cs = cfg.omega * cfg.omega, medium.drho, medium.cs
+    value = (_THERMAL * omega2 * omega2 * T * drho * drho
+             / cs / cs / medium.rho0) * pol
+    return CrossSectionValue(value, "thermal-brillouin", pol)
 
 
 @_finite
@@ -322,11 +358,12 @@ def thermal_total_cross_section(medium: FluidMedium,
         raise MissingPropertyError("deps_dt", medium.name)
     T = _bath_temperature(medium, cfg)
     pol = polarization_factor(cfg.theta, cfg.pol)
-    brillouin = adiabatic_compressibility(medium) * medium.drho**2
-    rayleigh = (T / (medium.rho0 * medium.cp)) * medium.deps_dt**2
-    value = (cfg.omega**4 * K_B * T / (16.0 * math.pi**2 * C_LIGHT**4)) \
-        * (brillouin + rayleigh) * pol
-    return CrossSectionValue(value=value, formula="thermal-total", pol_factor=pol)
+    drho, deps_dt = medium.drho, medium.deps_dt
+    brillouin = adiabatic_compressibility(medium) * drho * drho
+    rayleigh = T / medium.rho0 / medium.cp * deps_dt * deps_dt
+    omega2 = cfg.omega * cfg.omega
+    value = _THERMAL * omega2 * omega2 * T * (brillouin + rayleigh) * pol
+    return CrossSectionValue(value, "thermal-total", pol)
 
 
 @_finite
@@ -338,11 +375,13 @@ def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
     quotient, as does rho0 on its own: only the product drho enters.
     Grows linearly with frequency, falls as 1/T.
     """
-    if medium.drho**2 == 0.0:  # also catches a drho whose square underflows
+    drho2 = medium.drho * medium.drho
+    if drho2 == 0.0:  # also catches a drho whose square underflows
         raise ZeroDivisionError(
             f"material '{medium.name}' has drho = {medium.drho!r}, whose square is 0; "
             "the thermal Brillouin cross section vanishes and the ratio is undefined"
         )
-    T = _bath_temperature(medium, cfg)
-    return (_angular(cfg.theta) * (HBAR * cfg.omega / (2.0 * K_B * T))
-            * (medium.cs / C_LIGHT) * medium.eta**4 / medium.drho**2)
+    # Divided by T alone: 2 kB T underflows to 0 for T below ~2e-301 K.
+    eta2 = medium.eta * medium.eta
+    return (_angular(cfg.theta) * (_HBAR_2KB * cfg.omega / _bath_temperature(medium, cfg))
+            * (medium.cs / C_LIGHT) * eta2 * eta2 / drho2)

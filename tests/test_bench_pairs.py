@@ -1,0 +1,56 @@
+"""The paired-run summary of ``tools/bench_pairs.py``, on synthetic numbers."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_a_clear_gain_is_shown_with_quartiles_ratio_and_wins():
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 14.5]
+    child = [7.0, 8.0, 9.0, 9.5, 10.0, 7.5, 8.5, 9.2, 9.7, 15.0]  # the last pair is lost
+    s = bench_pairs.summarize(parent, child, "lower")
+    assert s["parent"]["median"] == 12.25
+    assert (s["parent"]["q1"], s["parent"]["q3"]) == (10.875, 13.625)
+    assert s["parent"]["iqr"] == pytest.approx(2.75)
+    assert s["child"]["median"] == 9.1
+    assert s["ratio"] == pytest.approx(9.1 / 12.25)
+    assert (s["pairs"], s["wins"], s["ties"]) == (10, 9, 0)
+    assert s["gain_shown"]
+
+
+def test_too_few_wins_or_a_gap_inside_the_spread_shows_no_gain():
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 14.5]
+    # nine wins of 0.1 each: the medians differ by less than the parent's IQR
+    s = bench_pairs.summarize(parent, [p - 0.1 for p in parent[:9]] + [20.0], "lower")
+    assert s["wins"] == 9 and not s["gain_shown"]
+    # a large gap but only eight wins and a tie
+    child = [1.0] * 8 + [parent[8], 99.0]
+    s = bench_pairs.summarize(parent, child, "lower")
+    assert (s["wins"], s["ties"]) == (8, 1) and not s["gain_shown"]
+
+
+def test_higher_is_better_counts_wins_the_other_way():
+    s = bench_pairs.summarize([1.0, 2.0, 3.0], [2.0, 3.0, 4.0], "higher")
+    assert s["wins"] == 3 and s["ratio"] == 1.5
+    assert bench_pairs.summarize([1.0, 2.0, 3.0], [2.0, 3.0, 4.0], "lower")["wins"] == 0
+
+
+def test_one_pair_and_a_zero_parent_median():
+    s = bench_pairs.summarize([0.0], [0.0], "lower")
+    assert s["parent"]["iqr"] == 0.0 and s["ratio"] is None
+    assert (s["wins"], s["ties"]) == (0, 1) and not s["gain_shown"]
+
+
+def test_unpaired_or_undirected_input_is_refused():
+    with pytest.raises(ValueError):
+        bench_pairs.summarize([1.0, 2.0], [1.0], "lower")
+    with pytest.raises(ValueError):
+        bench_pairs.summarize([], [], "lower")
+    with pytest.raises(ValueError):
+        bench_pairs.summarize([1.0], [1.0], "faster")

@@ -362,6 +362,19 @@ def test_ratio_share_beyond_the_float_range_is_not_printed(tmp_path, capsys):
     assert "inf" not in out and "%" not in out
 
 
+def test_underflowing_medium_is_refused_by_name(tmp_path, capsys):
+    # cs^2 rho0 underflows to 0; the parent printed "float division by zero"
+    thin = tmp_path / "thin.mat"
+    thin.write_text("name = thin\nrho0_kg_m3 = 1e-200\ncs_m_s = 1e-100\n"
+                    "refractive_index = 1.33\ndepsilon_drho = 0.8\n")
+    for kind, name in (("zp-exact", "zp_cross_section_exact"),
+                       ("thermal-brillouin", "thermal_brillouin_cross_section")):
+        code, out, err = run_cli(capsys, "xsection", "--material", str(thin),
+                                 "--lambda", "350e-9", "--theta", "90", "--kind", kind)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {name} for 'thin'"), err
+
+
 def test_bad_usage_never_tracebacks():
     proc = subprocess.run(
         [sys.executable, "-m", "fluctus.cli", "correlator", "--material",

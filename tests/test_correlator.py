@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -219,6 +220,16 @@ def test_boundary_correlator_rejects_on_cone_separations():
     image = math.hypot(rho, z1 + z2)
     with pytest.raises(SoundConeSingularityError):
         boundary_correlator(WATER, z1, z2, rho, image / WATER.cs)
+
+
+def test_boundary_correlator_sum_beyond_the_float_range_is_refused_by_name():
+    # each term is about -1.2e308 and finite; their sum is not
+    z, transverse = 1e-300, 1.3159811066592296e-86
+    assert math.isfinite(boundary_image_term(WATER, z, z, transverse, 0.0).value)
+    with pytest.raises(FluctusError, match=re.escape(
+            f"boundary_correlator outside the float range (z1 = {z!r} m, z2 = {z!r} m, "
+            f"transverse = {transverse!r} m, dt = 0.0 s)")):
+        boundary_correlator(WATER, z, z, transverse, 0.0)
 
 
 # --- electromagnetic plate comparison ----------------------------------------

@@ -4,7 +4,11 @@ Adding or removing a public name is an API change: it shows up here as
 a test edit, and CHANGES.md declares it.
 """
 
+import dataclasses
 import inspect
+import math
+
+import pytest
 
 import fluctus
 
@@ -36,3 +40,16 @@ def test_public_names_are_pinned():
     exported = sorted(name for name, value in vars(fluctus).items()
                       if not name.startswith("_") and not inspect.ismodule(value))
     assert exported == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("result", [
+    fluctus.correlator(fluctus.builtin_material("water"), fluctus.Separation(1e-9)),
+    fluctus.zp_cross_section_exact(fluctus.builtin_material("water"),
+                                   fluctus.ScatteringConfig(omega=5.4e15, theta=math.pi)),
+    fluctus.phonon_kinematics(fluctus.builtin_material("water"),
+                              fluctus.ScatteringConfig(omega=5.4e15, theta=math.pi)),
+], ids=["CorrelatorValue", "CrossSectionValue", "Kinematics"])
+def test_result_types_are_frozen(result):
+    for field in dataclasses.fields(result):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(result, field.name, getattr(result, field.name))

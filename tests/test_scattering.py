@@ -346,6 +346,40 @@ def test_out_of_range_result_is_a_typed_error(formula, medium, cfg):
         formula(medium, cfg)
 
 
+# cs^2 rho0 = 1e-400 underflows to 0, and Omega_q falls below ulp(omega)
+_THIN = fluid_medium("thin", rho0=1e-200, cs=1e-100, eta=1.33, drho=0.8,
+                     cp=1e-200, deps_dt=1.0)
+@pytest.mark.parametrize("call, message", [
+    (lambda: zp_cross_section_exact(_THIN, benchmark_config(theta=math.pi / 2)),
+     "zp_cross_section_exact for 'thin' at omega = 5.38186e+15 rad/s: "
+     "the phonon shift lies below the float resolution of omega"),
+    (lambda: thermal_brillouin_cross_section(_THIN, benchmark_config(theta=math.pi / 2)),
+     "thermal_brillouin_cross_section for 'thin' at omega = 5.38186e+15 rad/s "
+     "has no finite floating-point value"),
+    (lambda: adiabatic_compressibility(_THIN),
+     "adiabatic_compressibility for 'thin' has no finite floating-point value"),
+    (lambda: thermal_total_cross_section(_THIN, benchmark_config(theta=math.pi / 2)),
+     "adiabatic_compressibility for 'thin'"),
+    (lambda: zp_cross_section_chain(
+        fluid_medium("dense-optics", rho0=997.0, cs=1480.0, eta=1e155, drho=0.79),
+        benchmark_config()),  # epsilon0 = inf, so the photon flux is 0
+     "zp_cross_section_chain for 'dense-optics'"),
+], ids=["exact-thin", "brillouin-thin", "compressibility-thin", "total-thin",
+        "chain-zero-flux"])
+def test_underflowing_denominator_is_a_typed_error(call, message):
+    # valid inputs whose denominators underflow to 0: a FluctusError naming
+    # the call, never a bare ZeroDivisionError
+    with pytest.raises(FluctusError, match=re.escape(message)):
+        call()
+
+
+def test_ratio_stays_inverse_in_t_where_2_kb_t_underflows():
+    # 2 kB T = 2.8e-325 rounds to 0; the ratio itself is 8.8e301
+    cold = ratio_zp_thermal(WATER, benchmark_config(temperature=1e-302))
+    warm = ratio_zp_thermal(WATER, benchmark_config(temperature=295.0))
+    assert cold == pytest.approx(warm * 295.0 / 1e-302, rel=1e-12)
+
+
 _HEAVY = fluid_medium("heavy", rho0=1e300, cs=1480.0, eta=1.4, drho=0.79)
 
 
