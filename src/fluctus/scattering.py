@@ -274,6 +274,9 @@ def zp_cross_section_exact(medium: FluidMedium, cfg: ScatteringConfig) -> CrossS
     polarization factor, per unit scattering volume.  Linear in hbar:
     this channel disappears in the classical limit.
     """
+    pol = polarization_factor(cfg.theta, cfg.pol)
+    if pol == 0.0:
+        return CrossSectionValue(0.0, "zp-exact", pol)
     omega_prime, omega_q = _shift(medium, cfg)
     if omega_q == 0.0:
         # Omega_q > 0 for every theta > 0; 0 means the shift fell below
@@ -281,7 +284,6 @@ def zp_cross_section_exact(medium: FluidMedium, cfg: ScatteringConfig) -> CrossS
         raise FluctusError(
             f"zp_cross_section_exact for '{medium.name}' at omega = {cfg.omega:.6g} rad/s: "
             "the phonon shift lies below the float resolution of omega")
-    pol = polarization_factor(cfg.theta, cfg.pol)
     eta, cs = medium.eta, medium.cs
     eta2 = eta * eta
     value = (_ZP_EXACT * cfg.omega * omega_prime * omega_prime * omega_prime * omega_q
@@ -358,8 +360,8 @@ def thermal_total_cross_section(medium: FluidMedium,
         raise MissingPropertyError("deps_dt", medium.name)
     T = _bath_temperature(medium, cfg)
     pol = polarization_factor(cfg.theta, cfg.pol)
-    drho, deps_dt = medium.drho, medium.deps_dt
-    brillouin = adiabatic_compressibility(medium) * drho * drho
+    drho, deps_dt, cs = medium.drho, medium.deps_dt, medium.cs
+    brillouin = drho * drho / medium.rho0 / cs / cs
     rayleigh = T / medium.rho0 / medium.cp * deps_dt * deps_dt
     omega2 = cfg.omega * cfg.omega
     value = _THERMAL * omega2 * omega2 * T * (brillouin + rayleigh) * pol

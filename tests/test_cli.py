@@ -366,9 +366,11 @@ def test_underflowing_medium_is_refused_by_name(tmp_path, capsys):
     # cs^2 rho0 underflows to 0; the parent printed "float division by zero"
     thin = tmp_path / "thin.mat"
     thin.write_text("name = thin\nrho0_kg_m3 = 1e-200\ncs_m_s = 1e-100\n"
-                    "refractive_index = 1.33\ndepsilon_drho = 0.8\n")
+                    "refractive_index = 1.33\ndepsilon_drho = 0.8\n"
+                    "cp_j_kg_k = 1e-200\ndepsilon_dt_per_k = 1.0\n")
     for kind, name in (("zp-exact", "zp_cross_section_exact"),
-                       ("thermal-brillouin", "thermal_brillouin_cross_section")):
+                       ("thermal-brillouin", "thermal_brillouin_cross_section"),
+                       ("thermal-total", "thermal_total_cross_section")):
         code, out, err = run_cli(capsys, "xsection", "--material", str(thin),
                                  "--lambda", "350e-9", "--theta", "90", "--kind", kind)
         assert code == 2 and out == ""

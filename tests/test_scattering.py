@@ -324,6 +324,11 @@ def test_ratio_rejects_vanishing_drho():
 
 
 _TINY_DRHO = fluid_medium("tiny-drho", rho0=997.0, cs=1480.0, eta=1.4, drho=1e-160)
+# cs^2 rho0 = 1e-400 underflows to 0, and Omega_q falls below ulp(omega)
+_THIN = fluid_medium("thin", rho0=1e-200, cs=1e-100, eta=1.33, drho=0.8,
+                     cp=1e-200, deps_dt=1.0)
+# epsilon0 = eta^2 = inf, so the chain's photon flux is 0
+_DENSE_OPTICS = fluid_medium("dense-optics", rho0=997.0, cs=1480.0, eta=1e155, drho=0.79)
 _HUGE_ETA = fluid_medium("huge-eta", rho0=997.0, cs=1480.0, eta=1e100, drho=0.79)
 _HUGE_OMEGA = ScatteringConfig(omega=1e100, theta=math.pi)
 
@@ -337,8 +342,13 @@ _HUGE_OMEGA = ScatteringConfig(omega=1e100, theta=math.pi)
     (zp_cross_section_exact, _HUGE_ETA, benchmark_config()),      # eta**4 overflows
     (zp_cross_section_reduced, _HUGE_ETA, benchmark_config()),
     (ratio_zp_thermal, _HUGE_ETA, benchmark_config()),
+    (zp_cross_section_exact, _THIN, benchmark_config(theta=math.pi / 2)),
+    (thermal_brillouin_cross_section, _THIN, benchmark_config(theta=math.pi / 2)),
+    (thermal_total_cross_section, _THIN, benchmark_config(theta=math.pi / 2)),
+    (zp_cross_section_chain, _DENSE_OPTICS, benchmark_config()),
 ], ids=["ratio-tiny-drho", "reduced-omega", "brillouin-omega", "exact-omega", "chain-omega",
-        "exact-eta", "reduced-eta", "ratio-eta"])
+        "exact-eta", "reduced-eta", "ratio-eta", "exact-thin", "brillouin-thin", "total-thin",
+        "chain-zero-flux"])
 def test_out_of_range_result_is_a_typed_error(formula, medium, cfg):
     # a finite value or a FluctusError naming the formula and omega,
     # never inf or a bare OverflowError
@@ -346,31 +356,20 @@ def test_out_of_range_result_is_a_typed_error(formula, medium, cfg):
         formula(medium, cfg)
 
 
-# cs^2 rho0 = 1e-400 underflows to 0, and Omega_q falls below ulp(omega)
-_THIN = fluid_medium("thin", rho0=1e-200, cs=1e-100, eta=1.33, drho=0.8,
-                     cp=1e-200, deps_dt=1.0)
-@pytest.mark.parametrize("call, message", [
-    (lambda: zp_cross_section_exact(_THIN, benchmark_config(theta=math.pi / 2)),
-     "zp_cross_section_exact for 'thin' at omega = 5.38186e+15 rad/s: "
-     "the phonon shift lies below the float resolution of omega"),
-    (lambda: thermal_brillouin_cross_section(_THIN, benchmark_config(theta=math.pi / 2)),
-     "thermal_brillouin_cross_section for 'thin' at omega = 5.38186e+15 rad/s "
-     "has no finite floating-point value"),
-    (lambda: adiabatic_compressibility(_THIN),
-     "adiabatic_compressibility for 'thin' has no finite floating-point value"),
-    (lambda: thermal_total_cross_section(_THIN, benchmark_config(theta=math.pi / 2)),
-     "adiabatic_compressibility for 'thin'"),
-    (lambda: zp_cross_section_chain(
-        fluid_medium("dense-optics", rho0=997.0, cs=1480.0, eta=1e155, drho=0.79),
-        benchmark_config()),  # epsilon0 = inf, so the photon flux is 0
-     "zp_cross_section_chain for 'dense-optics'"),
-], ids=["exact-thin", "brillouin-thin", "compressibility-thin", "total-thin",
-        "chain-zero-flux"])
-def test_underflowing_denominator_is_a_typed_error(call, message):
-    # valid inputs whose denominators underflow to 0: a FluctusError naming
-    # the call, never a bare ZeroDivisionError
-    with pytest.raises(FluctusError, match=re.escape(message)):
-        call()
+def test_adiabatic_compressibility_beyond_the_float_range_is_a_typed_error():
+    # rho0 cs^2 = 1e-400 underflows to 0: a named FluctusError, not ZeroDivisionError
+    with pytest.raises(FluctusError, match=re.escape(
+            "adiabatic_compressibility for 'thin' has no finite floating-point value")):
+        adiabatic_compressibility(_THIN)
+
+
+def test_crossed_exact_is_zero_where_the_shift_is_below_float_resolution():
+    # at theta = 1e-11 Omega_q rounds to 0 against omega; crossed polarization
+    # still makes the exact value exactly 0, as in the chain
+    cfg = benchmark_config(theta=1e-11, pol=Polarization.CROSSED)
+    assert phonon_kinematics(WATER, cfg).omega_q == 0.0
+    assert zp_cross_section_exact(WATER, cfg).value == 0.0
+    assert zp_cross_section_chain(WATER, cfg).value == 0.0
 
 
 def test_ratio_stays_inverse_in_t_where_2_kb_t_underflows():

@@ -1,24 +1,26 @@
 """Paired parent/child benchmark runs, summarized per metric.
 
     python3 tools/bench_pairs.py --parent <rev> --out BENCH_<n>.json \\
-        [--workloads closed-form-batch verify-all] [--pairs 10] \\
-        [--seconds 60] [--seeds 7 11] [--traced-pairs 2] [--workdir DIR]
+        [--seeds 7 11] [--workdir DIR]
 
-The child is this checkout's working tree.  The parent revision is
-extracted with ``git archive`` into a fresh directory under ``--workdir``
-(the system temporary directory by default), so the repository's own
-``.git`` is left as it is.  Each pair runs ``perfbench/run.py`` once in
-each tree with the same workload, seed and run length; the side that
-runs first alternates from pair to pair, so that a machine drifting
-between fast and slow periods weighs on both sides alike.  Seeds cycle
-through ``--seeds``.  ``--traced-pairs`` adds pairs of ``--trace 1``
-runs, which give the per-layer metrics.
+The child is the commit checked out (``HEAD``): commit the change before
+measuring it.  Both sides are extracted with ``git archive`` into fresh
+directories under ``--workdir`` (the system temporary directory by
+default), so each runs from its committed files alone and the
+repository's own ``.git`` is left as it is.  For every workload that
+``BENCHMARK.json`` lists, ten pairs run ``perfbench/run.py`` once in
+each tree with the same seed and the benchmark's ``run_seconds``; the
+side that runs first alternates from pair to pair, so that a machine
+drifting between fast and slow periods weighs on both sides alike.
+Seeds cycle through ``--seeds``.  Two more pairs of ``--trace 1`` runs
+give the per-layer metrics.
 
-The output file holds the environment of the first run, every run's
-metrics and, per workload and metric, each side's median and quartiles,
-the child/parent ratio of the medians and the count of pairs the child
-won.  Which direction is better comes from ``BENCHMARK.json``.  Only the
-standard library is used.
+The output file names both commits and the git trees of their ``src``
+and ``perfbench`` directories, holds each side's environment, every
+run's metrics and, per workload and metric, each side's median and
+quartiles, the child/parent ratio of the medians and the count of pairs
+the child won.  Which direction is better comes from ``BENCHMARK.json``.
+Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10          # the fewest that can show a gain in nine of ten pairs
+TRACED_PAIRS = 2
 
 
 def summarize(parent: list[float], child: list[float], better: str) -> dict:
@@ -72,19 +76,31 @@ def summarize(parent: list[float], child: list[float], better: str) -> dict:
     }
 
 
-def _directions() -> dict:
+def _benchmark() -> dict:
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+        return json.load(fh)
 
 
-def _extract(rev: str, dest: str) -> Path:
-    """Write the tree of ``rev``, from ``git archive``, into ``dest``."""
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def _identify(rev: str) -> dict:
+    """The commit of ``rev`` and the git trees of the code a run uses."""
+    commit = _git("rev-parse", "--verify", rev + "^{commit}")
+    return {"commit": commit,
+            "src_tree": _git("rev-parse", commit + ":src"),
+            "perfbench_tree": _git("rev-parse", commit + ":perfbench")}
+
+
+def _extract(commit: str, dest: Path) -> Path:
+    """Write the tree of ``commit``, from ``git archive``, into ``dest``."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit],
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
-    return Path(dest)
+    return dest
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -143,53 +159,37 @@ def _parse(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="git revision of the parent")
     p.add_argument("--out", required=True, help="output JSON file")
-    p.add_argument("--workloads", nargs="+", default=["closed-form-batch", "verify-all"])
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=None,
-                   help="run length (default: run_seconds of BENCHMARK.json)")
     p.add_argument("--seeds", type=int, nargs="+", default=[7, 11])
-    p.add_argument("--traced-pairs", type=int, default=2)
-    p.add_argument("--workdir", default=None, help="where the parent tree is extracted")
+    p.add_argument("--workdir", default=None, help="where both trees are extracted")
     return p.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = _parse(argv)
-    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
-        seconds = args.seconds or json.load(fh)["run_seconds"]
-    parent_commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent],
-                                   capture_output=True, text=True, check=True).stdout.strip()
-    with tempfile.TemporaryDirectory(prefix="parent-", dir=args.workdir) as tmp:
-        trees = {"parent": _extract(parent_commit, tmp), "child": ROOT}
-        run_all(args, trees, seconds, parent_commit)
+    spec = _benchmark()
+    sides = {"parent": _identify(args.parent), "child": _identify("HEAD")}
+    directions = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    record = {**sides,
+              "settings": {"pairs": PAIRS, "traced_pairs": TRACED_PAIRS,
+                           "seconds": spec["run_seconds"], "seeds": args.seeds},
+              "environment": {}, "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-", dir=args.workdir) as tmp:
+        trees = {name: _extract(side["commit"], Path(tmp) / name)
+                 for name, side in sides.items()}
+        for workload in (w["name"] for w in spec["workloads"]):
+            entry = {}
+            for trace, pairs in ((0, PAIRS), (1, TRACED_PAIRS)):
+                runs = run_pairs(trees, workload, args.seeds, spec["run_seconds"], pairs,
+                                 trace, lambda line: print(line, flush=True))
+                for run in runs:
+                    env = run.pop("environment")
+                    record["environment"].setdefault(run["side"], env)
+                key = "untraced" if trace == 0 else "traced"
+                entry[key] = {"runs": runs, "summary": summarize_runs(runs, directions)}
+            record["workloads"][workload] = entry
+            with open(args.out, "w", encoding="utf-8") as fh:  # keep what is done so far
+                json.dump(record, fh, indent=1)
     return 0
-
-
-def run_all(args, trees, seconds, parent_commit):
-    """Every workload's pairs, written to ``args.out`` after each workload."""
-    directions = _directions()
-
-    def log(line):
-        print(line, flush=True)
-
-    record = {"parent": parent_commit, "child": "working tree of " + str(ROOT.name),
-              "settings": {"pairs": args.pairs, "traced_pairs": args.traced_pairs,
-                           "seconds": seconds, "seeds": args.seeds},
-              "environment": None, "workloads": {}}
-    for workload in args.workloads:
-        entry = {}
-        for trace, pairs in ((0, args.pairs), (1, args.traced_pairs)):
-            if pairs == 0:
-                continue
-            runs = run_pairs(trees, workload, args.seeds, seconds, pairs, trace, log)
-            record["environment"] = record["environment"] or runs[0]["environment"]
-            for run in runs:
-                del run["environment"]
-            key = "untraced" if trace == 0 else "traced"
-            entry[key] = {"runs": runs, "summary": summarize_runs(runs, directions)}
-        record["workloads"][workload] = entry
-        with open(args.out, "w", encoding="utf-8") as fh:  # keep what is done so far
-            json.dump(record, fh, indent=1)
 
 
 if __name__ == "__main__":
