@@ -162,6 +162,22 @@ def _shift(medium: FluidMedium, cfg: ScatteringConfig) -> tuple[float, float]:
     return omega_prime, omega - omega_prime
 
 
+def _emitted_shift(medium: FluidMedium, cfg: ScatteringConfig,
+                   formula: str) -> tuple[float, float]:
+    """:func:`_shift` for a cross section, refused by name where Omega_q is 0.
+
+    Omega_q > 0 for every theta > 0; 0 means the shift fell below the
+    float resolution of omega, and a cross section built on it would be
+    wrong.
+    """
+    omega_prime, omega_q = _shift(medium, cfg)
+    if omega_q == 0.0:
+        raise FluctusError(
+            f"{formula} for '{medium.name}' at omega = {cfg.omega:.6g} rad/s: "
+            "the phonon shift lies below the float resolution of omega")
+    return omega_prime, omega_q
+
+
 def phonon_kinematics(medium: FluidMedium, cfg: ScatteringConfig) -> Kinematics:
     """Emitted-phonon frequency and scattered light frequency.
 
@@ -221,8 +237,13 @@ def matrix_element_sq(medium: FluidMedium, omega: float, omega_prime: float,
     if not volume > 0.0:
         raise ValueError(f"quantization volume must be positive, got {volume}")
     cs = medium.cs
-    return (_HBAR3_8 * omega * omega_prime * omega_q
-            / volume / medium.rho0 / cs / cs) * pol_factor
+    value = (_HBAR3_8 * omega * omega_prime * omega_q
+             / volume / medium.rho0 / cs / cs) * pol_factor
+    if not math.isfinite(value):
+        raise FluctusError(
+            f"matrix_element_sq for '{medium.name}' at omega = {omega:.6g} rad/s, "
+            f"volume = {volume:.6g} m^3 has no finite floating-point value")
+    return value
 
 
 def density_of_states(omega_prime: float, epsilon0: float, volume: float) -> float:
@@ -233,14 +254,27 @@ def density_of_states(omega_prime: float, epsilon0: float, volume: float) -> flo
     """
     if not (omega_prime > 0.0 and epsilon0 > 0.0 and volume > 0.0):
         raise ValueError("all inputs must be positive")
-    return volume * omega_prime * omega_prime * epsilon0**1.5 * _DOS
+    try:
+        value = volume * omega_prime * omega_prime * epsilon0**1.5 * _DOS
+    except OverflowError:  # epsilon0**1.5
+        value = math.inf
+    if not math.isfinite(value):
+        raise FluctusError(
+            f"density_of_states at omega_prime = {omega_prime:.6g} rad/s, epsilon0 = "
+            f"{epsilon0:.6g}, volume = {volume:.6g} m^3 has no finite floating-point value")
+    return value
 
 
 def incident_flux(epsilon0: float, volume: float) -> float:
     """Flux of one photon in the quantization box: c / (V sqrt(epsilon0))."""
     if not (epsilon0 > 0.0 and volume > 0.0):
         raise ValueError("all inputs must be positive")
-    return C_LIGHT / (volume * math.sqrt(epsilon0))
+    box = volume * math.sqrt(epsilon0)
+    value = C_LIGHT / box if box else math.inf  # a box that underflowed to 0
+    if value == math.inf:
+        raise FluctusError(f"incident_flux at epsilon0 = {epsilon0:.6g}, volume = {volume:.6g} "
+                           "m^3 has no finite floating-point value")
+    return value
 
 
 @_finite
@@ -253,14 +287,17 @@ def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
     is independent of ``volume``; the parameter exists to demonstrate
     that cancellation.
     """
-    omega_prime, omega_q = _shift(medium, cfg)
     pol = polarization_factor(cfg.theta, cfg.pol)
     if pol == 0.0:
         return CrossSectionValue(0.0, "zp-golden-rule-chain", pol)
+    omega_prime, omega_q = _emitted_shift(medium, cfg, "zp_cross_section_chain")
     epsilon0 = medium.epsilon0
-    m2 = matrix_element_sq(medium, cfg.omega, omega_prime, omega_q, volume, pol)
-    rate = _TWO_PI_HBAR * m2 * density_of_states(omega_prime, epsilon0, volume)
-    flux_volume = incident_flux(epsilon0, volume) * volume
+    try:
+        m2 = matrix_element_sq(medium, cfg.omega, omega_prime, omega_q, volume, pol)
+        rate = _TWO_PI_HBAR * m2 * density_of_states(omega_prime, epsilon0, volume)
+        flux_volume = incident_flux(epsilon0, volume) * volume
+    except FluctusError:  # a piece beyond the float range is refused as the chain
+        return CrossSectionValue(math.inf, "zp-golden-rule-chain", pol)
     # A flux that underflows to 0 leaves a value beyond the float range.
     value = rate / flux_volume if flux_volume else math.inf
     return CrossSectionValue(value, "zp-golden-rule-chain", pol)
@@ -277,13 +314,7 @@ def zp_cross_section_exact(medium: FluidMedium, cfg: ScatteringConfig) -> CrossS
     pol = polarization_factor(cfg.theta, cfg.pol)
     if pol == 0.0:
         return CrossSectionValue(0.0, "zp-exact", pol)
-    omega_prime, omega_q = _shift(medium, cfg)
-    if omega_q == 0.0:
-        # Omega_q > 0 for every theta > 0; 0 means the shift fell below
-        # the float resolution of omega, and 0 would be a wrong value.
-        raise FluctusError(
-            f"zp_cross_section_exact for '{medium.name}' at omega = {cfg.omega:.6g} rad/s: "
-            "the phonon shift lies below the float resolution of omega")
+    omega_prime, omega_q = _emitted_shift(medium, cfg, "zp_cross_section_exact")
     eta, cs = medium.eta, medium.cs
     eta2 = eta * eta
     value = (_ZP_EXACT * cfg.omega * omega_prime * omega_prime * omega_prime * omega_q
@@ -375,13 +406,15 @@ def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
     sqrt(2 (1 - cos theta)) (hbar omega / 2 kB T) (cs / c) eta^4
     / [rho0 (d eps/d rho0)_S]^2.  Polarization factors cancel in the
     quotient, as does rho0 on its own: only the product drho enters.
-    Grows linearly with frequency, falls as 1/T.
+    Grows linearly with frequency, falls as 1/T.  Raises FluctusError
+    where drho**2 is 0 and the ratio is undefined.
     """
     drho2 = medium.drho * medium.drho
     if drho2 == 0.0:  # also catches a drho whose square underflows
-        raise ZeroDivisionError(
-            f"material '{medium.name}' has drho = {medium.drho!r}, whose square is 0; "
-            "the thermal Brillouin cross section vanishes and the ratio is undefined"
+        raise FluctusError(
+            f"ratio_zp_thermal: material '{medium.name}' has drho = {medium.drho!r}, "
+            "whose square is 0; the thermal Brillouin cross section vanishes and the "
+            "ratio is undefined"
         )
     # Divided by T alone: 2 kB T underflows to 0 for T below ~2e-301 K.
     eta2 = medium.eta * medium.eta

@@ -17,10 +17,13 @@ closed form in ``fluctus.correlator``.  Agreement between the two is
 the decisive test of the closed form's denominator.
 
 The quadrature is a 16-point Gauss-Legendre rule per panel, evaluated
-in factored form over blocks of consecutive panels: each block's
+in factored form over whole blocks of _BLOCK_PANELS consecutive panels,
+with sin(q) cos(qb) split into its two frequencies 1 +- b: each block's
 contribution is its first edge's sin, cos and damping times node sums
-shared by all blocks (:func:`_panel_sums`), so a pass costs
-O(panels / _BLOCK_PANELS), not O(16 panels).  The integrand cancels by
+shared by all blocks (:func:`_panel_sums`), so a pass costs O(blocks),
+not O(16 panels).  Every pass has this one shape: it ends on the first
+block edge past the truncation wavenumber, and its budget (_MAX_BLOCKS)
+is counted in the blocks it allocates.  The integrand cancels by
 Sigma|f| / |Sigma f| ~ 1e6-1e7 at small eps, so every phase (the block
 edge's, and the integer part of each node's offset from it) is reduced
 exactly rather than formed as q r; a phase rounded at the magnitude of
@@ -92,10 +95,10 @@ _QUAD_TOL = 1e-9
 _EXTRAP_ORDER = _LADDER_RUNGS - 1
 
 #: Refinement budget of the panel quadrature: at most this many panel
-#: halvings, and at most this many quadrature nodes (16 per panel) in one
-#: pass.
+#: halvings, and at most this many blocks (2**24 nodes) in one pass, which
+#: is what a pass allocates.
 _MAX_HALVINGS = 8
-_MAX_POINTS = 2**24
+_MAX_BLOCKS = 2**24 // _NODE_OFFSETS.size
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,8 @@ class SpectralEstimate:
 
     ``quadrature_error`` is the relative pass-to-pass difference the panel
     quadrature achieved on the damping ladder; ``passes`` counts the
-    quadrature passes and ``points`` the quadrature nodes they covered,
-    16 per panel, over all of them.
+    quadrature passes and ``points`` the quadrature nodes they evaluated,
+    16 _BLOCK_PANELS per block, over all of them.
     """
 
     value: float
@@ -155,28 +158,27 @@ def _phase(n: np.ndarray, turns: np.ndarray) -> np.ndarray:
 
 
 def _panel_sums(b: float, epsilons: tuple[float, ...], halvings: int,
-                panels: int) -> np.ndarray:
+                blocks: int) -> np.ndarray:
     """Quadrature of q^2 sin(q) cos(qb) e^{-eps q} for every damping length.
 
-    In units of r (r = 1): the 16-point Gauss-Legendre rule on ``panels``
-    panels of half width h = pi / ((1 + b) 2**(halvings + 1)) from q = 0,
-    evaluated in factored form over blocks of _BLOCK_PANELS consecutive
-    panels (the last block holds the rest).  With
-    sin(q) cos(qb) = [sin q(1+b) + sin q(1-b)] / 2 (one frequency when
-    b = 0), a node q = s + u at offset u = h (k_i + x_j) from its block's
-    first edge s (k_i = 2i + 1 in the block's i-th panel, x_j the Gauss
-    nodes) splits every factor into a block part and a node part:
+    In units of r (r = 1): the 16-point Gauss-Legendre rule on ``blocks``
+    whole blocks of _BLOCK_PANELS panels of half width
+    h = pi / ((1 + b) 2**(halvings + 1)) from q = 0, evaluated in factored
+    form.  With sin(q) cos(qb) = [sin q(1+b) + sin q(1-b)] / 2, both
+    frequencies carried always (at b = 0 they coincide), a node q = s + u
+    at offset u = h (k_i + x_j) from its block's first edge s (k_i = 2i + 1
+    in the block's i-th panel, x_j the Gauss nodes) splits every factor
+    into a block part and a node part:
 
         e^{-eps q} = e^{-eps s} e^{-eps u},
         sin(q a) = sin(s a) cos(u a) + cos(s a) sin(u a),
         q^2 = s^2 + 2 s u + u^2.
 
     The node sums of w_j u^p e^{-eps u} {cos, sin}(u a), p = 0, 1, 2, over
-    a block's 16 _BLOCK_PANELS nodes are the same for every full block
-    (the last block takes a prefix of them), so a pass is one
-    (rungs x 12) by (12 x blocks) product plus, per block, the sin and
-    cos of each frequency and one exp per rung.  As s, u >= 0, neither
-    damping factor exceeds 1 and the q^2 terms do not cancel.
+    a block's 16 _BLOCK_PANELS nodes are the same for every block, so a
+    pass is one (rungs x 12) by (12 x blocks) product plus, per block, the
+    sin and cos of each frequency and one exp per rung.  As s, u >= 0,
+    neither damping factor exceeds 1 and the q^2 terms do not cancel.
 
     Every phase is reduced exactly (:func:`_phase`): the block phase s a
     and the panel phase h k_i a are integers times a turn count (the
@@ -187,39 +189,28 @@ def _panel_sums(b: float, epsilons: tuple[float, ...], halvings: int,
     block order and the summation are fixed, so results are bitwise
     reproducible.
     """
-    fast = 1.0 + b
     period = 2 ** (halvings + 2)
-    h = 2.0 * math.pi / (fast * period)
-    turns = np.array([1.0, (1.0 - b) / fast] if b != 0.0 else [1.0])[:, None] / period
+    h = 2.0 * math.pi / ((1.0 + b) * period)
+    turns = np.array([[1.0], [(1.0 - b) / (1.0 + b)]]) / period
     eps = np.asarray(epsilons)
-    blocks = -(-panels // _BLOCK_PANELS)
-    size = min(panels, _BLOCK_PANELS)
     start = 2 * _BLOCK_PANELS * np.arange(blocks)
     s = start * h
     # One exact reduction for the panels' integer offsets and the block edges.
-    phase = _phase(np.concatenate((_PANEL_OFFSETS[:size], start)), turns)
-    node_phase = (phase[:, :size, None]
-                  + (2.0 * math.pi) * turns[:, :, None] * _GL_NODES).reshape(len(turns), -1)
+    phase = _phase(np.concatenate((_PANEL_OFFSETS, start)), turns)
+    node_phase = (phase[:, :_BLOCK_PANELS, None]
+                  + (2.0 * math.pi) * turns[:, :, None] * _GL_NODES).reshape(2, -1)
     # Row i of the block factors pairs with row i of the node factors:
     # sin(s a) with cos(u a), cos(s a) with sin(u a), for each frequency.
     node_osc = np.concatenate((np.cos(node_phase), np.sin(node_phase)))
-    edge = np.concatenate((np.sin(phase[:, size:]), np.cos(phase[:, size:])))
-    u = h * _NODE_OFFSETS[:node_phase.shape[1]]
-    node = _NODE_WEIGHTS[:len(u)] * np.exp(-np.multiply.outer(eps, u))
-    moments = np.stack((node, node * u, node * (u * u)))
+    edge = np.concatenate((np.sin(phase[:, _BLOCK_PANELS:]), np.cos(phase[:, _BLOCK_PANELS:])))
+    u = h * _NODE_OFFSETS
+    node = _NODE_WEIGHTS * np.exp(-np.multiply.outer(eps, u))
+    node_sums = np.stack((node, node * u, node * (u * u))) @ node_osc.T
     features = (edge[:, None, :] * np.stack((s * s, 2.0 * s, np.ones(blocks)))).reshape(-1, blocks)
-
-    def node_sums(nodes: int) -> np.ndarray:
-        sums = moments[:, :, :nodes] @ node_osc[:, :nodes].T
-        return sums.transpose(2, 0, 1).reshape(-1, len(eps))
-
-    per_block = node_sums(len(u)).T @ features
-    last = panels - (blocks - 1) * _BLOCK_PANELS
-    if last < size:
-        per_block[:, -1] = node_sums(len(_GL_NODES) * last).T @ features[:, -1]
+    per_block = node_sums.transpose(1, 2, 0).reshape(len(eps), -1) @ features
     damping = np.multiply.outer(-eps, s)
     per_block *= np.exp(damping, out=damping)
-    return per_block.sum(axis=1) * (h / len(turns))
+    return per_block.sum(axis=1) * (h / 2.0)
 
 
 def _in_units_of_r(medium: FluidMedium, r: float, integral: float, call: str) -> float:
@@ -257,8 +248,11 @@ def _regulated_values(b: float, epsilons: tuple[float, ...],
     half-period of the fastest oscillation, pi / (1 + b); pass p halves
     it p times, at most _MAX_HALVINGS, until two successive passes agree
     to _QUAD_TOL on every ladder entry (and none sums to exactly 0).  A
-    pass that would evaluate more than _MAX_POINTS points is refused
-    before anything is allocated.
+    pass covers the domain up to the truncation wavenumber with whole
+    blocks, which pads it to at most one block beyond it, where the
+    damped envelope is already below _DAMPING_FLOOR.  A pass that would
+    need more than _MAX_BLOCKS blocks is refused before anything is
+    allocated.
     Returns the values, the achieved pass-to-pass difference, and the
     passes and points spent.  A ConvergenceError names ``call``.
     """
@@ -267,14 +261,14 @@ def _regulated_values(b: float, epsilons: tuple[float, ...],
     achieved = math.inf
     points = 0
     for halvings in range(_MAX_HALVINGS + 1):
-        panels = qmax * (1.0 + b) * 2.0**halvings / math.pi
-        if not panels <= _MAX_POINTS // len(_GL_NODES):  # also refuses inf and nan
+        blocks = qmax * (1.0 + b) * 2.0**halvings / (math.pi * _BLOCK_PANELS)
+        if not blocks <= _MAX_BLOCKS:  # also refuses inf and nan
             raise ConvergenceError(
-                f"{call}: panel quadrature needs {panels * len(_GL_NODES):.3g} points in one pass, "
-                f"over the budget of {_MAX_POINTS}", achieved)
-        panels = math.ceil(panels)
-        cur = _panel_sums(b, epsilons, halvings, panels)
-        points += panels * len(_GL_NODES)
+                f"{call}: panel quadrature needs {blocks:.3g} blocks in one pass, "
+                f"over the budget of {_MAX_BLOCKS}", achieved)
+        blocks = math.ceil(blocks)
+        cur = _panel_sums(b, epsilons, halvings, blocks)
+        points += blocks * _NODE_OFFSETS.size
         if prev is not None:
             # A rung whose nodes all underflowed sums to exactly 0: its
             # damping is not resolved, so it never counts as converged.

@@ -216,5 +216,5 @@ def test_criterion_8_lattice_convergence(capsys):
     ok = monotone.passed and slope.passed and elapsed < 180.0
     with capsys.disabled():
         report(8, "lattice convergence", ok,
-               f"{monotone.detail.split(' (')[0]}, slope={slope.achieved:.3f} "
+               f"{monotone.detail.split(' (')[0]}, {slope.detail.split(' (')[0]} "
                f"in [{lo}, {hi}], {elapsed:.1f}s")

@@ -54,3 +54,25 @@ def test_unpaired_or_undirected_input_is_refused():
         bench_pairs.summarize([], [], "lower")
     with pytest.raises(ValueError):
         bench_pairs.summarize([1.0], [1.0], "faster")
+
+
+def test_verify_all_subprocess_pairs_alternate_and_are_summarized(monkeypatch):
+    # stubbed wall times: the child's tree is 0.1 s faster in every pair
+    calls = []
+
+    def wall(tree):
+        calls.append(tree)
+        return {"parent": 1.0, "child": 0.9}[tree] + 0.001 * len(calls)  # a slow drift
+
+    monkeypatch.setattr(bench_pairs, "_time_verify_all", wall)
+    lines = []
+    out = bench_pairs.verify_all_pairs({"parent": "parent", "child": "child"}, 10,
+                                       lines.append)
+    # the side that runs first alternates from pair to pair
+    assert calls[:4] == ["parent", "child", "child", "parent"]
+    assert len(calls) == 20 and len(lines) == 20
+    s = out["wall_s"]
+    assert s["better"] == "lower" and s["pairs"] == 10
+    assert s["wins"] == 10 and s["gain_shown"]
+    assert s["parent"]["values"][:2] == [pytest.approx(1.001), pytest.approx(1.004)]
+    assert s["child"]["values"][:2] == [pytest.approx(0.902), pytest.approx(0.903)]

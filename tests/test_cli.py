@@ -362,6 +362,17 @@ def test_ratio_share_beyond_the_float_range_is_not_printed(tmp_path, capsys):
     assert "inf" not in out and "%" not in out
 
 
+def test_ratio_with_vanishing_drho_exits_2_with_the_reason(tmp_path, capsys):
+    # depsilon_drho**2 underflows to 0: the ratio is undefined, a typed error
+    flat = tmp_path / "flat.mat"
+    flat.write_text("name = flat\nrho0_kg_m3 = 997\ncs_m_s = 1480\n"
+                    "refractive_index = 1.33\ndepsilon_drho = 1e-200\n")
+    code, out, err = run_cli(capsys, "ratio", "--material", str(flat),
+                             "--lambda", "350e-9", "--theta", "180")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ratio_zp_thermal: ") and "ratio is undefined" in err
+
+
 def test_underflowing_medium_is_refused_by_name(tmp_path, capsys):
     # cs^2 rho0 underflows to 0; the parent printed "float division by zero"
     thin = tmp_path / "thin.mat"

@@ -319,7 +319,7 @@ def test_ratio_rejects_vanishing_drho():
     # 1e-200 is nonzero but its square underflows to 0
     for drho in (0.0, 1e-200):
         flat = fluid_medium("flat", rho0=997.0, cs=1480.0, eta=1.4, drho=drho)
-        with pytest.raises(ZeroDivisionError, match="ratio is undefined"):
+        with pytest.raises(FluctusError, match="^ratio_zp_thermal: .*ratio is undefined"):
             ratio_zp_thermal(flat, benchmark_config())
 
 
@@ -346,9 +346,10 @@ _HUGE_OMEGA = ScatteringConfig(omega=1e100, theta=math.pi)
     (thermal_brillouin_cross_section, _THIN, benchmark_config(theta=math.pi / 2)),
     (thermal_total_cross_section, _THIN, benchmark_config(theta=math.pi / 2)),
     (zp_cross_section_chain, _DENSE_OPTICS, benchmark_config()),
+    (zp_cross_section_chain, _THIN, benchmark_config(theta=math.pi / 2)),  # Omega_q is 0
 ], ids=["ratio-tiny-drho", "reduced-omega", "brillouin-omega", "exact-omega", "chain-omega",
         "exact-eta", "reduced-eta", "ratio-eta", "exact-thin", "brillouin-thin", "total-thin",
-        "chain-zero-flux"])
+        "chain-zero-flux", "chain-thin"])
 def test_out_of_range_result_is_a_typed_error(formula, medium, cfg):
     # a finite value or a FluctusError naming the formula and omega,
     # never inf or a bare OverflowError
@@ -396,7 +397,13 @@ def test_non_finite_library_input_is_refused_by_name(call, argument):
 @pytest.mark.parametrize("call, name", [
     (lambda: omega_from_wavelength(1e-320), "omega_from_wavelength"),
     (lambda: zero_point_structure_factor(_HEAVY, 1e300), "zero_point_structure_factor"),
-], ids=["omega-tiny-wavelength", "structure-factor-heavy"])
+    (lambda: matrix_element_sq(WATER, 1e200, 1e200, 1e200, 1.0, 1.0), "matrix_element_sq"),
+    (lambda: density_of_states(1e200, 1.0, 1.0), "density_of_states"),
+    (lambda: density_of_states(1.0, 1e300, 1.0), "density_of_states"),  # epsilon0**1.5
+    (lambda: incident_flux(1.0, 5e-324), "incident_flux"),
+    (lambda: incident_flux(1e-10, 5e-324), "incident_flux"),  # the box underflows to 0
+], ids=["omega-tiny-wavelength", "structure-factor-heavy", "matrix-element-omega",
+        "dos-omega", "dos-epsilon0", "flux-tiny-volume", "flux-zero-box"])
 def test_overflowing_library_result_is_a_typed_error(call, name):
     # a finite value or a FluctusError naming the function, never inf
     with pytest.raises(FluctusError, match=name):

@@ -13,13 +13,16 @@ each tree with the same seed and the benchmark's ``run_seconds``; the
 side that runs first alternates from pair to pair, so that a machine
 drifting between fast and slow periods weighs on both sides alike.
 Seeds cycle through ``--seeds``.  Two more pairs of ``--trace 1`` runs
-give the per-layer metrics.
+give the per-layer metrics.  Ten more alternating pairs time
+``python -m fluctus.cli verify all`` as a subprocess in each tree, cold
+start included, which the in-process workloads do not see.
 
 The output file names both commits and the git trees of their ``src``
 and ``perfbench`` directories, holds each side's environment, every
 run's metrics and, per workload and metric, each side's median and
 quartiles, the child/parent ratio of the medians and the count of pairs
-the child won.  Which direction is better comes from ``BENCHMARK.json``.
+the child won.  Which direction is better comes from ``BENCHMARK.json``;
+the ``verify all`` wall time is lower-is-better.
 Only the standard library is used.
 """
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -141,6 +145,29 @@ def run_pairs(trees: dict, workload: str, seeds: list[int], seconds: float,
     return runs
 
 
+def _time_verify_all(tree: Path) -> float:
+    """Wall time of one ``fluctus verify all`` subprocess on ``tree``'s source."""
+    cmd = [sys.executable, "-m", "fluctus.cli", "verify", "all"]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    t0 = perf_counter()
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    wall = perf_counter() - t0
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
+                           f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return wall
+
+
+def verify_all_pairs(trees: dict, pairs: int, log) -> dict:
+    """``pairs`` alternating parent/child ``verify all`` wall times, summarized."""
+    walls = {"parent": [], "child": []}
+    for i in range(pairs):
+        for name in ("parent", "child") if i % 2 == 0 else ("child", "parent"):
+            walls[name].append(_time_verify_all(trees[name]))
+            log(f"verify all pair {i} {name}: wall_s = {walls[name][-1]:.6g}")
+    return {"wall_s": summarize(walls["parent"], walls["child"], "lower")}
+
+
 def summarize_runs(runs: list[dict], directions: dict) -> dict:
     """Per metric, ``summarize`` over the runs' pairs."""
     by_side = {name: sorted((r for r in runs if r["side"] == name), key=lambda r: r["pair"])
@@ -176,6 +203,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-", dir=args.workdir) as tmp:
         trees = {name: _extract(side["commit"], Path(tmp) / name)
                  for name, side in sides.items()}
+        record["verify_all_subprocess"] = verify_all_pairs(
+            trees, PAIRS, lambda line: print(line, flush=True))
         for workload in (w["name"] for w in spec["workloads"]):
             entry = {}
             for trace, pairs in ((0, PAIRS), (1, TRACED_PAIRS)):
