@@ -103,7 +103,7 @@ class Separation:
         return Regime.SPACELIKE if self.r > cs * abs(self.dt) else Regime.TIMELIKE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CorrelatorValue:
     """A density-squared correlation (kg^2/m^6) with its formula identity.
 
@@ -114,6 +114,14 @@ class CorrelatorValue:
     value: float
     formula: str
     inputs: dict
+
+    def __init__(self, value: float, formula: str, inputs: dict):
+        # Stored through __dict__: the generated frozen __init__ calls
+        # object.__setattr__ per field and takes about twice as long.
+        d = self.__dict__
+        d["value"] = value
+        d["formula"] = formula
+        d["inputs"] = inputs
 
 
 def _kernel(K: float, c: float, r: float, dt: float, k: float = 1.0) -> float:

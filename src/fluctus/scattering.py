@@ -25,12 +25,15 @@ complete the set.  All cross sections are per unit scattering volume
 (1/(m sr)); multiply by the illuminated volume for an apparatus value.
 The zero-point channel creates a phonon, so it feeds only the
 frequency-downshifted (Stokes) side of the Brillouin doublet.
+
+Every cross section and the ratio returns a finite value or raises a
+FluctusError naming the function, the medium and omega: each checks its
+value with the private ``_finite`` just before it returns.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -65,6 +68,14 @@ class Polarization(enum.Enum):
     PARALLEL = "parallel"
     CROSSED = "crossed"
     UNPOLARIZED = "unpolarized"
+
+
+# The members, looked up once: an enum member lookup costs more than the
+# arithmetic of polarization_factor.
+_PERPENDICULAR = Polarization.PERPENDICULAR
+_PARALLEL = Polarization.PARALLEL
+_CROSSED = Polarization.CROSSED
+_UNPOLARIZED = Polarization.UNPOLARIZED
 
 
 @dataclass(frozen=True)
@@ -134,23 +145,15 @@ def _angular(theta: float) -> float:
     return 2.0 * math.sin(0.5 * theta)
 
 
-def _finite(formula):
-    """Wrap a public formula ``formula(medium, cfg, ...)`` so that it returns a
-    finite value or raises a FluctusError naming it, the medium and omega,
-    also where the arithmetic inside raises OverflowError."""
-    @functools.wraps(formula)
-    def checked(medium: FluidMedium, cfg: ScatteringConfig, *args, **kwargs):
-        try:
-            result = formula(medium, cfg, *args, **kwargs)
-            value = result.value if type(result) is CrossSectionValue else result
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise FluctusError(
-                f"{formula.__name__} for '{medium.name}' at omega = {cfg.omega:.6g} rad/s "
-                "has no finite floating-point value")
-        return result
-    return checked
+def _finite(value: float, formula: str, medium: FluidMedium,
+            cfg: ScatteringConfig) -> float:
+    """``value`` if it is finite, else a FluctusError naming ``formula``, the
+    medium and omega.  The public formulas call it just before they return;
+    none of their arithmetic raises OverflowError (float * and / give inf)."""
+    if math.isfinite(value):
+        return value
+    raise FluctusError(f"{formula} for '{medium.name}' at omega = {cfg.omega:.6g} rad/s "
+                       "has no finite floating-point value")
 
 
 def _shift(medium: FluidMedium, cfg: ScatteringConfig) -> tuple[float, float]:
@@ -164,17 +167,25 @@ def _shift(medium: FluidMedium, cfg: ScatteringConfig) -> tuple[float, float]:
 
 def _emitted_shift(medium: FluidMedium, cfg: ScatteringConfig,
                    formula: str) -> tuple[float, float]:
-    """:func:`_shift` for a cross section, refused by name where Omega_q is 0.
+    """:func:`_shift` for a cross section, refused by name where Omega_q is 0
+    or omega' is not positive.
 
     Omega_q > 0 for every theta > 0; 0 means the shift fell below the
-    float resolution of omega, and a cross section built on it would be
-    wrong.
+    float resolution of omega.  omega' = omega - Omega_q <= 0 means the
+    emitted phonon would take all of the photon's energy, which the
+    small-shift kinematics allow only for cs >= c / (2 sin(theta/2)).  A
+    cross section built on either would be wrong.
     """
     omega_prime, omega_q = _shift(medium, cfg)
     if omega_q == 0.0:
         raise FluctusError(
             f"{formula} for '{medium.name}' at omega = {cfg.omega:.6g} rad/s: "
             "the phonon shift lies below the float resolution of omega")
+    if omega_prime <= 0.0:
+        raise FluctusError(
+            f"{formula} for '{medium.name}' at omega = {cfg.omega:.6g} rad/s: "
+            f"the scattered frequency omega' = {omega_prime:.6g} rad/s is not positive; "
+            f"cs = {medium.cs:.6g} m/s is too close to c for the small-shift kinematics")
     return omega_prime, omega_q
 
 
@@ -200,19 +211,19 @@ def polarization_factor(theta: float, pol: Polarization) -> float:
     average over incident and sum over scattered linear polarizations,
     (1 + cos^2 theta)/2.
     """
-    if pol is Polarization.PERPENDICULAR:
+    if pol is _PERPENDICULAR:
         return 1.0
     c = math.cos(theta)
-    if pol is Polarization.PARALLEL:
+    if pol is _PARALLEL:
         return c * c
-    if pol is Polarization.CROSSED:
+    if pol is _CROSSED:
         return 0.0
-    if pol is Polarization.UNPOLARIZED:
+    if pol is _UNPOLARIZED:
         return 0.5 * (1.0 + c * c)
     raise ValueError(f"unknown polarization selection {pol!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CrossSectionValue:
     """Differential cross section per unit scattering volume, 1/(m sr).
 
@@ -223,6 +234,14 @@ class CrossSectionValue:
     value: float
     formula: str
     pol_factor: float
+
+    def __init__(self, value: float, formula: str, pol_factor: float):
+        # Stored through __dict__: the generated frozen __init__ calls
+        # object.__setattr__ per field and takes about twice as long.
+        d = self.__dict__
+        d["value"] = value
+        d["formula"] = formula
+        d["pol_factor"] = pol_factor
 
 
 def matrix_element_sq(medium: FluidMedium, omega: float, omega_prime: float,
@@ -277,7 +296,6 @@ def incident_flux(epsilon0: float, volume: float) -> float:
     return value
 
 
-@_finite
 def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
                            volume: float = 1.0) -> CrossSectionValue:
     """Zero-point cross section assembled from the golden-rule chain.
@@ -296,14 +314,14 @@ def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
         m2 = matrix_element_sq(medium, cfg.omega, omega_prime, omega_q, volume, pol)
         rate = _TWO_PI_HBAR * m2 * density_of_states(omega_prime, epsilon0, volume)
         flux_volume = incident_flux(epsilon0, volume) * volume
+        # A flux that underflows to 0 leaves a value beyond the float range.
+        value = rate / flux_volume if flux_volume else math.inf
     except FluctusError:  # a piece beyond the float range is refused as the chain
-        return CrossSectionValue(math.inf, "zp-golden-rule-chain", pol)
-    # A flux that underflows to 0 leaves a value beyond the float range.
-    value = rate / flux_volume if flux_volume else math.inf
-    return CrossSectionValue(value, "zp-golden-rule-chain", pol)
+        value = math.inf
+    return CrossSectionValue(_finite(value, "zp_cross_section_chain", medium, cfg),
+                             "zp-golden-rule-chain", pol)
 
 
-@_finite
 def zp_cross_section_exact(medium: FluidMedium, cfg: ScatteringConfig) -> CrossSectionValue:
     """Closed-form zero-point cross section with exact kinematics.
 
@@ -319,10 +337,10 @@ def zp_cross_section_exact(medium: FluidMedium, cfg: ScatteringConfig) -> CrossS
     eta2 = eta * eta
     value = (_ZP_EXACT * cfg.omega * omega_prime * omega_prime * omega_prime * omega_q
              * eta2 * eta2 / cs / cs / medium.rho0) * pol
-    return CrossSectionValue(value, "zp-exact", pol)
+    return CrossSectionValue(_finite(value, "zp_cross_section_exact", medium, cfg),
+                             "zp-exact", pol)
 
 
-@_finite
 def zp_cross_section_reduced(medium: FluidMedium, cfg: ScatteringConfig) -> CrossSectionValue:
     """Zero-point cross section in the fifth-power-of-frequency form.
 
@@ -337,7 +355,8 @@ def zp_cross_section_reduced(medium: FluidMedium, cfg: ScatteringConfig) -> Cros
     omega2, eta2 = omega * omega, eta * eta
     value = (_angular(cfg.theta) * _ZP_REDUCED * omega2 * omega2 * omega * eta2 * eta2
              / medium.cs / medium.rho0) * pol
-    return CrossSectionValue(value, "zp-omega5", pol)
+    return CrossSectionValue(_finite(value, "zp_cross_section_reduced", medium, cfg),
+                             "zp-omega5", pol)
 
 
 def adiabatic_compressibility(medium: FluidMedium) -> float:
@@ -357,7 +376,6 @@ def _bath_temperature(medium: FluidMedium, cfg: ScatteringConfig) -> float:
     return cfg.temperature if cfg.temperature is not None else medium.default_temperature
 
 
-@_finite
 def thermal_brillouin_cross_section(medium: FluidMedium,
                                     cfg: ScatteringConfig) -> CrossSectionValue:
     """Thermal Brillouin cross section per unit scattering volume.
@@ -370,10 +388,10 @@ def thermal_brillouin_cross_section(medium: FluidMedium,
     omega2, drho, cs = cfg.omega * cfg.omega, medium.drho, medium.cs
     value = (_THERMAL * omega2 * omega2 * T * drho * drho
              / cs / cs / medium.rho0) * pol
-    return CrossSectionValue(value, "thermal-brillouin", pol)
+    return CrossSectionValue(_finite(value, "thermal_brillouin_cross_section", medium, cfg),
+                             "thermal-brillouin", pol)
 
 
-@_finite
 def thermal_total_cross_section(medium: FluidMedium,
                                 cfg: ScatteringConfig) -> CrossSectionValue:
     """Brillouin plus Rayleigh thermal cross section per unit volume.
@@ -396,10 +414,10 @@ def thermal_total_cross_section(medium: FluidMedium,
     rayleigh = T / medium.rho0 / medium.cp * deps_dt * deps_dt
     omega2 = cfg.omega * cfg.omega
     value = _THERMAL * omega2 * omega2 * T * (brillouin + rayleigh) * pol
-    return CrossSectionValue(value, "thermal-total", pol)
+    return CrossSectionValue(_finite(value, "thermal_total_cross_section", medium, cfg),
+                             "thermal-total", pol)
 
 
-@_finite
 def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
     """Zero-point share of the Stokes Brillouin line (dimensionless).
 
@@ -418,5 +436,6 @@ def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
         )
     # Divided by T alone: 2 kB T underflows to 0 for T below ~2e-301 K.
     eta2 = medium.eta * medium.eta
-    return (_angular(cfg.theta) * (_HBAR_2KB * cfg.omega / _bath_temperature(medium, cfg))
-            * (medium.cs / C_LIGHT) * eta2 * eta2 / drho2)
+    value = (_angular(cfg.theta) * (_HBAR_2KB * cfg.omega / _bath_temperature(medium, cfg))
+             * (medium.cs / C_LIGHT) * eta2 * eta2 / drho2)
+    return _finite(value, "ratio_zp_thermal", medium, cfg)

@@ -3,7 +3,8 @@
 Media, separations, lengths and configurations are drawn log-uniformly
 over the whole float range, subnormals included.  A call passes if it
 returns finite numbers, or raises FluctusError or ValueError (an invalid
-argument).  Never inf, nan, a bare OverflowError or ZeroDivisionError.
+argument).  Never inf, nan, a bare OverflowError or ZeroDivisionError,
+and never a negative cross section.
 
 The golden-rule pieces ``matrix_element_sq``, ``density_of_states`` and
 ``incident_flux`` take bare numbers, not a medium or a configuration;
@@ -139,6 +140,12 @@ _THIN = Draw(fluid_medium("thin", rho0=1e-200, cs=1e-100, eta=1.33, drho=0.8),
              Separation(1.0), _AT_350NM, 1.0, 1.0, 0.0, 1.0)
 
 
+# cs > c/2: at backscatter the emitted phonon would take more than omega
+_FAST = Draw(fluid_medium("fast", rho0=997.0, cs=2.5e8, eta=1.33, drho=0.8),
+             Separation(1.0), ScatteringConfig(omega=omega_from_wavelength(350e-9),
+                                               theta=math.pi), 1.0, 1.0, 0.0, 1.0)
+
+
 def _values(result):
     if isinstance(result, (CorrelatorValue, CrossSectionValue)):
         return (result.value,)
@@ -155,9 +162,13 @@ def _values(result):
 @example(name="zp_cross_section_exact", draw=_THIN)
 @example(name="thermal_brillouin_cross_section", draw=_THIN)
 @example(name="adiabatic_compressibility", draw=_THIN)
+@example(name="zp_cross_section_exact", draw=_FAST)
+@example(name="zp_cross_section_chain", draw=_FAST)
 def test_public_call_is_finite_or_a_typed_error(name, draw):
     try:
         result = CALLS[name](draw)
     except (FluctusError, ValueError):
         return
     assert all(math.isfinite(v) for v in _values(result)), (name, result)
+    if isinstance(result, CrossSectionValue):
+        assert result.value >= 0.0, (name, result)

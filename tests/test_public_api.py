@@ -7,6 +7,7 @@ a test edit, and CHANGES.md declares it.
 import dataclasses
 import inspect
 import math
+import pickle
 
 import pytest
 
@@ -53,3 +54,33 @@ def test_result_types_are_frozen(result):
     for field in dataclasses.fields(result):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(result, field.name, getattr(result, field.name))
+
+
+@pytest.mark.parametrize("cls, third", [
+    (fluctus.CorrelatorValue, {"material": "water", "r_m": 1e-9}),
+    (fluctus.CrossSectionValue, 0.5),
+], ids=["CorrelatorValue", "CrossSectionValue"])
+def test_result_types_behave_as_generated_frozen_dataclasses(cls, third):
+    # the hand-written __init__ against a generated frozen dataclass of the
+    # same name and fields
+    names = [field.name for field in dataclasses.fields(cls)]
+    generated = dataclasses.make_dataclass(cls.__name__, names, frozen=True)
+    args = (-1.25e-3, "formula", third)
+    value, reference = cls(*args), generated(*args)
+    assert cls(**dict(zip(names, args))) == value
+    assert dataclasses.asdict(value) == dataclasses.asdict(reference)
+    assert dataclasses.astuple(value) == dataclasses.astuple(reference)
+    assert repr(value) == repr(reference)
+    assert value == cls(*args) and value != cls(2.0, *args[1:]) and value != reference
+    changed = dataclasses.replace(value, value=2.0)
+    assert type(changed) is cls and changed == cls(2.0, *args[1:]) and value.value == -1.25e-3
+    restored = pickle.loads(pickle.dumps(value))
+    assert type(restored) is cls and restored == value
+    assert dataclasses.astuple(restored) == args
+    if isinstance(third, dict):
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(reference)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.formula = "other"

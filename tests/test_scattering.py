@@ -109,6 +109,25 @@ def test_polarization_factors():
         pytest.approx(1.0, rel=1e-15)
 
 
+def test_polarization_factor_is_the_literal_formula_bit_for_bit():
+    formulas = {
+        Polarization.PERPENDICULAR: lambda c: 1.0,
+        Polarization.PARALLEL: lambda c: c * c,
+        Polarization.CROSSED: lambda c: 0.0,
+        Polarization.UNPOLARIZED: lambda c: 0.5 * (1.0 + c * c),
+    }
+    thetas = [math.pi * k / 400 for k in range(1, 401)] + [1e-300, 1e-8, 1.0, 2.0]
+    for pol, formula in formulas.items():
+        for theta in thetas:
+            assert polarization_factor(theta, pol) == formula(math.cos(theta)), (pol, theta)
+
+
+@pytest.mark.parametrize("pol", ["parallel", None, 1])
+def test_polarization_factor_refuses_a_non_member(pol):
+    with pytest.raises(ValueError, match="unknown polarization selection"):
+        polarization_factor(1.0, pol)
+
+
 @given(theta=st.floats(0.01, math.pi), pol=st.sampled_from(list(Polarization)))
 def test_polarization_factor_in_unit_interval(theta, pol):
     f = polarization_factor(theta, pol)
@@ -371,6 +390,26 @@ def test_crossed_exact_is_zero_where_the_shift_is_below_float_resolution():
     assert phonon_kinematics(WATER, cfg).omega_q == 0.0
     assert zp_cross_section_exact(WATER, cfg).value == 0.0
     assert zp_cross_section_chain(WATER, cfg).value == 0.0
+
+
+# cs = 2.5e8 m/s > c/2: at backscatter Omega_q = 2 (cs/c) omega exceeds omega
+_FAST = fluid_medium("fast", rho0=997.0, cs=2.5e8, eta=1.33, drho=0.8)
+
+
+@pytest.mark.parametrize("formula", [zp_cross_section_exact, zp_cross_section_chain])
+def test_emission_beyond_the_photon_energy_is_refused_by_name(formula):
+    # omega' = omega - Omega_q < 0: a cross section would be negative (exact)
+    # or an unnamed ValueError (chain)
+    cfg = benchmark_config()
+    assert phonon_kinematics(_FAST, cfg).omega_prime < 0.0
+    with pytest.raises(FluctusError, match=re.escape(
+            f"{formula.__name__} for 'fast' at omega = {cfg.omega:.6g} rad/s: ")
+            + ".*cs = 2.5e\\+08 m/s is too close to c for the small-shift kinematics"):
+        formula(_FAST, cfg)
+    crossed = benchmark_config(pol=Polarization.CROSSED)
+    assert formula(_FAST, crossed).value == 0.0
+    # at 60 degrees Omega_q = (cs/c) omega < omega: still a positive value
+    assert formula(_FAST, benchmark_config(theta=math.pi / 3)).value > 0.0
 
 
 def test_ratio_stays_inverse_in_t_where_2_kb_t_underflows():
