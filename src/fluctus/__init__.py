@@ -48,7 +48,6 @@ from .medium import (
     load_material,
     parse_material,
     resolve_material,
-    validate,
 )
 from .scattering import (
     CrossSectionValue,

@@ -147,14 +147,9 @@ _KINDS = {
 
 
 def _config_from_args(args, theta_rad: float) -> scattering.ScatteringConfig:
-    if args.wavelength is not None and args.omega is not None:
-        raise ValueError("give either --lambda or --omega, not both")
-    if args.wavelength is not None:
+    omega = args.omega
+    if args.wavelength is not None:  # argparse admits exactly one of the two
         omega = scattering.omega_from_wavelength(args.wavelength)
-    elif args.omega is not None:
-        omega = args.omega
-    else:
-        raise ValueError("one of --lambda or --omega is required")
     return scattering.ScatteringConfig(
         omega=omega,
         theta=theta_rad,
@@ -250,9 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     light = argparse.ArgumentParser(add_help=False)
     light.add_argument("--material", required=True, help="built-in name or material file")
-    light.add_argument("--lambda", dest="wavelength", type=float,
-                       help="vacuum wavelength in m")
-    light.add_argument("--omega", type=float, help="angular frequency in rad/s")
+    frequency = light.add_mutually_exclusive_group(required=True)
+    frequency.add_argument("--lambda", dest="wavelength", type=float,
+                           help="vacuum wavelength in m")
+    frequency.add_argument("--omega", type=float, help="angular frequency in rad/s")
     light.add_argument("--temperature", type=float, help="bath temperature in K")
 
     p = sub.add_parser("xsection", parents=[light], help="light-scattering cross sections")
@@ -304,7 +300,10 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    try:
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:  # argparse printed a usage error (2) or the help (0)
+        return exc.code
     try:
         return args.func(args)
     except (FluctusError, ValueError, ArithmeticError, OSError) as exc:

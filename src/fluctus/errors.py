@@ -59,7 +59,8 @@ class AliasingError(FluctusError):
 
 
 class IllPosedStudyError(FluctusError):
-    """Convergence-study lattice spacing a = L/N exceeds r/4."""
+    """Convergence study cannot be posed: a = L/N exceeds r/4, or the
+    continuum value it compares against underflows to 0."""
 
 
 class MissingPropertyError(MaterialError):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, IllPosedStudyError
+from .errors import AliasingError, FluctusError, IllPosedStudyError
 from .medium import HBAR, FluidMedium
 from .spectral import regulated_integrand_reduction
 
@@ -83,12 +83,6 @@ class ModeGrid:
         return math.pi * self.N / self.L * (1.0 - 2.0 / self.N)
 
 
-def _wrap_to_box(dx: np.ndarray, L: float) -> np.ndarray:
-    # Nearest periodic image; a shift of any component by L is an exact
-    # symmetry of the mode sum, so fold before the aliasing check.
-    return dx - L * np.round(dx / L)
-
-
 def lattice_correlator(medium: FluidMedium, grid: ModeGrid, dx, eps: float) -> float:
     """Damped mode sum at displacement ``dx`` (3-vector, m); kg^2/m^6.
 
@@ -98,44 +92,58 @@ def lattice_correlator(medium: FluidMedium, grid: ModeGrid, dx, eps: float) -> f
     slabs of fixed first-axis magnitude are accumulated in a fixed order,
     with the slab partial sums combined by exact compensated summation,
     so the result does not depend on how the work would be chunked.
+    The sum runs in units of L, so only the final scaling by L^-4 can
+    leave the float range.
 
     Raises
     ------
     AliasingError
         If the nearest-image displacement has |dx| >= L/2.
+    FluctusError
+        If the value lies outside the float range.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"damping length eps must be positive and finite, got {eps}")
     dx = np.asarray(dx, dtype=float).reshape(3)
     if not np.isfinite(dx).all():
         raise ValueError(f"displacement dx must be finite, got {dx}")
-    dx = _wrap_to_box(dx, grid.L)
-    if float(np.linalg.norm(dx)) >= grid.L / 2.0:
+    L = grid.L
+    # Nearest periodic image, in units of L; a shift of any component by
+    # L is an exact symmetry of the mode sum, so fold before the check.
+    with np.errstate(over="ignore", invalid="ignore"):  # dx / L beyond the float range
+        u = dx / L
+        u = u - np.round(u)
+    size = float(np.linalg.norm(u))
+    if not size < 0.5:  # nan where dx / L overflowed
         raise AliasingError(
-            f"|dx| = {float(np.linalg.norm(dx)):.3e} m reaches L/2 = {grid.L / 2.0:.3e} m; "
+            f"nearest-image |dx| / L = {size:.3e} is not below 1/2 (L = {L:.3e} m); "
             "the periodic box cannot resolve this separation"
         )
-    dq = 2.0 * math.pi / grid.L
     half = grid.N // 2
-    q1 = dq * np.arange(half + 1)
+    q1 = 2.0 * math.pi * np.arange(half + 1)
     # One weight per axis and |n| = m (module docstring).
-    phase = np.outer(dx, q1)
+    phase = np.outer(u, q1)
     axis = 2.0 * np.cos(phase) + 0j
     axis[:, 0] = 1.0
     axis[:, half] = np.exp(-1j * phase[:, half])
     # The weight depends only on s = mx^2 + my^2 + mz^2: tabulate it once.
     m_sq = np.arange(half + 1) ** 2
     yz_sq = m_sq[:, None] + m_sq[None, :]
-    qmag = dq * np.sqrt(np.arange(3 * half * half + 1))
-    weight = qmag * np.exp(-eps * qmag)
-    weight[0] = 0.0  # zero mode excluded
+    qmag = 2.0 * math.pi * np.sqrt(np.arange(1, 3 * half * half + 1))
+    weight = np.zeros(3 * half * half + 1)  # zero mode excluded
+    weight[1:] = qmag * np.exp(-(eps / L) * qmag)
     slab_sums = []
     for mx in range(half + 1):
         w = weight[m_sq[mx] + yz_sq]
         slab_sums.append(float((axis[0, mx] * (axis[1] @ (w @ axis[2]))).real))
     total = math.fsum(slab_sums)
-    # Omega_q = cs |q| cancels one cs of the 1/cs^2 normalization.
-    return HBAR * medium.rho0 * total / (2.0 * grid.L**3 * medium.cs)
+    # Omega_q = cs |q| cancels one cs of the 1/cs^2 normalization; the
+    # sum in units of L scales as L^-4.
+    value = HBAR * medium.rho0 * total / 2.0 / medium.cs / L / L / L / L
+    if not math.isfinite(value):
+        raise FluctusError(f"lattice_correlator at L = {L!r} m, dx = {dx.tolist()!r} m, "
+                           f"eps = {eps!r} m is outside the float range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -170,7 +178,8 @@ def convergence_study(medium: FluidMedium, r: float, ns=(64, 128, 256)) -> Conve
     Raises
     ------
     IllPosedStudyError
-        If any N leaves the separation unresolved, a = L/N > r/4.
+        If any N leaves the separation unresolved, a = L/N > r/4, or the
+        continuum value underflows to 0.
     """
     if not 0.0 < r < math.inf:
         raise ValueError(f"separation r must be positive and finite, got {r}")
@@ -188,6 +197,9 @@ def convergence_study(medium: FluidMedium, r: float, ns=(64, 128, 256)) -> Conve
     d = np.asarray(STUDY_DIRECTION)
     dx = r * d / np.linalg.norm(d)
     continuum = regulated_integrand_reduction(medium, r, 0.0, eps)
+    if continuum == 0.0:
+        raise IllPosedStudyError(f"convergence_study at r = {r!r} m: the continuum value "
+                                 "underflows to 0, so no relative error can be formed")
     rows = []
     for n in ns:
         lat = lattice_correlator(medium, ModeGrid(L=L, N=n), dx, eps)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import (
     MaterialFileError,
@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_TEMPERATURE",
     "FluidMedium",
     "fluid_medium",
-    "validate",
     "builtin_material",
     "builtin_names",
     "load_material",
@@ -78,6 +77,12 @@ class FluidMedium:
         (d eps / d T) at constant pressure, 1/K.  Optional, as above.
     default_temperature : float
         Reference temperature in K used when a call supplies none.
+
+    Construction, ``dataclasses.replace`` included, raises
+    MaterialValidationError listing every violated invariant: finite
+    numbers, rho0, cs, cp and default_temperature > 0, eta >= 1, and
+    cs < c/2, under which the emitted phonon stays below the photon's
+    energy at every angle (omega' > 0 for every normal omega).
     """
 
     name: str
@@ -89,6 +94,24 @@ class FluidMedium:
     deps_dt: float | None = None
     default_temperature: float = DEFAULT_TEMPERATURE
 
+    def __post_init__(self):
+        v = [f"|{name}| < inf" for name, x in vars(self).items()  # in field order
+             if isinstance(x, float) and not math.isfinite(x)]
+        if not self.rho0 > 0:
+            v.append("rho0 > 0")
+        if not self.cs > 0:
+            v.append("cS > 0")
+        if not self.eta >= 1:
+            v.append("eta >= 1")
+        if not self.default_temperature > 0:
+            v.append("defaultT > 0")
+        if not 2.0 * self.cs < C_LIGHT:
+            v.append("cS < c/2")
+        if self.cp is not None and not self.cp > 0:
+            v.append("cP > 0")
+        if v:
+            raise MaterialValidationError(v)
+
     @property
     def epsilon0(self) -> float:
         """Mean dielectric constant, eta**2."""
@@ -97,14 +120,8 @@ class FluidMedium:
 
 def fluid_medium(name, rho0, cs, eta, drho, cp=None, deps_dt=None,
                  default_temperature=DEFAULT_TEMPERATURE) -> FluidMedium:
-    """Build a validated FluidMedium.
-
-    Raises
-    ------
-    MaterialValidationError
-        If any invariant is violated (message lists all of them).
-    """
-    medium = FluidMedium(
+    """A FluidMedium whose numbers are Python floats (numpy scalars slow the closed forms)."""
+    return FluidMedium(
         name=str(name),
         rho0=float(rho0),
         cs=float(cs),
@@ -114,36 +131,6 @@ def fluid_medium(name, rho0, cs, eta, drho, cp=None, deps_dt=None,
         deps_dt=None if deps_dt is None else float(deps_dt),
         default_temperature=float(default_temperature),
     )
-    violations = validate(medium)
-    if violations:
-        raise MaterialValidationError(violations)
-    return medium
-
-
-def validate(medium: FluidMedium) -> list[str]:
-    """Return every violated invariant of ``medium`` (empty list if valid).
-
-    Violations are data, not failures: this never raises.  Each entry is
-    the invariant itself, e.g. ``"eta >= 1"``.
-    """
-    v = []
-    for f in fields(medium):
-        x = getattr(medium, f.name)
-        if isinstance(x, float) and not math.isfinite(x):
-            v.append(f"|{f.name}| < inf")
-    if not medium.rho0 > 0:
-        v.append("rho0 > 0")
-    if not medium.cs > 0:
-        v.append("cS > 0")
-    if not medium.eta >= 1:
-        v.append("eta >= 1")
-    if not medium.default_temperature > 0:
-        v.append("defaultT > 0")
-    if not medium.cs < C_LIGHT:
-        v.append("cS < c")
-    if medium.cp is not None and not medium.cp > 0:
-        v.append("cP > 0")
-    return v
 
 
 # Water near room temperature.  cs, eta and drho are the standard handbook

@@ -167,25 +167,19 @@ def _shift(medium: FluidMedium, cfg: ScatteringConfig) -> tuple[float, float]:
 
 def _emitted_shift(medium: FluidMedium, cfg: ScatteringConfig,
                    formula: str) -> tuple[float, float]:
-    """:func:`_shift` for a cross section, refused by name where Omega_q is 0
-    or omega' is not positive.
+    """:func:`_shift` for a cross section, refused by name where Omega_q or
+    omega' is 0.
 
-    Omega_q > 0 for every theta > 0; 0 means the shift fell below the
-    float resolution of omega.  omega' = omega - Omega_q <= 0 means the
-    emitted phonon would take all of the photon's energy, which the
-    small-shift kinematics allow only for cs >= c / (2 sin(theta/2)).  A
-    cross section built on either would be wrong.
+    Omega_q > 0 for every theta > 0, and omega' > 0 since cs < c/2
+    (:class:`FluidMedium`); either is 0 only where the float resolution
+    of omega cannot hold the split (a subnormal omega for omega'), and a
+    cross section built on it would be wrong.
     """
     omega_prime, omega_q = _shift(medium, cfg)
-    if omega_q == 0.0:
+    if omega_q == 0.0 or omega_prime == 0.0:
         raise FluctusError(
             f"{formula} for '{medium.name}' at omega = {cfg.omega:.6g} rad/s: "
-            "the phonon shift lies below the float resolution of omega")
-    if omega_prime <= 0.0:
-        raise FluctusError(
-            f"{formula} for '{medium.name}' at omega = {cfg.omega:.6g} rad/s: "
-            f"the scattered frequency omega' = {omega_prime:.6g} rad/s is not positive; "
-            f"cs = {medium.cs:.6g} m/s is too close to c for the small-shift kinematics")
+            "the phonon shift or omega' lies below the float resolution of omega")
     return omega_prime, omega_q
 
 
@@ -197,7 +191,7 @@ def phonon_kinematics(medium: FluidMedium, cfg: ScatteringConfig) -> Kinematics:
 
         Omega_q = sqrt(2 (1 - cos theta)) (cs / c) omega,
 
-    always a tiny fraction of omega (at most 2 cs/c at backscatter).
+    always a fraction of omega (at most 2 cs/c < 1 at backscatter).
     """
     omega_prime, omega_q = _shift(medium, cfg)
     return Kinematics(cfg.omega, omega_prime, omega_q, omega_q / medium.cs)

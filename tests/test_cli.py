@@ -181,6 +181,17 @@ def test_xsection_needs_lambda_or_omega(capsys):
     assert "lambda" in err or "omega" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("ratio", "--material", "water", "--theta", "180"),
+    ("xsection", "--material", "water", "--theta", "180", "--lambda", "350e-9",
+     "--omega", "5.4e15"),
+], ids=["ratio-neither", "xsection-both"])
+def test_exactly_one_of_lambda_and_omega_is_a_usage_rule(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--lambda" in err and "--omega" in err
+
+
 # --- ratio command ---------------------------------------------------------------
 
 def test_ratio_benchmark(capsys):

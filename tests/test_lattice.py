@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fluctus.correlator import zero_point_structure_factor
-from fluctus.errors import AliasingError, IllPosedStudyError
+from fluctus.errors import AliasingError, FluctusError, IllPosedStudyError
 from fluctus.lattice import ModeGrid, STUDY_DIRECTION, convergence_study, lattice_correlator
 from fluctus.medium import HBAR, builtin_material
 from fluctus.spectral import regulated_integrand_reduction
@@ -214,3 +215,34 @@ def test_convergence_study_boundary_geometry_is_admissible():
     # N = 64 at L = 16 r sits exactly on a = r/4; the study accepts it
     study = convergence_study(WATER, r=16e-9, ns=(64, 128))
     assert study.monotone
+
+
+@pytest.mark.parametrize("L, dx, eps", [
+    (1e-96, [-0.8e-97, -0.04e-97, -1.0e-97], 9e-96),  # returned inf
+    (1e-120, [1e-121, 0.0, 0.0], 1e-122),             # L**3 underflowed to 0
+], ids=["small-box", "tiny-box"])
+def test_a_value_beyond_the_float_range_is_refused_by_name(L, dx, eps):
+    with pytest.raises(FluctusError, match=r"^lattice_correlator at L = .* outside the float"):
+        lattice_correlator(WATER, ModeGrid(L=L, N=8), dx, eps)
+
+
+@pytest.mark.parametrize("dx", [[1e150, 0.0, 0.0], [1e199, 0.0, 0.0]], ids=["L/1e50", "L/10"])
+def test_a_huge_box_folds_and_scales_in_units_of_the_side(dx):
+    # L**3 raised OverflowError, and |dx| = L/10 overflowed in the norm; the
+    # value, ~1e-31 / L^4, underflows to 0 without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lattice_correlator(WATER, ModeGrid(L=1e200, N=8), dx, 1e198) == 0.0
+
+
+def test_a_displacement_beyond_the_float_range_in_units_of_the_side_aliases():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AliasingError):
+            lattice_correlator(WATER, ModeGrid(L=1e-300, N=8), [1e300, 0.0, 0.0], 1.0)
+
+
+def test_a_continuum_that_underflows_leaves_the_study_ill_posed():
+    # the continuum underflows to 0 at r = 1e80 m: a ZeroDivisionError before
+    with pytest.raises(IllPosedStudyError, match=r"r = 1e\+80 m: the continuum value underflows"):
+        convergence_study(WATER, r=1e80)

@@ -9,12 +9,16 @@ and never a negative cross section.
 The golden-rule pieces ``matrix_element_sq``, ``density_of_states`` and
 ``incident_flux`` take bare numbers, not a medium or a configuration;
 they are called here with the draw's frequencies, permittivity and
-volume, and through ``zp_cross_section_chain``.
+volume, and through ``zp_cross_section_chain``.  The lattice mode sum
+runs at N = 8 in a box of side ``a`` with damping ``b``; media are
+drawn with cs < c/2, and every cs in [c/2, c) is refused at
+construction.
 """
 
 import math
 from dataclasses import astuple, dataclass
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fluctus.correlator import (
@@ -29,7 +33,8 @@ from fluctus.correlator import (
     scalar_field_analog,
     zero_point_structure_factor,
 )
-from fluctus.errors import FluctusError
+from fluctus.errors import FluctusError, MaterialValidationError
+from fluctus.lattice import ModeGrid, lattice_correlator
 from fluctus.medium import C_LIGHT, FluidMedium, builtin_material, fluid_medium
 from fluctus.scattering import (
     CrossSectionValue,
@@ -63,6 +68,7 @@ class Draw:
     b: float           # a second length (z2)
     transverse: float
     volume: float
+    dx: tuple = (0.0, 0.0, 0.0)  # a displacement in a periodic box of side a
 
 
 CALLS = {
@@ -91,6 +97,7 @@ CALLS = {
                                                                                  d.cfg),
     "thermal_total_cross_section": lambda d: thermal_total_cross_section(d.medium, d.cfg),
     "ratio_zp_thermal": lambda d: ratio_zp_thermal(d.medium, d.cfg),
+    "lattice_correlator": lambda d: lattice_correlator(d.medium, ModeGrid(d.a, 8), d.dx, d.b),
 }
 
 # Positive floats, log-uniform from the smallest subnormal to the largest finite.
@@ -111,7 +118,7 @@ _MEDIA = st.builds(
         "drawn", rho0=rho0, cs=cs, eta=eta, drho=drho, cp=cp, deps_dt=deps_dt,
         default_temperature=temperature),
     rho0=_POSITIVE,
-    cs=_up_to(C_LIGHT).filter(lambda cs: cs < C_LIGHT),
+    cs=_up_to(C_LIGHT).filter(lambda cs: 2 * cs < C_LIGHT),
     eta=st.floats(0.0, 308.25).map(lambda e: 10.0 ** e),
     drho=_SIGNED,
     cp=st.one_of(st.none(), _POSITIVE),
@@ -129,7 +136,7 @@ _CONFIGS = st.builds(
 
 _DRAWS = st.builds(Draw, medium=_MEDIA, sep=st.builds(Separation, _NONNEGATIVE, _SIGNED),
                    cfg=_CONFIGS, a=_NONNEGATIVE, b=_NONNEGATIVE, transverse=_NONNEGATIVE,
-                   volume=_POSITIVE)
+                   volume=_POSITIVE, dx=st.tuples(_SIGNED, _SIGNED, _SIGNED))
 
 _AT_350NM = ScatteringConfig(omega=omega_from_wavelength(350e-9), theta=math.pi / 2)
 # z1 = z2 = 1e-300: the direct and image terms are each about -1.2e308
@@ -139,11 +146,18 @@ _OVERFLOWING_SUM = Draw(builtin_material("water"), Separation(1.0), _AT_350NM,
 _THIN = Draw(fluid_medium("thin", rho0=1e-200, cs=1e-100, eta=1.33, drho=0.8),
              Separation(1.0), _AT_350NM, 1.0, 1.0, 0.0, 1.0)
 
-
-# cs > c/2: at backscatter the emitted phonon would take more than omega
-_FAST = Draw(fluid_medium("fast", rho0=997.0, cs=2.5e8, eta=1.33, drho=0.8),
-             Separation(1.0), ScatteringConfig(omega=omega_from_wavelength(350e-9),
-                                               theta=math.pi), 1.0, 1.0, 0.0, 1.0)
+# Boxes whose mode sum, scaled by L^-4, leaves the float range (L = 1e-96,
+# 1e-120) or underflows to 0 (L = 1e200, where |dx| = L/10 squared in
+# metres also overflows).
+_WATER = builtin_material("water")
+_SMALL_BOX = Draw(_WATER, Separation(1.0), _AT_350NM, 1e-96, 9e-96, 0.0, 1.0,
+                  (-0.8e-97, -0.04e-97, -1.0e-97))
+_TINY_BOX = Draw(_WATER, Separation(1.0), _AT_350NM, 1e-120, 1e-122, 0.0, 1.0,
+                 (1e-121, 0.0, 0.0))
+_HUGE_BOX = Draw(_WATER, Separation(1.0), _AT_350NM, 1e200, 1e198, 0.0, 1.0,
+                 (1e150, 0.0, 0.0))
+_HUGE_DX = Draw(_WATER, Separation(1.0), _AT_350NM, 1e200, 1e198, 0.0, 1.0,
+                (1e199, 0.0, 0.0))
 
 
 def _values(result):
@@ -162,8 +176,10 @@ def _values(result):
 @example(name="zp_cross_section_exact", draw=_THIN)
 @example(name="thermal_brillouin_cross_section", draw=_THIN)
 @example(name="adiabatic_compressibility", draw=_THIN)
-@example(name="zp_cross_section_exact", draw=_FAST)
-@example(name="zp_cross_section_chain", draw=_FAST)
+@example(name="lattice_correlator", draw=_SMALL_BOX)
+@example(name="lattice_correlator", draw=_TINY_BOX)
+@example(name="lattice_correlator", draw=_HUGE_BOX)
+@example(name="lattice_correlator", draw=_HUGE_DX)
 def test_public_call_is_finite_or_a_typed_error(name, draw):
     try:
         result = CALLS[name](draw)
@@ -172,3 +188,14 @@ def test_public_call_is_finite_or_a_typed_error(name, draw):
     assert all(math.isfinite(v) for v in _values(result)), (name, result)
     if isinstance(result, CrossSectionValue):
         assert result.value >= 0.0, (name, result)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cs=st.floats(C_LIGHT / 2, C_LIGHT, exclude_max=True), rho0=_POSITIVE,
+       eta=st.floats(0.0, 308.25).map(lambda e: 10.0 ** e), drho=_SIGNED,
+       temperature=_POSITIVE)
+def test_sound_from_half_light_speed_up_is_refused(cs, rho0, eta, drho, temperature):
+    with pytest.raises(MaterialValidationError) as exc:
+        fluid_medium("drawn", rho0=rho0, cs=cs, eta=eta, drho=drho,
+                     default_temperature=temperature)
+    assert exc.value.violations == ["cS < c/2"]

@@ -29,7 +29,7 @@ PUBLIC_NAMES = [
     "omega_from_wavelength", "parse_material", "phonon_kinematics",
     "polarization_factor", "ratio_zp_thermal", "regulated_integrand_reduction",
     "resolve_material", "scalar_field_analog", "thermal_brillouin_cross_section",
-    "thermal_total_cross_section", "validate", "verify_all", "verify_chain",
+    "thermal_total_cross_section", "verify_all", "verify_chain",
     "verify_lattice", "verify_spectral", "zero_point_structure_factor",
     "zp_cross_section_chain", "zp_cross_section_exact", "zp_cross_section_reduced",
 ]

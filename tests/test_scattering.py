@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fluctus.correlator import zero_point_structure_factor
-from fluctus.errors import FluctusError, MissingPropertyError
+from fluctus.errors import FluctusError, MaterialValidationError, MissingPropertyError
 from fluctus.medium import C_LIGHT, HBAR, builtin_material, fluid_medium
 from fluctus.scattering import (
     Polarization,
@@ -392,24 +392,43 @@ def test_crossed_exact_is_zero_where_the_shift_is_below_float_resolution():
     assert zp_cross_section_chain(WATER, cfg).value == 0.0
 
 
-# cs = 2.5e8 m/s > c/2: at backscatter Omega_q = 2 (cs/c) omega exceeds omega
-_FAST = fluid_medium("fast", rho0=997.0, cs=2.5e8, eta=1.33, drho=0.8)
+@pytest.mark.parametrize("cs", [1.5e8, 2.5e8, math.nextafter(C_LIGHT, 0.0)],
+                         ids=["1.5e8", "2.5e8", "below-c"])
+def test_sound_from_half_light_speed_is_refused_at_construction(cs):
+    # at cs >= c/2 the small-shift kinematics let the emitted phonon take
+    # all of the photon's energy at backscatter (omega' <= 0)
+    with pytest.raises(MaterialValidationError) as exc:
+        fluid_medium("fast", rho0=997.0, cs=cs, eta=1.33, drho=0.8)
+    assert exc.value.violations == ["cS < c/2"]
+    assert "cS < c/2 violated" in str(exc.value)
+
+
+# the fastest valid sound: cs/c rounds to at most 1/2 - 2**-54
+_HALF_C = fluid_medium("half-c", rho0=997.0, cs=math.nextafter(C_LIGHT / 2.0, 0.0),
+                       eta=1.33, drho=0.8)
+
+
+@pytest.mark.parametrize("omega", [omega_from_wavelength(350e-9), 1e15, 2.0**50],
+                         ids=["350nm", "1e15", "2**50"])
+@pytest.mark.parametrize("theta", [math.pi, math.pi - 1e-9], ids=["pi", "pi-1e-9"])
+def test_the_fastest_valid_sound_keeps_omega_prime_positive(omega, theta):
+    # 2 sin(theta/2) (cs/c) <= 1 - 2**-53, so its product with a normal
+    # omega rounds below omega, also at a power of two
+    cfg = ScatteringConfig(omega=omega, theta=theta)
+    assert phonon_kinematics(_HALF_C, cfg).omega_prime > 0.0
+    for formula in (zp_cross_section_exact, zp_cross_section_chain):
+        value = formula(_HALF_C, cfg).value
+        assert math.isfinite(value) and value >= 0.0, formula.__name__
 
 
 @pytest.mark.parametrize("formula", [zp_cross_section_exact, zp_cross_section_chain])
-def test_emission_beyond_the_photon_energy_is_refused_by_name(formula):
-    # omega' = omega - Omega_q < 0: a cross section would be negative (exact)
-    # or an unnamed ValueError (chain)
-    cfg = benchmark_config()
-    assert phonon_kinematics(_FAST, cfg).omega_prime < 0.0
+def test_omega_prime_below_the_float_resolution_is_refused_by_name(formula):
+    # a subnormal omega has too few digits: omega' rounds to 0
+    cfg = ScatteringConfig(omega=1e-310, theta=math.pi)
+    assert phonon_kinematics(_HALF_C, cfg).omega_prime == 0.0
     with pytest.raises(FluctusError, match=re.escape(
-            f"{formula.__name__} for 'fast' at omega = {cfg.omega:.6g} rad/s: ")
-            + ".*cs = 2.5e\\+08 m/s is too close to c for the small-shift kinematics"):
-        formula(_FAST, cfg)
-    crossed = benchmark_config(pol=Polarization.CROSSED)
-    assert formula(_FAST, crossed).value == 0.0
-    # at 60 degrees Omega_q = (cs/c) omega < omega: still a positive value
-    assert formula(_FAST, benchmark_config(theta=math.pi / 3)).value > 0.0
+            f"{formula.__name__} for 'half-c' at omega = 1e-310 rad/s: ")):
+        formula(_HALF_C, cfg)
 
 
 def test_ratio_stays_inverse_in_t_where_2_kb_t_underflows():

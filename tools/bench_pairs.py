@@ -107,17 +107,31 @@ def _extract(commit: str, dest: Path) -> Path:
     return dest
 
 
+def _alternating(pairs: int):
+    """(pair, side, first) in run order; the side that runs first alternates."""
+    for i in range(pairs):
+        first, second = ("parent", "child") if i % 2 == 0 else ("child", "parent")
+        yield i, first, True
+        yield i, second, False
+
+
+def _timed(cmd: list[str], tree: Path, env: dict | None = None) -> tuple[str, float]:
+    """Stdout and wall time of ``cmd`` in ``tree``; RuntimeError unless it exits 0 with output."""
+    t0 = perf_counter()
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    wall = perf_counter() - t0
+    if proc.returncode != 0 or not proc.stdout.strip():
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
+                           f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return proc.stdout, wall
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run in ``tree``: its result line and environment."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
-    t0 = perf_counter()
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    wall = perf_counter() - t0
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
-                           f"{proc.stderr[-2000:]}")
+    stdout, wall = _timed([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(trace)], tree)
+    lines = stdout.strip().splitlines()
     result = json.loads(lines[-1])
     env = next((json.loads(line[len("environment "):]) for line in lines
                 if line.startswith("environment ")), None)
@@ -131,40 +145,30 @@ def run_pairs(trees: dict, workload: str, seeds: list[int], seconds: float,
               pairs: int, trace: int, log) -> list[dict]:
     """``pairs`` alternating parent/child pairs; returns one record per run."""
     runs = []
-    for i in range(pairs):
+    for i, name, first in _alternating(pairs):
         seed = seeds[i % len(seeds)]
-        order = ("parent", "child") if i % 2 == 0 else ("child", "parent")
-        for position, name in enumerate(order):
-            run = _run(trees[name], workload, seed, seconds, trace)
-            run.update(side=name, pair=i, first=position == 0, seed=seed, trace=trace)
-            runs.append(run)
-            log(f"{workload} trace {trace} pair {i} {name}: " + ", ".join(
-                f"{k} = {v:.6g}" for k, v in run["metrics"].items()
-                if k in ("setup_s", "op_best_s", "peak_rss_mib")
-                or k.startswith(("correlator.", "scattering."))))
+        run = _run(trees[name], workload, seed, seconds, trace)
+        run.update(side=name, pair=i, first=first, seed=seed, trace=trace)
+        runs.append(run)
+        log(f"{workload} trace {trace} pair {i} {name}: " + ", ".join(
+            f"{k} = {v:.6g}" for k, v in run["metrics"].items()
+            if k in ("setup_s", "op_best_s", "peak_rss_mib")
+            or k.startswith(("correlator.", "scattering."))))
     return runs
 
 
 def _time_verify_all(tree: Path) -> float:
     """Wall time of one ``fluctus verify all`` subprocess on ``tree``'s source."""
-    cmd = [sys.executable, "-m", "fluctus.cli", "verify", "all"]
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    t0 = perf_counter()
-    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
-    wall = perf_counter() - t0
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
-                           f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
-    return wall
+    return _timed([sys.executable, "-m", "fluctus.cli", "verify", "all"], tree,
+                  dict(os.environ, PYTHONPATH=str(tree / "src")))[1]
 
 
 def verify_all_pairs(trees: dict, pairs: int, log) -> dict:
     """``pairs`` alternating parent/child ``verify all`` wall times, summarized."""
     walls = {"parent": [], "child": []}
-    for i in range(pairs):
-        for name in ("parent", "child") if i % 2 == 0 else ("child", "parent"):
-            walls[name].append(_time_verify_all(trees[name]))
-            log(f"verify all pair {i} {name}: wall_s = {walls[name][-1]:.6g}")
+    for i, name, _ in _alternating(pairs):
+        walls[name].append(_time_verify_all(trees[name]))
+        log(f"verify all pair {i} {name}: wall_s = {walls[name][-1]:.6g}")
     return {"wall_s": summarize(walls["parent"], walls["child"], "lower")}
 
 
