@@ -218,12 +218,32 @@ def _in_units_of_r(medium: FluidMedium, r: float, integral: float, call: str) ->
 
     Substituting q -> q / r scales the integral by r^-3, so the
     quadrature and the closed form work with r = 1 and only this product
-    can leave the float range.  Raises FluctusError naming ``call`` when
-    it does.
+    can leave the float range; it is formed by :func:`_in_float_range`,
+    so only the true value can round to 0 or overflow.  Raises
+    FluctusError naming ``call`` when it does.
     """
-    prefactor = HBAR * medium.rho0 / (4.0 * math.pi**2 * medium.cs * r)
-    value = prefactor * integral / r / r / r
-    if not math.isfinite(value):
+    (h, eh), (rho, erho), (c, ec), (x, ex), (i, ei) = map(
+        math.frexp, (HBAR, medium.rho0, medium.cs, r, integral))
+    mantissa = h * rho / (4.0 * math.pi**2 * c * x) * i / x / x / x
+    return _in_float_range(mantissa, eh + erho - ec - 4 * ex + ei, call)
+
+
+def _in_float_range(mantissa: float, exponent: int, call: str) -> float:
+    """``mantissa * 2**exponent``, refused by name unless finite.
+
+    A physical scale formed as a product of dimensional factors can
+    underflow or overflow part way although the result is in range
+    (hbar * rho0 at rho0 = 1e-300).  The callers multiply the mantissas
+    of ``math.frexp`` in the order the plain product would, which in the
+    normal range gives the same bits, and add the exponents, so that
+    one ``ldexp`` rounds the true result alone.  Raises FluctusError
+    naming ``call`` when that result leaves the float range.
+    """
+    try:
+        value = math.ldexp(mantissa, exponent)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):  # also nan from a non-finite mantissa
         raise FluctusError(f"{call} is outside the float range")
     return value
 

@@ -56,7 +56,7 @@ def test_unpaired_or_undirected_input_is_refused():
         bench_pairs.summarize([1.0], [1.0], "faster")
 
 
-def test_verify_all_subprocess_pairs_alternate_and_are_summarized(monkeypatch):
+def test_verify_all_subprocess_pairs_alternate_and_are_summarized():
     # stubbed wall times: the child's tree is 0.1 s faster in every pair
     calls = []
 
@@ -64,15 +64,38 @@ def test_verify_all_subprocess_pairs_alternate_and_are_summarized(monkeypatch):
         calls.append(tree)
         return {"parent": 1.0, "child": 0.9}[tree] + 0.001 * len(calls)  # a slow drift
 
-    monkeypatch.setattr(bench_pairs, "_time_verify_all", wall)
     lines = []
-    out = bench_pairs.verify_all_pairs({"parent": "parent", "child": "child"}, 10,
-                                       lines.append)
+    out = bench_pairs.wall_pairs({"parent": "parent", "child": "child"}, 10, wall,
+                                 "verify all", lines.append)
     # the side that runs first alternates from pair to pair
     assert calls[:4] == ["parent", "child", "child", "parent"]
     assert len(calls) == 20 and len(lines) == 20
+    assert lines[0] == "verify all pair 0 parent: wall_s = 1.001"
     s = out["wall_s"]
     assert s["better"] == "lower" and s["pairs"] == 10
     assert s["wins"] == 10 and s["gain_shown"]
     assert s["parent"]["values"][:2] == [pytest.approx(1.001), pytest.approx(1.004)]
     assert s["child"]["values"][:2] == [pytest.approx(0.902), pytest.approx(0.903)]
+
+
+def test_tier1_pairs_run_the_tier1_command_on_each_trees_own_source(monkeypatch, tmp_path):
+    # a stubbed timer: the Tier-1 command is recorded, not run
+    runs = []
+
+    def timed(cmd, tree, env=None):
+        runs.append((cmd, tree, env["PYTHONPATH"]))
+        return "1 passed\n", {"parent": 9.0, "child": 8.0}[tree.name]
+
+    monkeypatch.setattr(bench_pairs, "_timed", timed)
+    trees = {name: tmp_path / name for name in ("parent", "child")}
+    lines = []
+    out = bench_pairs.wall_pairs(trees, 2, bench_pairs._time_tier1, "tier1 pytest",
+                                 lines.append)
+    assert [tree.name for _, tree, _ in runs] == ["parent", "child", "child", "parent"]
+    for cmd, tree, pythonpath in runs:
+        assert cmd[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+        assert pythonpath == str(tree / "src")
+    assert lines[0] == "tier1 pytest pair 0 parent: wall_s = 9"
+    s = out["wall_s"]
+    assert s["parent"]["values"] == [9.0, 9.0] and s["child"]["values"] == [8.0, 8.0]
+    assert s["wins"] == 2 and s["ratio"] == pytest.approx(8.0 / 9.0)

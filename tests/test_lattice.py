@@ -7,8 +7,8 @@ import pytest
 from fluctus.correlator import zero_point_structure_factor
 from fluctus.errors import AliasingError, FluctusError, IllPosedStudyError
 from fluctus.lattice import ModeGrid, STUDY_DIRECTION, convergence_study, lattice_correlator
-from fluctus.medium import HBAR, builtin_material
-from fluctus.spectral import regulated_integrand_reduction
+from fluctus.medium import HBAR, builtin_material, fluid_medium
+from fluctus.spectral import damped_closed_form, regulated_integrand_reduction
 
 WATER = builtin_material("water")
 DIRECTION = np.asarray(STUDY_DIRECTION)
@@ -47,7 +47,7 @@ def brute_force_mode_sum(medium, grid, dx, eps):
     return HBAR * medium.rho0 * (paired + unpaired) / (2.0 * grid.L**3 * medium.cs)
 
 
-@pytest.mark.parametrize("N", [8, 10])
+@pytest.mark.parametrize("N", [8, 10, 16])  # at 16, t = 25, 50, 65 fold 3-4 (my, mz) pairs
 @pytest.mark.parametrize("dx_over_l", [
     (0.23, -0.31, 0.17),     # every component nonzero, off every axis and diagonal
     (-0.05, 0.29, 0.37),
@@ -97,6 +97,13 @@ def test_mode_grid_rejects_odd_or_tiny_n():
         ModeGrid(L=1e-7, N=15)
     with pytest.raises(ValueError):
         ModeGrid(L=1e-7, N=6)
+
+
+def test_mode_grid_rejects_a_non_integral_n():
+    # an N of 8.0 was accepted, and the mode sum then raised a bare IndexError
+    with pytest.raises(ValueError, match=r"modes per axis must be an integer, got 8\.0"):
+        ModeGrid(L=1e-7, N=8.0)
+    assert ModeGrid(L=1e-7, N=np.int64(8)).mode_count == 511
 
 
 def test_realness_by_pairing_and_agreement_with_library_sum():
@@ -211,6 +218,19 @@ def test_convergence_study_rejects_degenerate_geometry():
         convergence_study(WATER, r=16e-9, ns=(128, 64))
 
 
+@pytest.mark.parametrize("ns, match", [
+    ((), r"at least two mode counts, got \(\)"),            # a bare TypeError
+    ((0, 64), r"even and >= 8, got 0"),                     # a bare ZeroDivisionError
+    ((64,), r"at least two mode counts, got \(64,\)"),      # a one-point slope, RankWarning
+    ((64.5, 128), r"must be an integer, got 64\.5"),         # silently became 64
+], ids=["none", "zero", "one", "fractional"])
+def test_convergence_study_refuses_unusable_mode_counts_by_name(ns, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            convergence_study(WATER, r=16e-9, ns=ns)
+
+
 def test_convergence_study_boundary_geometry_is_admissible():
     # N = 64 at L = 16 r sits exactly on a = r/4; the study accepts it
     study = convergence_study(WATER, r=16e-9, ns=(64, 128))
@@ -246,3 +266,19 @@ def test_a_continuum_that_underflows_leaves_the_study_ill_posed():
     # the continuum underflows to 0 at r = 1e80 m: a ZeroDivisionError before
     with pytest.raises(IllPosedStudyError, match=r"r = 1e\+80 m: the continuum value underflows"):
         convergence_study(WATER, r=1e80)
+
+
+THIN = fluid_medium("thin", rho0=1e-300, cs=1480.0, eta=1.4, drho=0.79)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: lattice_correlator(m, ModeGrid(1e-12, 16), [1e-13, 2e-13, 0.0], 1e-13),
+    lambda m: regulated_integrand_reduction(m, 1e-12, 0.0, 1e-13),
+    lambda m: damped_closed_form(m, 1e-12, 0.0, 1e-13),
+], ids=["lattice", "spectral", "damped-closed-form"])
+def test_a_tiny_density_scales_the_value_instead_of_underflowing(call):
+    # the value is linear in rho0 and ~1e-289 here, well inside the float
+    # range; forming hbar * rho0 first underflowed it to -0.0
+    expected = call(WATER) * (THIN.rho0 / WATER.rho0)
+    assert expected != 0.0
+    assert call(THIN) == pytest.approx(expected, rel=1e-12, abs=0.0)

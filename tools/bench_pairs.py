@@ -15,14 +15,16 @@ drifting between fast and slow periods weighs on both sides alike.
 Seeds cycle through ``--seeds``.  Two more pairs of ``--trace 1`` runs
 give the per-layer metrics.  Ten more alternating pairs time
 ``python -m fluctus.cli verify all`` as a subprocess in each tree, cold
-start included, which the in-process workloads do not see.
+start included, which the in-process workloads do not see, and ten
+more the Tier-1 pytest command (``python -m pytest -q
+--continue-on-collection-errors``) in each tree.
 
 The output file names both commits and the git trees of their ``src``
 and ``perfbench`` directories, holds each side's environment, every
 run's metrics and, per workload and metric, each side's median and
 quartiles, the child/parent ratio of the medians and the count of pairs
 the child won.  Which direction is better comes from ``BENCHMARK.json``;
-the ``verify all`` wall time is lower-is-better.
+the ``verify all`` and Tier-1 wall times are lower-is-better.
 Only the standard library is used.
 """
 
@@ -37,6 +39,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -163,12 +166,18 @@ def _time_verify_all(tree: Path) -> float:
                   dict(os.environ, PYTHONPATH=str(tree / "src")))[1]
 
 
-def verify_all_pairs(trees: dict, pairs: int, log) -> dict:
-    """``pairs`` alternating parent/child ``verify all`` wall times, summarized."""
+def _time_tier1(tree: Path) -> float:
+    """Wall time of one Tier-1 pytest run in ``tree``, on its own source."""
+    return _timed([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                  tree, dict(os.environ, PYTHONPATH=str(tree / "src")))[1]
+
+
+def wall_pairs(trees: dict, pairs: int, timer, label: str, log) -> dict:
+    """``pairs`` alternating parent/child wall times of ``timer(tree)``, summarized."""
     walls = {"parent": [], "child": []}
     for i, name, _ in _alternating(pairs):
-        walls[name].append(_time_verify_all(trees[name]))
-        log(f"verify all pair {i} {name}: wall_s = {walls[name][-1]:.6g}")
+        walls[name].append(timer(trees[name]))
+        log(f"{label} pair {i} {name}: wall_s = {walls[name][-1]:.6g}")
     return {"wall_s": summarize(walls["parent"], walls["child"], "lower")}
 
 
@@ -207,13 +216,15 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-", dir=args.workdir) as tmp:
         trees = {name: _extract(side["commit"], Path(tmp) / name)
                  for name, side in sides.items()}
-        record["verify_all_subprocess"] = verify_all_pairs(
-            trees, PAIRS, lambda line: print(line, flush=True))
+        log = partial(print, flush=True)
+        record["verify_all_subprocess"] = wall_pairs(trees, PAIRS, _time_verify_all,
+                                                     "verify all", log)
+        record["tier1_pytest"] = wall_pairs(trees, PAIRS, _time_tier1, "tier1 pytest", log)
         for workload in (w["name"] for w in spec["workloads"]):
             entry = {}
             for trace, pairs in ((0, PAIRS), (1, TRACED_PAIRS)):
                 runs = run_pairs(trees, workload, args.seeds, spec["run_seconds"], pairs,
-                                 trace, lambda line: print(line, flush=True))
+                                 trace, log)
                 for run in runs:
                     env = run.pop("environment")
                     record["environment"].setdefault(run["side"], env)
