@@ -38,7 +38,7 @@ from .correlator import (
     correlator,
     em_vacuum_shift_plate,
 )
-from .errors import FluctusError
+from .errors import FluctusError, finite
 from .medium import builtin_names, dumps_material, resolve_material
 
 __all__ = ["main", "OutputRecord", "parse_range"]
@@ -81,8 +81,7 @@ def _emit(records: list[OutputRecord], fmt: str) -> None:
     if not records:
         return
     for r in records:
-        if not math.isfinite(r.value):
-            raise FluctusError(f"{r.formula} evaluated to {r.value}, not a finite number")
+        finite(r.value, r.formula)
     if fmt == "json":
         print(json.dumps([asdict(r) for r in records], indent=2, allow_nan=False))
         return

@@ -33,14 +33,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import (
-    BoundaryContactError,
-    CoincidenceDivergenceError,
-    FluctusError,
-    SoundConeSingularityError,
-)
+from .errors import (TINY, BoundaryContactError, CoincidenceDivergenceError, FluctusError,
+                     SoundConeSingularityError, scaled)
 from .medium import HBAR, FluidMedium
 
 __all__ = [
@@ -124,15 +120,17 @@ class CorrelatorValue:
         d["inputs"] = inputs
 
 
-def _kernel(K: float, c: float, r: float, dt: float, k: float = 1.0) -> float:
-    """-K (r^2 + 3 c^2 dt^2) / (r^2 - k c^2 dt^2)^3, evaluated scale-free as
+def _kernel(K: float, c: float, r: float, dt: float, k: float = 1.0, e: int = 0) -> float:
+    """-K 2**e (r^2 + 3 c^2 dt^2) / (r^2 - k c^2 dt^2)^3, evaluated scale-free as
 
-        -K / rho^4 * (a^2 + 3 beta^2) / (a^2 - k beta^2)^3
+        -K 2**e / rho^4 * (a^2 + 3 beta^2) / (a^2 - k beta^2)^3
 
-    with rho = max(r, c|dt|), a = r / rho, beta = c|dt| / rho, so that no
-    power of r over- or underflows.  k = 1, or 3 for the rejected variant.
-    Raises CoincidenceDivergenceError at rho = 0, SoundConeSingularityError in
-    the SOUND_CONE_TOLERANCE band, FluctusError outside the float range.
+    with rho = max(r, c|dt|), a = r / rho, beta = c|dt| / rho: the plain
+    product where e = 0 and K / rho^4 and the value are normal, else with
+    the exponents of K and rho apart (``errors.scaled``).  k = 1, or 3 for
+    the rejected variant.  Raises CoincidenceDivergenceError at rho = 0,
+    SoundConeSingularityError in the SOUND_CONE_TOLERANCE band, FluctusError
+    outside the float range.
     """
     b = c * abs(dt)
     rho = max(r, b)
@@ -150,13 +148,16 @@ def _kernel(K: float, c: float, r: float, dt: float, k: float = 1.0) -> float:
     d = a2 - k * b2
     s = rho * rho
     try:
-        value = -K / s / s * (a2 + 3.0 * b2) / (d * d * d)
-    except ZeroDivisionError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise FluctusError(
-            f"correlator outside the float range (r = {r!r} m, c*|dt| = {b!r} m)")
-    return value
+        scale = K / s / s
+        value = -scale * (a2 + 3.0 * b2) / (d * d * d)
+    except ZeroDivisionError:  # s underflowed to 0, or d^3 (the variant's own root)
+        scale = value = 0.0
+    if scale >= TINY and not e and value - value == 0.0:
+        return value
+    (m, em), (x, ex) = math.frexp(K), math.frexp(rho)
+    x *= x
+    return scaled(-m / x / x * (a2 + 3.0 * b2) / (d * d * d or math.nan), em + e - 4 * ex,
+                  "correlator at r = {!r} m, c*|dt| = {!r} m", r, b)
 
 
 # hbar / (2 pi^2), folded once: the density correlators' prefactor is
@@ -166,7 +167,13 @@ _HBAR_2PI2 = HBAR / (2.0 * math.pi**2)
 
 def _density(medium: FluidMedium, r: float, dt: float, k: float = 1.0) -> float:
     cs = medium.cs
-    return _kernel(_HBAR_2PI2 * medium.rho0 / cs, cs, r, dt, k)
+    K = _HBAR_2PI2 * medium.rho0
+    if K >= TINY:
+        K /= cs
+        if TINY <= K < math.inf:
+            return _kernel(K, cs, r, dt, k)
+    m, e = math.frexp(medium.rho0)  # K left the normal range: rho0's exponent apart
+    return _kernel(_HBAR_2PI2 * m / cs, cs, r, dt, k, e)
 
 
 def _image(medium: FluidMedium, z1: float, z2: float, transverse: float, dt: float) -> float:
@@ -272,11 +279,14 @@ def boundary_correlator(medium: FluidMedium, z1: float, z2: float,
     FluctusError.
     """
     image = _image(medium, z1, z2, transverse, dt)
-    value = _density(medium, math.hypot(transverse, z1 - z2), dt) + image
-    if not math.isfinite(value):
-        raise FluctusError(
-            f"boundary_correlator outside the float range (z1 = {z1!r} m, z2 = {z2!r} m, "
-            f"transverse = {transverse!r} m, dt = {dt!r} s)")
+    direct = _density(medium, math.hypot(transverse, z1 - z2), dt)
+    value = direct + image
+    if -TINY < direct < TINY or -TINY < image < TINY or value - value != 0.0:
+        m, e = math.frexp(medium.rho0)
+        if e:  # a term lost digits below the normal range: once more at rho0's mantissa
+            value = boundary_correlator(replace(medium, rho0=m), z1, z2, transverse, dt).value
+        value = scaled(value, e, "boundary_correlator at z1 = {!r} m, z2 = {!r} m, "
+                       "transverse = {!r} m, dt = {!r} s", z1, z2, transverse, dt)
     return CorrelatorValue(value, "boundary-correlator",
                            {"material": medium.name, "z1_m": z1, "z2_m": z2,
                             "transverse_m": transverse, "dt_s": dt})
@@ -312,8 +322,12 @@ def zero_point_structure_factor(medium: FluidMedium, q: float) -> float:
     """
     if not 0.0 <= q < math.inf:
         raise ValueError(f"wavenumber q must be finite and >= 0, got {q}")
-    value = HBAR * medium.rho0 * q / (2.0 * medium.cs)
-    if value == math.inf:
-        raise FluctusError(f"zero_point_structure_factor for '{medium.name}' at "
-                           f"q = {q:.6g} 1/m has no finite floating-point value")
-    return value
+    rho0, cs = medium.rho0, medium.cs
+    weight = HBAR * rho0
+    wq = weight * q
+    value = wq / (2.0 * cs)
+    if weight >= TINY and wq >= TINY and TINY <= value < math.inf:
+        return value
+    (m, e), (x, ex), (c, ec) = math.frexp(rho0), math.frexp(q), math.frexp(cs)
+    return scaled(HBAR * m * x / (2.0 * c), e + ex - ec,
+                  "zero_point_structure_factor for '{.name}' at q = {:.6g} 1/m", medium, q)

@@ -4,7 +4,18 @@ Domain errors (singular separations, bad material files, non-converging
 quadrature) are raised as subclasses of :class:`FluctusError` so callers
 can distinguish them from programming mistakes.  Plain precondition
 violations on arguments raise the usual ``ValueError``.
+
+The package's float-range arithmetic lives here too, unexported: every
+refusal of a value outside the float range (:func:`finite`), and every
+value formed with its factors' exponents apart (:func:`scaled`).
 """
+
+import math
+import sys
+
+#: The smallest normal float: a product whose partial products all stay
+#: in [TINY, inf) scales exactly with each factor's power of two.
+TINY = sys.float_info.min
 
 
 class FluctusError(Exception):
@@ -72,3 +83,27 @@ class MissingPropertyError(MaterialError):
             f"material '{material}' does not define '{field}', "
             f"which this operation requires"
         )
+
+
+def finite(value: float, what: str, *args) -> float:
+    """``value`` if finite, else FluctusError "<what> is outside the float
+    range", ``what`` naming the call: a ``str.format`` template when
+    ``args`` are given, filled only on refusal."""
+    if value - value == 0.0:  # false for inf and nan
+        return value
+    raise FluctusError(f"{what.format(*args) if args else what} is outside the float range")
+
+
+def scaled(mantissa: float, exponent: int, what: str, *args) -> float:
+    """``mantissa * 2**exponent``, refused by :func:`finite` unless finite.
+
+    For products that leave the normal range part way (hbar * rho0 at
+    rho0 = 1e-300): callers multiply the factors' ``math.frexp`` mantissas
+    in the plain product's order, which keeps its bits where it stays
+    normal, and add the exponents, so one ``ldexp`` rounds the result alone.
+    """
+    try:
+        value = math.ldexp(mantissa, exponent)
+    except OverflowError:
+        value = math.inf
+    return finite(value, what, *args)

@@ -41,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, IllPosedStudyError
+from .errors import AliasingError, IllPosedStudyError, scaled
 from .medium import HBAR, FluidMedium
-from .spectral import _in_float_range, regulated_integrand_reduction
+from .spectral import regulated_integrand_reduction
 
 __all__ = [
     "ModeGrid",
@@ -102,13 +102,11 @@ def lattice_correlator(medium: FluidMedium, grid: ModeGrid, dx, eps: float) -> f
     transverse axes folded onto t = my^2 + mz^2 (module docstring):
     (N/2 + 1) |T| terms for the |T| distinct values of t, instead of
     N^3, with the weight tabulated once over the 3 (N/2)^2 + 1 values of
-    |n|^2 it depends on.  Deterministic:
-    slabs of fixed first-axis magnitude are accumulated in a fixed order,
-    with the slab partial sums combined by exact compensated summation,
-    so the result does not depend on how the work would be chunked.
-    The sum runs in units of L, so only the final scaling by L^-4 can
-    leave the float range, and that scale is formed so that only the
-    true value can round to 0 or overflow.
+    |n|^2 it depends on.  Deterministic: slabs of fixed first-axis
+    magnitude are accumulated in a fixed order, with the slab partial sums
+    combined by exact compensated summation, so the result does not depend
+    on how the work would be chunked.  The sum runs in units of L: only its
+    scaling by L^-4, formed with the exponents apart, can leave the range.
 
     Raises
     ------
@@ -167,14 +165,12 @@ def lattice_correlator(medium: FluidMedium, grid: ModeGrid, dx, eps: float) -> f
         slab_sums.append(a.real * re - a.imag * im)
     total = math.fsum(slab_sums)
     # Omega_q = cs |q| cancels one cs of the 1/cs^2 normalization; the
-    # sum in units of L scales as L^-4.  Mantissas and exponents apart,
-    # so that HBAR * rho0 cannot underflow on the way.
+    # sum in units of L scales as L^-4, formed with the exponents apart.
     (h, eh), (rho, erho), (tot, etot), (c, ec), (x, ex) = map(
         math.frexp, (HBAR, medium.rho0, total, medium.cs, L))
-    return _in_float_range(h * rho * tot / 2.0 / c / x / x / x / x,
-                           eh + erho + etot - ec - 4 * ex,
-                           f"lattice_correlator at L = {L!r} m, dx = {dx.tolist()!r} m, "
-                           f"eps = {eps!r} m")
+    return scaled(h * rho * tot / 2.0 / c / x / x / x / x, eh + erho + etot - ec - 4 * ex,
+                  "lattice_correlator at L = {!r} m, dx = {!r} m, eps = {!r} m",
+                  L, dx.tolist(), eps)
 
 
 @dataclass(frozen=True)

@@ -27,17 +27,17 @@ The zero-point channel creates a phonon, so it feeds only the
 frequency-downshifted (Stokes) side of the Brillouin doublet.
 
 Every cross section and the ratio returns a finite value or raises a
-FluctusError naming the function, the medium and omega: each checks its
-value with the private ``_finite`` just before it returns.
+FluctusError naming the function, the medium and omega: each passes its
+value through ``fluctus.errors.finite`` just before it returns.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import FluctusError, MissingPropertyError
+from .errors import TINY, FluctusError, MissingPropertyError, finite, scaled
 from .medium import C_LIGHT, HBAR, K_B, FluidMedium
 
 __all__ = [
@@ -109,11 +109,8 @@ def omega_from_wavelength(wavelength: float) -> float:
     """Angular frequency from the vacuum wavelength (m)."""
     if not 0.0 < wavelength < math.inf:
         raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
-    omega = 2.0 * math.pi * C_LIGHT / wavelength
-    if omega == math.inf:
-        raise FluctusError(f"omega_from_wavelength at wavelength = {wavelength:.6g} m "
-                           "has no finite floating-point value")
-    return omega
+    return finite(2.0 * math.pi * C_LIGHT / wavelength,
+                  "omega_from_wavelength at wavelength = {:.6g} m", wavelength)
 
 
 @dataclass(frozen=True)
@@ -145,15 +142,8 @@ def _angular(theta: float) -> float:
     return 2.0 * math.sin(0.5 * theta)
 
 
-def _finite(value: float, formula: str, medium: FluidMedium,
-            cfg: ScatteringConfig) -> float:
-    """``value`` if it is finite, else a FluctusError naming ``formula``, the
-    medium and omega.  The public formulas call it just before they return;
-    none of their arithmetic raises OverflowError (float * and / give inf)."""
-    if math.isfinite(value):
-        return value
-    raise FluctusError(f"{formula} for '{medium.name}' at omega = {cfg.omega:.6g} rad/s "
-                       "has no finite floating-point value")
+#: A refused cross section's or ratio's name: formatted with it, the medium and the config.
+_AT_OMEGA = "{} for '{.name}' at omega = {.omega:.6g} rad/s"
 
 
 def _shift(medium: FluidMedium, cfg: ScatteringConfig) -> tuple[float, float]:
@@ -168,12 +158,8 @@ def _shift(medium: FluidMedium, cfg: ScatteringConfig) -> tuple[float, float]:
 def _emitted_shift(medium: FluidMedium, cfg: ScatteringConfig,
                    formula: str) -> tuple[float, float]:
     """:func:`_shift` for a cross section, refused by name where Omega_q or
-    omega' is 0.
-
-    Omega_q > 0 for every theta > 0, and omega' > 0 since cs < c/2
-    (:class:`FluidMedium`); either is 0 only where the float resolution
-    of omega cannot hold the split (a subnormal omega for omega'), and a
-    cross section built on it would be wrong.
+    omega' is 0: as theta > 0 and cs < c/2, only where the float resolution
+    of omega cannot hold the split, and a cross section built on it is wrong.
     """
     omega_prime, omega_q = _shift(medium, cfg)
     if omega_q == 0.0 or omega_prime == 0.0:
@@ -230,9 +216,7 @@ class CrossSectionValue:
     pol_factor: float
 
     def __init__(self, value: float, formula: str, pol_factor: float):
-        # Stored through __dict__: the generated frozen __init__ calls
-        # object.__setattr__ per field and takes about twice as long.
-        d = self.__dict__
+        d = self.__dict__  # as in CorrelatorValue, for speed
         d["value"] = value
         d["formula"] = formula
         d["pol_factor"] = pol_factor
@@ -250,13 +234,10 @@ def matrix_element_sq(medium: FluidMedium, omega: float, omega_prime: float,
     if not volume > 0.0:
         raise ValueError(f"quantization volume must be positive, got {volume}")
     cs = medium.cs
-    value = (_HBAR3_8 * omega * omega_prime * omega_q
-             / volume / medium.rho0 / cs / cs) * pol_factor
-    if not math.isfinite(value):
-        raise FluctusError(
-            f"matrix_element_sq for '{medium.name}' at omega = {omega:.6g} rad/s, "
-            f"volume = {volume:.6g} m^3 has no finite floating-point value")
-    return value
+    return finite((_HBAR3_8 * omega * omega_prime * omega_q
+                   / volume / medium.rho0 / cs / cs) * pol_factor,
+                  "matrix_element_sq for '{.name}' at omega = {:.6g} rad/s, "
+                  "volume = {:.6g} m^3", medium, omega, volume)
 
 
 def density_of_states(omega_prime: float, epsilon0: float, volume: float) -> float:
@@ -268,14 +249,12 @@ def density_of_states(omega_prime: float, epsilon0: float, volume: float) -> flo
     if not (omega_prime > 0.0 and epsilon0 > 0.0 and volume > 0.0):
         raise ValueError("all inputs must be positive")
     try:
-        value = volume * omega_prime * omega_prime * epsilon0**1.5 * _DOS
-    except OverflowError:  # epsilon0**1.5
-        value = math.inf
-    if not math.isfinite(value):
-        raise FluctusError(
-            f"density_of_states at omega_prime = {omega_prime:.6g} rad/s, epsilon0 = "
-            f"{epsilon0:.6g}, volume = {volume:.6g} m^3 has no finite floating-point value")
-    return value
+        e15 = epsilon0**1.5
+    except OverflowError:
+        e15 = math.inf
+    return finite(volume * omega_prime * omega_prime * e15 * _DOS,
+                  "density_of_states at omega_prime = {:.6g} rad/s, epsilon0 = {:.6g}, "
+                  "volume = {:.6g} m^3", omega_prime, epsilon0, volume)
 
 
 def incident_flux(epsilon0: float, volume: float) -> float:
@@ -283,11 +262,8 @@ def incident_flux(epsilon0: float, volume: float) -> float:
     if not (epsilon0 > 0.0 and volume > 0.0):
         raise ValueError("all inputs must be positive")
     box = volume * math.sqrt(epsilon0)
-    value = C_LIGHT / box if box else math.inf  # a box that underflowed to 0
-    if value == math.inf:
-        raise FluctusError(f"incident_flux at epsilon0 = {epsilon0:.6g}, volume = {volume:.6g} "
-                           "m^3 has no finite floating-point value")
-    return value
+    return finite(C_LIGHT / box if box else math.inf,  # a box that underflowed to 0
+                  "incident_flux at epsilon0 = {:.6g}, volume = {:.6g} m^3", epsilon0, volume)
 
 
 def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
@@ -303,7 +279,7 @@ def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
     if pol == 0.0:
         return CrossSectionValue(0.0, "zp-golden-rule-chain", pol)
     omega_prime, omega_q = _emitted_shift(medium, cfg, "zp_cross_section_chain")
-    epsilon0 = medium.epsilon0
+    epsilon0, cs = medium.epsilon0, medium.cs
     try:
         m2 = matrix_element_sq(medium, cfg.omega, omega_prime, omega_q, volume, pol)
         rate = _TWO_PI_HBAR * m2 * density_of_states(omega_prime, epsilon0, volume)
@@ -311,8 +287,14 @@ def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
         # A flux that underflows to 0 leaves a value beyond the float range.
         value = rate / flux_volume if flux_volume else math.inf
     except FluctusError:  # a piece beyond the float range is refused as the chain
-        value = math.inf
-    return CrossSectionValue(_finite(value, "zp_cross_section_chain", medium, cfg),
+        m2 = rate = value = math.inf
+    # Right only where every partial product after rho0 is normal (m2 cs^2: before / cs^2).
+    if m2 >= TINY and m2 * cs * cs >= TINY and rate >= TINY and TINY <= value < math.inf:
+        return CrossSectionValue(value, "zp-golden-rule-chain", pol)
+    m, e = math.frexp(medium.rho0)
+    if e:  # once more at rho0's mantissa, its exponent apart
+        value = zp_cross_section_chain(replace(medium, rho0=m), cfg, volume).value
+    return CrossSectionValue(scaled(value, -e, _AT_OMEGA, "zp_cross_section_chain", medium, cfg),
                              "zp-golden-rule-chain", pol)
 
 
@@ -331,7 +313,7 @@ def zp_cross_section_exact(medium: FluidMedium, cfg: ScatteringConfig) -> CrossS
     eta2 = eta * eta
     value = (_ZP_EXACT * cfg.omega * omega_prime * omega_prime * omega_prime * omega_q
              * eta2 * eta2 / cs / cs / medium.rho0) * pol
-    return CrossSectionValue(_finite(value, "zp_cross_section_exact", medium, cfg),
+    return CrossSectionValue(finite(value, _AT_OMEGA, "zp_cross_section_exact", medium, cfg),
                              "zp-exact", pol)
 
 
@@ -349,7 +331,7 @@ def zp_cross_section_reduced(medium: FluidMedium, cfg: ScatteringConfig) -> Cros
     omega2, eta2 = omega * omega, eta * eta
     value = (_angular(cfg.theta) * _ZP_REDUCED * omega2 * omega2 * omega * eta2 * eta2
              / medium.cs / medium.rho0) * pol
-    return CrossSectionValue(_finite(value, "zp_cross_section_reduced", medium, cfg),
+    return CrossSectionValue(finite(value, _AT_OMEGA, "zp_cross_section_reduced", medium, cfg),
                              "zp-omega5", pol)
 
 
@@ -358,12 +340,13 @@ def adiabatic_compressibility(medium: FluidMedium) -> float:
 
     Raises FluctusError where the value leaves the float range.
     """
-    cs = medium.cs
-    value = 1.0 / medium.rho0 / cs / cs
-    if value == math.inf:
-        raise FluctusError(f"adiabatic_compressibility for '{medium.name}' "
-                           "has no finite floating-point value")
-    return value
+    rho0, cs = medium.rho0, medium.cs
+    inverse = 1.0 / rho0
+    value = inverse / cs / cs
+    if TINY <= inverse < math.inf and TINY <= value < math.inf:
+        return value
+    (m, e), (c, ec) = math.frexp(rho0), math.frexp(cs)
+    return scaled(1.0 / m / c / c, -e - 2 * ec, "adiabatic_compressibility for '{.name}'", medium)
 
 
 def _bath_temperature(medium: FluidMedium, cfg: ScatteringConfig) -> float:
@@ -382,8 +365,9 @@ def thermal_brillouin_cross_section(medium: FluidMedium,
     omega2, drho, cs = cfg.omega * cfg.omega, medium.drho, medium.cs
     value = (_THERMAL * omega2 * omega2 * T * drho * drho
              / cs / cs / medium.rho0) * pol
-    return CrossSectionValue(_finite(value, "thermal_brillouin_cross_section", medium, cfg),
-                             "thermal-brillouin", pol)
+    return CrossSectionValue(
+        finite(value, _AT_OMEGA, "thermal_brillouin_cross_section", medium, cfg),
+        "thermal-brillouin", pol)
 
 
 def thermal_total_cross_section(medium: FluidMedium,
@@ -408,8 +392,9 @@ def thermal_total_cross_section(medium: FluidMedium,
     rayleigh = T / medium.rho0 / medium.cp * deps_dt * deps_dt
     omega2 = cfg.omega * cfg.omega
     value = _THERMAL * omega2 * omega2 * T * (brillouin + rayleigh) * pol
-    return CrossSectionValue(_finite(value, "thermal_total_cross_section", medium, cfg),
-                             "thermal-total", pol)
+    return CrossSectionValue(
+        finite(value, _AT_OMEGA, "thermal_total_cross_section", medium, cfg),
+        "thermal-total", pol)
 
 
 def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
@@ -432,4 +417,4 @@ def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
     eta2 = medium.eta * medium.eta
     value = (_angular(cfg.theta) * (_HBAR_2KB * cfg.omega / _bath_temperature(medium, cfg))
              * (medium.cs / C_LIGHT) * eta2 * eta2 / drho2)
-    return _finite(value, "ratio_zp_thermal", medium, cfg)
+    return finite(value, _AT_OMEGA, "ratio_zp_thermal", medium, cfg)

@@ -17,20 +17,12 @@ closed form in ``fluctus.correlator``.  Agreement between the two is
 the decisive test of the closed form's denominator.
 
 The quadrature is a 16-point Gauss-Legendre rule per panel, evaluated
-in factored form over whole blocks of _BLOCK_PANELS consecutive panels,
-with sin(q) cos(qb) split into its two frequencies 1 +- b: each block's
-contribution is its first edge's sin, cos and damping times node sums
-shared by all blocks (:func:`_panel_sums`), so a pass costs O(blocks),
-not O(16 panels).  Every pass has this one shape: it ends on the first
-block edge past the truncation wavenumber, and its budget (_MAX_BLOCKS)
-is counted in the blocks it allocates.  The integrand cancels by
-Sigma|f| / |Sigma f| ~ 1e6-1e7 at small eps, so every phase (the block
-edge's, and the integer part of each node's offset from it) is reduced
-exactly rather than formed as q r; a phase rounded at the magnitude of
-q r leaves node-to-node noise that the pass-to-pass rule would
-otherwise chase.  Everything is computed in units of r (the
-integral scales as r^-3), so only the final scaling to kg^2/m^6 can
-leave the float range, and that raises ``FluctusError``.
+in factored form over whole blocks of _BLOCK_PANELS consecutive panels
+(:func:`_panel_sums`), so a pass costs O(blocks), not O(16 panels), with
+every phase reduced exactly (:func:`_phase`), as the integrand cancels
+by Sigma|f| / |Sigma f| ~ 1e6-1e7 at small eps.  Everything is computed
+in units of r (the integral scales as r^-3), so only the final scaling
+to kg^2/m^6 can leave the float range, and that raises ``FluctusError``.
 
 The exponential regulator is chosen because the damped integral has a
 closed form of its own,
@@ -51,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlator import Regime, Separation
-from .errors import ConvergenceError, FluctusError, SoundConeSingularityError
+from .errors import ConvergenceError, SoundConeSingularityError, finite, scaled
 from .medium import HBAR, FluidMedium
 
 __all__ = [
@@ -120,14 +112,14 @@ class SpectralEstimate:
 
 def _ladder(b: float) -> tuple[float, ...]:
     """_LADDER_RUNGS damping lengths halving from scale/_LADDER_START, in
-    units of r, where scale = min(r, |r - cs|dt||) and b = cs|dt| / r.
+    units of r, where scale = |r - cs|dt|| and b = cs|dt| / r.
 
-    The scale is r away from the sound cone and shrinks with the cone
-    distance near it, keeping the eps^2 extrapolation accurate where the
-    correlator steepens.  Being relative to r, the rungs neither under-
-    nor overflow however large or small r is.
+    The regulator expansion is limited by the distance to the sound cone:
+    near it the rungs contract, keeping the eps^2 extrapolation accurate,
+    and deep inside it (b > 2) they grow, saving panels.  Relative to r,
+    they neither under- nor overflow however large or small r is.
     """
-    eps0 = min(1.0, abs(1.0 - b)) / _LADDER_START
+    eps0 = abs(1.0 - b) / _LADDER_START
     return tuple(eps0 / 2.0**k for k in range(_LADDER_RUNGS))
 
 
@@ -217,35 +209,14 @@ def _in_units_of_r(medium: FluidMedium, r: float, integral: float, call: str) ->
     """The correlator from its damped integral computed in units of r.
 
     Substituting q -> q / r scales the integral by r^-3, so the
-    quadrature and the closed form work with r = 1 and only this product
-    can leave the float range; it is formed by :func:`_in_float_range`,
-    so only the true value can round to 0 or overflow.  Raises
-    FluctusError naming ``call`` when it does.
+    quadrature and the closed form work with r = 1 and only this product,
+    formed by ``errors.scaled``, can leave the float range: a FluctusError
+    naming ``call``.
     """
     (h, eh), (rho, erho), (c, ec), (x, ex), (i, ei) = map(
         math.frexp, (HBAR, medium.rho0, medium.cs, r, integral))
     mantissa = h * rho / (4.0 * math.pi**2 * c * x) * i / x / x / x
-    return _in_float_range(mantissa, eh + erho - ec - 4 * ex + ei, call)
-
-
-def _in_float_range(mantissa: float, exponent: int, call: str) -> float:
-    """``mantissa * 2**exponent``, refused by name unless finite.
-
-    A physical scale formed as a product of dimensional factors can
-    underflow or overflow part way although the result is in range
-    (hbar * rho0 at rho0 = 1e-300).  The callers multiply the mantissas
-    of ``math.frexp`` in the order the plain product would, which in the
-    normal range gives the same bits, and add the exponents, so that
-    one ``ldexp`` rounds the true result alone.  Raises FluctusError
-    naming ``call`` when that result leaves the float range.
-    """
-    try:
-        value = math.ldexp(mantissa, exponent)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):  # also nan from a non-finite mantissa
-        raise FluctusError(f"{call} is outside the float range")
-    return value
+    return scaled(mantissa, eh + erho - ec - 4 * ex + ei, call)
 
 
 def _separation(r: float, dt: float, eps: float | None = None) -> Separation:
@@ -269,12 +240,11 @@ def _regulated_values(b: float, epsilons: tuple[float, ...],
     it p times, at most _MAX_HALVINGS, until two successive passes agree
     to _QUAD_TOL on every ladder entry (and none sums to exactly 0).  A
     pass covers the domain up to the truncation wavenumber with whole
-    blocks, which pads it to at most one block beyond it, where the
-    damped envelope is already below _DAMPING_FLOOR.  A pass that would
-    need more than _MAX_BLOCKS blocks is refused before anything is
-    allocated.
-    Returns the values, the achieved pass-to-pass difference, and the
-    passes and points spent.  A ConvergenceError names ``call``.
+    blocks (at most one past it, where the damped envelope is below
+    _DAMPING_FLOOR); one that would need more than _MAX_BLOCKS blocks is
+    refused before anything is allocated.  Returns the values, the
+    achieved pass-to-pass difference, and the passes and points spent.
+    A ConvergenceError names ``call``.
     """
     qmax = _truncation_wavenumber(epsilons[-1])
     prev = None
@@ -319,9 +289,8 @@ def regulated_integrand_reduction(medium: FluidMedium, r: float, dt: float,
     """
     _separation(r, dt, eps)
     call = f"regulated_integrand_reduction at r = {r!r} m, dt = {dt!r} s, eps = {eps!r} m"
-    if eps / r == math.inf:
-        raise FluctusError(f"{call}: eps / r is outside the float range")
-    values = _regulated_values(medium.cs * abs(dt) / r, (eps / r,), call)[0]
+    values = _regulated_values(medium.cs * abs(dt) / r, (finite(eps / r, "{}: eps / r", call),),
+                               call)[0]
     return _in_units_of_r(medium, r, float(values[0]), call)
 
 
@@ -376,10 +345,9 @@ def extrapolated_correlator(medium: FluidMedium, r: float, dt: float) -> Spectra
     """Regulator-free correlator from the spectral integral.
 
     Evaluates the damped integral on the standard ladder of four damping
-    lengths, halving from a tenth of the distance scale (which
-    contracts near the sound cone), and extrapolates polynomially in
-    eps^2 to eps = 0.  The error estimate is the difference between the
-    last two extrapolation orders.
+    lengths, halving from a tenth of the cone distance |r - cs|dt||, and
+    extrapolates polynomially in eps^2 to eps = 0.  The error estimate is
+    the difference between the last two extrapolation orders.
 
     Raises
     ------

@@ -24,6 +24,20 @@ def test_a_clear_gain_is_shown_with_quartiles_ratio_and_wins():
     assert s["gain_shown"]
 
 
+def test_per_pair_ratios_do_not_mix_a_mid_run_phase_change():
+    # the machine runs about twice as slowly from pair 5 on; the child is
+    # 10 % faster within every pair, but the phase change widens the
+    # parent's quartiles past the gap between the medians
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 2.00, 2.04, 1.96, 2.02, 1.98]
+    child = [0.9 * p for p in parent]
+    s = bench_pairs.summarize(parent, child, "lower")
+    assert s["wins"] == 10 and not s["gain_shown"]
+    assert s["parent"]["iqr"] > s["parent"]["median"] - s["child"]["median"]
+    r = s["pair_ratio"]
+    assert (r["median"], r["q1"], r["q3"]) == pytest.approx((0.9, 0.9, 0.9), rel=1e-12, abs=0)
+    assert len(r["values"]) == 10
+
+
 def test_too_few_wins_or_a_gap_inside_the_spread_shows_no_gain():
     parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 14.5]
     # nine wins of 0.1 each: the medians differ by less than the parent's IQR
@@ -43,7 +57,7 @@ def test_higher_is_better_counts_wins_the_other_way():
 
 def test_one_pair_and_a_zero_parent_median():
     s = bench_pairs.summarize([0.0], [0.0], "lower")
-    assert s["parent"]["iqr"] == 0.0 and s["ratio"] is None
+    assert s["parent"]["iqr"] == 0.0 and s["ratio"] is None and s["pair_ratio"] is None
     assert (s["wins"], s["ties"]) == (0, 1) and not s["gain_shown"]
 
 

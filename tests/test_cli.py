@@ -51,7 +51,7 @@ def test_correlator_single_value(capsys):
     assert code == 0
     records = json.loads(out)
     assert len(records) == 1
-    assert records[0]["value"] == pytest.approx(-3.598983558786755, rel=1e-12)
+    assert records[0]["value"] == pytest.approx(-3.598983558786755, rel=1e-12, abs=0)
     assert records[0]["unit"] == "kg^2/m^6"
     assert set(records[0]) == {"inputs", "value", "unit", "formula", "provenance"}
 
@@ -100,7 +100,7 @@ def test_correlator_boundary_records(capsys):
     assert formulas == {"density-correlator", "planar-boundary-shift",
                         "em-plate-shift-E2", "em-plate-shift-B2"}
     shift = next(r for r in records if r["formula"] == "planar-boundary-shift")
-    assert shift["value"] == pytest.approx(-0.22493647242417219, rel=1e-12)
+    assert shift["value"] == pytest.approx(-0.22493647242417219, rel=1e-12, abs=0)
     e2 = next(r for r in records if r["formula"] == "em-plate-shift-E2")
     b2 = next(r for r in records if r["formula"] == "em-plate-shift-B2")
     assert e2["value"] == -b2["value"]
@@ -128,7 +128,7 @@ def test_xsection_zp_benchmark(capsys):
                            "--format", "json")
     assert code == 0
     rec = json.loads(out)[0]
-    assert rec["value"] == pytest.approx(3.2416850774369512e-06, rel=1e-12)
+    assert rec["value"] == pytest.approx(3.2416850774369512e-06, rel=1e-12, abs=0)
     assert rec["formula"] == "zp-omega5"
 
 
@@ -162,7 +162,7 @@ def test_xsection_theta_sweep_csv_round_trips(capsys):
         cfg = ScatteringConfig(omega=float(row["omega_rad_s"]), theta=theta,
                                pol=Polarization(row["pol"]))
         expected = zp_cross_section_reduced(WATER, cfg).value
-        assert float(row["value"]) == pytest.approx(expected, rel=1e-12)
+        assert float(row["value"]) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_xsection_volume_multiplier(capsys):
@@ -171,7 +171,7 @@ def test_xsection_volume_multiplier(capsys):
                            "--kind", "zp", "--volume", "2.5", "--format", "json")
     assert code == 0
     rec = json.loads(out)[0]
-    assert rec["value"] == pytest.approx(2.5 * 3.2416850774369512e-06, rel=1e-12)
+    assert rec["value"] == pytest.approx(2.5 * 3.2416850774369512e-06, rel=1e-12, abs=0)
 
 
 def test_xsection_needs_lambda_or_omega(capsys):
@@ -200,7 +200,7 @@ def test_ratio_benchmark(capsys):
                            "--temperature", "295", "--format", "json")
     assert code == 0
     rec = json.loads(out)[0]
-    assert rec["value"] == pytest.approx(0.0042345021887880737, rel=1e-12)
+    assert rec["value"] == pytest.approx(0.0042345021887880737, rel=1e-12, abs=0)
     assert rec["formula"] == "zp-thermal-ratio"
 
 
@@ -225,8 +225,8 @@ def test_ratio_halves_at_double_wavelength_and_double_temperature(capsys):
                    "--theta", "180", "--temperature", "295")
     half_t = value("ratio", "--material", "water", "--lambda", "350e-9",
                    "--theta", "180", "--temperature", "590")
-    assert half_w == pytest.approx(base / 2.0, rel=1e-12)
-    assert half_t == pytest.approx(base / 2.0, rel=1e-12)
+    assert half_w == pytest.approx(base / 2.0, rel=1e-12, abs=0)
+    assert half_t == pytest.approx(base / 2.0, rel=1e-12, abs=0)
 
 
 # --- materials command --------------------------------------------------------------
@@ -323,7 +323,7 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     rec = json.loads(proc.stdout)[0]
-    assert rec["value"] == pytest.approx(0.0042345021887880737, rel=1e-12)
+    assert rec["value"] == pytest.approx(0.0042345021887880737, rel=1e-12, abs=0)
 
 
 NON_FINITE_MATERIAL = ("name = bad\nrho0_kg_m3 = 997\ncs_m_s = 1480\n"

@@ -55,7 +55,7 @@ def test_negative_distance_rejected():
 
 def test_equal_time_value_matches_frozen_arithmetic():
     v = equal_time_correlator(WATER, 1e-9)
-    assert v.value == pytest.approx(EQ_TIME_WATER_1NM, rel=1e-12)
+    assert v.value == pytest.approx(EQ_TIME_WATER_1NM, rel=1e-12, abs=0)
     assert v.value < 0
     assert v.formula == "equal-time-correlator"
 
@@ -69,12 +69,12 @@ def test_correlator_agrees_bit_for_bit_with_equal_time():
 def test_inverse_fourth_power_scaling():
     v1 = equal_time_correlator(WATER, 1e-9).value
     v2 = equal_time_correlator(WATER, 2e-9).value
-    assert v2 == pytest.approx(v1 / 16.0, rel=1e-14)
+    assert v2 == pytest.approx(v1 / 16.0, rel=1e-14, abs=0)
 
 
 def test_timelike_value_positive_and_frozen():
     v = correlator(WATER, Separation(0.0, 1e-9))
-    assert v.value == pytest.approx(TIMELIKE_WATER_R0_1NS, rel=1e-12)
+    assert v.value == pytest.approx(TIMELIKE_WATER_R0_1NS, rel=1e-12, abs=0)
     assert v.value > 0
 
 
@@ -115,7 +115,7 @@ def test_homogeneity_degree_minus_four(r, u, lam):
     dt = u * r / WATER.cs
     base = correlator(WATER, Separation(r, dt)).value
     scaled = correlator(WATER, Separation(lam * r, lam * dt)).value
-    assert scaled == pytest.approx(base / lam**4, rel=1e-11)
+    assert scaled == pytest.approx(base / lam**4, rel=1e-11, abs=0)
 
 
 # --- scalar-field analog -----------------------------------------------------
@@ -131,15 +131,15 @@ def test_analog_ratio_is_a_single_constant():
                       / correlator(WATER, sep).value)
     expected = WATER.cs**4 / WATER.rho0
     for q in ratios:
-        assert q == pytest.approx(ratios[0], rel=1e-12)
-        assert q == pytest.approx(expected, rel=1e-12)
+        assert q == pytest.approx(ratios[0], rel=1e-12, abs=0)
+        assert q == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_analog_homogeneity_and_sign():
     c = 3.0e8
     a = scalar_field_analog(c, Separation(1e-9, 0.0))
     b = scalar_field_analog(c, Separation(2e-9, 0.0))
-    assert b == pytest.approx(a / 16.0, rel=1e-13)
+    assert b == pytest.approx(a / 16.0, rel=1e-13, abs=0)
     assert scalar_field_analog(c, Separation(0.0, 1e-15)) > 0
     with pytest.raises(SoundConeSingularityError):
         scalar_field_analog(c, Separation(3.0e-1, 1e-9))
@@ -153,14 +153,14 @@ def test_analog_homogeneity_and_sign():
 
 def test_boundary_shift_frozen_value_and_sign():
     v = boundary_shift_planar(WATER, 1e-9)
-    assert v.value == pytest.approx(BOUNDARY_WATER_1NM, rel=1e-12)
+    assert v.value == pytest.approx(BOUNDARY_WATER_1NM, rel=1e-12, abs=0)
     assert v.value < 0  # fluctuations reduced near the wall
 
 
 def test_boundary_shift_scaling():
     v1 = boundary_shift_planar(WATER, 1e-9).value
     v2 = boundary_shift_planar(WATER, 2e-9).value
-    assert v2 == pytest.approx(v1 / 16.0, rel=1e-14)
+    assert v2 == pytest.approx(v1 / 16.0, rel=1e-14, abs=0)
 
 
 def test_boundary_contact_raises():
@@ -172,7 +172,7 @@ def test_image_term_at_coincident_points_is_the_planar_shift():
     for z in (0.3e-9, 1e-9, 5e-9, 1e-7):
         image = boundary_image_term(WATER, z, z, 0.0, 0.0).value
         shift = boundary_shift_planar(WATER, z).value
-        assert image == pytest.approx(shift, rel=1e-12)
+        assert image == pytest.approx(shift, rel=1e-12, abs=0)
 
 
 def test_boundary_correlator_decomposes_into_direct_plus_image():
@@ -180,7 +180,7 @@ def test_boundary_correlator_decomposes_into_direct_plus_image():
     total = boundary_correlator(WATER, z1, z2, rho, dt).value
     direct = correlator(WATER, Separation(math.hypot(rho, z1 - z2), dt)).value
     image = boundary_image_term(WATER, z1, z2, rho, dt).value
-    assert total == pytest.approx(direct + image, rel=1e-14)
+    assert total == pytest.approx(direct + image, rel=1e-14, abs=0)
 
 
 def test_image_term_fades_by_fourth_power_decay():
@@ -192,10 +192,10 @@ def test_image_term_fades_by_fourth_power_decay():
         gap = abs(boundary_correlator(WATER, z, z, rho, 0.0).value
                   - correlator(WATER, Separation(rho, 0.0)).value)
         assert gap == pytest.approx(
-            abs(boundary_image_term(WATER, z, z, rho, 0.0).value), rel=1e-12)
+            abs(boundary_image_term(WATER, z, z, rho, 0.0).value), rel=1e-12, abs=0)
         assert gap < bound
         gaps.append(gap)
-    assert gaps[1] / gaps[0] == pytest.approx(1e-4, rel=0.1)
+    assert gaps[1] / gaps[0] == pytest.approx(1e-4, rel=0.1, abs=0)
     # relative fade when receding from the wall at fixed direct separation
     rho = 5e-9
     near = abs(boundary_image_term(WATER, 1e-9, 1e-9, rho, 0.0).value)
@@ -227,8 +227,8 @@ def test_boundary_correlator_sum_beyond_the_float_range_is_refused_by_name():
     z, transverse = 1e-300, 1.3159811066592296e-86
     assert math.isfinite(boundary_image_term(WATER, z, z, transverse, 0.0).value)
     with pytest.raises(FluctusError, match=re.escape(
-            f"boundary_correlator outside the float range (z1 = {z!r} m, z2 = {z!r} m, "
-            f"transverse = {transverse!r} m, dt = 0.0 s)")):
+            f"boundary_correlator at z1 = {z!r} m, z2 = {z!r} m, "
+            f"transverse = {transverse!r} m, dt = 0.0 s is outside the float range")):
         boundary_correlator(WATER, z, z, transverse, 0.0)
 
 
@@ -236,7 +236,7 @@ def test_boundary_correlator_sum_beyond_the_float_range_is_refused_by_name():
 
 def test_em_plate_coefficients():
     e2, b2 = em_vacuum_shift_plate(1.0)
-    assert e2 == pytest.approx(EM_PLATE_COEFF, rel=1e-12)
+    assert e2 == pytest.approx(EM_PLATE_COEFF, rel=1e-12, abs=0)
     assert e2 == -b2
     with pytest.raises(BoundaryContactError):
         em_vacuum_shift_plate(0.0)
@@ -247,5 +247,5 @@ def test_em_plate_coefficients():
 def test_structure_factor_linear_in_q():
     assert zero_point_structure_factor(WATER, 0.0) == 0.0
     v = zero_point_structure_factor(WATER, 1e7)
-    assert v == pytest.approx(SF_WATER_1E7, rel=1e-12)
-    assert zero_point_structure_factor(WATER, 2e7) == pytest.approx(2 * v, rel=1e-14)
+    assert v == pytest.approx(SF_WATER_1E7, rel=1e-12, abs=0)
+    assert zero_point_structure_factor(WATER, 2e7) == pytest.approx(2 * v, rel=1e-14, abs=0)

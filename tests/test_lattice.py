@@ -60,7 +60,7 @@ def test_octant_sum_equals_every_mode(N, dx_over_l):
     dx = grid.L * np.asarray(dx_over_l)
     eps = 2e-9
     lib = lattice_correlator(WATER, grid, dx, eps)
-    assert lib == pytest.approx(brute_force_mode_sum(WATER, grid, dx, eps), rel=1e-12)
+    assert lib == pytest.approx(brute_force_mode_sum(WATER, grid, dx, eps), rel=1e-12, abs=0)
 
 
 # The standard study (water, r = 16 nm) as computed by the full N^3 mode sum.
@@ -75,7 +75,7 @@ def test_study_values_unchanged_by_the_octant_sum():
     dx = r * DIRECTION / np.linalg.norm(DIRECTION)
     for n, value in STUDY_LATTICE.items():
         lat = lattice_correlator(WATER, ModeGrid(L=16.0 * r, N=n), dx, r / 8)
-        assert lat == pytest.approx(value, rel=1e-12)
+        assert lat == pytest.approx(value, rel=1e-12, abs=0)
     # a row is |lattice - continuum| / |continuum| with |lattice| ~ |continuum|,
     # so rel 1e-12 on the lattice value is abs 1e-12 on the row
     study = convergence_study(WATER, r=r)
@@ -88,7 +88,7 @@ def test_mode_grid_counts_and_extent():
     grid = ModeGrid(L=1e-7, N=16)
     assert grid.mode_count == 16**3 - 1
     assert grid.max_component == pytest.approx(
-        math.pi * 16 / 1e-7 * (1 - 2 / 16), rel=1e-14)
+        math.pi * 16 / 1e-7 * (1 - 2 / 16), rel=1e-14, abs=0)
     assert grid.spacing == pytest.approx(1e-7 / 16)
 
 
@@ -111,7 +111,7 @@ def test_realness_by_pairing_and_agreement_with_library_sum():
     dx = 10e-9 * DIRECTION
     brute = brute_force_mode_sum(WATER, grid, dx, eps=4e-9)
     lib = lattice_correlator(WATER, grid, dx, eps=4e-9)
-    assert lib == pytest.approx(brute, rel=1e-12)
+    assert lib == pytest.approx(brute, rel=1e-12, abs=0)
 
 
 def test_structure_factor_weights_reproduce_the_mode_sum():
@@ -133,7 +133,7 @@ def test_structure_factor_weights_reproduce_the_mode_sum():
                         * math.cos(float(q @ dx)) * math.exp(-eps * qmag))
     independent = acc / grid.L**3
     lib = lattice_correlator(WATER, grid, dx, eps)
-    assert lib == pytest.approx(independent, rel=1e-12)
+    assert lib == pytest.approx(independent, rel=1e-12, abs=0)
 
 
 def test_periodicity_is_exact_for_representable_shifts():
@@ -181,7 +181,7 @@ def test_zero_mode_never_enumerated():
                 count += 1
                 min_q = min(min_q, dq * math.hypot(nx, ny, nz))
     assert count == grid.mode_count
-    assert min_q == pytest.approx(dq, rel=1e-14)
+    assert min_q == pytest.approx(dq, rel=1e-14, abs=0)
     assert zero_point_structure_factor(WATER, 0.0) == 0.0
 
 
@@ -208,7 +208,7 @@ def test_convergence_study_monotone_with_frozen_slope():
     assert study.monotone
     assert study.slope == pytest.approx(4.256, abs=0.05)
     assert study.continuum == pytest.approx(
-        regulated_integrand_reduction(WATER, 16e-9, 0.0, 2e-9), rel=1e-9)
+        regulated_integrand_reduction(WATER, 16e-9, 0.0, 2e-9), rel=1e-9, abs=0)
 
 
 def test_convergence_study_rejects_degenerate_geometry():

@@ -13,10 +13,16 @@ volume, and through ``zp_cross_section_chain``.  The lattice mode sum
 runs at N = 8 in a box of side ``a`` with damping ``b``; media are
 drawn with cs < c/2, and every cs in [c/2, c) is refused at
 construction.
+
+Values that are right, not only finite: scaling rho0 by 2**k scales each
+rho0-linear result by exactly 2**(p k), bit for bit, wherever that
+result is a normal float, and so does scaling every length of a draw
+together.  A wrong 0, or a value off by one ulp, fails this property.
 """
 
 import math
-from dataclasses import astuple, dataclass
+import sys
+from dataclasses import astuple, dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -54,6 +60,12 @@ from fluctus.scattering import (
     zp_cross_section_chain,
     zp_cross_section_exact,
     zp_cross_section_reduced,
+)
+from fluctus.spectral import (
+    SpectralEstimate,
+    damped_closed_form,
+    extrapolated_correlator,
+    regulated_integrand_reduction,
 )
 
 
@@ -98,6 +110,10 @@ CALLS = {
     "thermal_total_cross_section": lambda d: thermal_total_cross_section(d.medium, d.cfg),
     "ratio_zp_thermal": lambda d: ratio_zp_thermal(d.medium, d.cfg),
     "lattice_correlator": lambda d: lattice_correlator(d.medium, ModeGrid(d.a, 8), d.dx, d.b),
+    "damped_closed_form": lambda d: damped_closed_form(d.medium, d.sep.r, d.sep.dt, d.b),
+    "regulated_integrand_reduction": lambda d: regulated_integrand_reduction(
+        d.medium, d.sep.r, d.sep.dt, d.b),
+    "extrapolated_correlator": lambda d: extrapolated_correlator(d.medium, d.sep.r, d.sep.dt),
 }
 
 # Positive floats, log-uniform from the smallest subnormal to the largest finite.
@@ -163,6 +179,8 @@ _HUGE_DX = Draw(_WATER, Separation(1.0), _AT_350NM, 1e200, 1e198, 0.0, 1.0,
 def _values(result):
     if isinstance(result, (CorrelatorValue, CrossSectionValue)):
         return (result.value,)
+    if isinstance(result, SpectralEstimate):
+        return (result.value, result.error_estimate)
     if isinstance(result, Kinematics):
         return astuple(result)
     if isinstance(result, tuple):
@@ -199,3 +217,100 @@ def test_sound_from_half_light_speed_up_is_refused(cs, rho0, eta, drho, temperat
         fluid_medium("drawn", rho0=rho0, cs=cs, eta=eta, drho=drho,
                      default_temperature=temperature)
     assert exc.value.violations == ["cS < c/2"]
+
+
+# --- exact scaling ------------------------------------------------------------
+
+#: The power p of 2**(p k) by which each call's values scale when rho0 is
+#: scaled by 2**k, and when every length of the draw (r, dt, a, b,
+#: transverse and dx: the z, eps and L of the calls) is; None where the
+#: call is not homogeneous in them.  ``zero_point_structure_factor`` reads
+#: ``a`` as the wavenumber q, so it scales as 2**k with the lengths.
+SCALING = {
+    "correlator": (1, -4),
+    "equal_time_correlator": (1, -4),
+    "boundary_shift_planar": (1, -4),
+    "boundary_image_term": (1, -4),
+    "boundary_correlator": (1, -4),
+    "zero_point_structure_factor": (1, 1),
+    "zp_cross_section_chain": (-1, None),
+    "zp_cross_section_exact": (-1, None),
+    "zp_cross_section_reduced": (-1, None),
+    "adiabatic_compressibility": (-1, None),
+    "thermal_brillouin_cross_section": (-1, None),
+    "ratio_zp_thermal": (0, None),
+    "lattice_correlator": (1, -4),
+    "damped_closed_form": (1, -4),
+    "regulated_integrand_reduction": (1, -4),
+    "extrapolated_correlator": (1, -4),
+}
+
+
+def _ldexp(x, k):
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.inf
+
+
+def _exactly_scaled(x, k):
+    # x * 2**k, or None where that product is not exact
+    y = _ldexp(x, k)
+    return y if math.isfinite(y) and math.ldexp(y, -k) == x else None
+
+
+def _scaled_draw(draw, k, lengths):
+    """The draw with rho0, or every length, scaled by 2**k; None where a
+    scaled input would not be exact."""
+    if not lengths:
+        rho0 = _exactly_scaled(draw.medium.rho0, k)
+        return None if rho0 is None else replace(draw, medium=replace(draw.medium, rho0=rho0))
+    xs = [_exactly_scaled(x, k) for x in (draw.sep.r, draw.sep.dt, draw.a, draw.b,
+                                         draw.transverse, *draw.dx)]
+    if None in xs:
+        return None
+    r, dt, a, b, transverse, *dx = xs
+    return replace(draw, sep=Separation(r, dt), a=a, b=b, transverse=transverse, dx=tuple(dx))
+
+
+def _normal(x):
+    return sys.float_info.min <= abs(x) < math.inf
+
+
+_WATER_1E9 = Draw(_WATER, Separation(1e-9, 2e-13), _AT_350NM, 1e-9, 3e-9, 1e-9, 1.0,
+                  (0.2e-9, 0.1e-9, 0.0))
+_WATER_Q = replace(_WATER_1E9, a=1e7)
+_SCALED = sorted((name, lengths) for name, ps in SCALING.items()
+                 for lengths, p in enumerate(ps) if p is not None)
+
+
+# Drawn, k puts the first expected value at binary exponent ``exponent``,
+# so that most draws with a normal value check something; the examples,
+# the faults this property found, give k and rho0 = 997 * 2**k.
+@settings(max_examples=600, deadline=None)
+@given(case=st.sampled_from(_SCALED), draw=_DRAWS, exponent=st.integers(-1021, 1024),
+       k=st.none())
+@example(case=("correlator", 0), draw=_WATER_1E9, exponent=0, k=-1010)
+@example(case=("equal_time_correlator", 0), draw=_WATER_1E9, exponent=0, k=-1010)
+@example(case=("boundary_correlator", 0), draw=_WATER_1E9, exponent=0, k=-1010)
+@example(case=("boundary_shift_planar", 0), draw=_WATER_1E9, exponent=0, k=-1010)
+@example(case=("boundary_correlator", 0), draw=_WATER_1E9, exponent=0, k=-1018)
+@example(case=("zp_cross_section_chain", 0), draw=_WATER_1E9, exponent=0, k=800)
+@example(case=("zp_cross_section_chain", 0), draw=_WATER_1E9, exponent=0, k=900)
+@example(case=("zp_cross_section_chain", 0), draw=_WATER_1E9, exponent=0, k=-1017)
+@example(case=("adiabatic_compressibility", 0), draw=_WATER_1E9, exponent=0, k=-1040)
+@example(case=("zero_point_structure_factor", 0), draw=_WATER_Q, exponent=0, k=-925)
+def test_scaling_by_a_power_of_two_is_exact(case, draw, exponent, k):
+    name, lengths = case
+    p = SCALING[name][lengths]
+    try:
+        base = _values(CALLS[name](draw))
+    except (FluctusError, ValueError):
+        return
+    if k is None:
+        k = (exponent - math.frexp(base[0])[1]) // p if p else exponent
+    scaled = _scaled_draw(draw, k, lengths)
+    expected = tuple(_ldexp(v, p * k) for v in base)
+    if scaled is None or not all(_normal(v) and _normal(e) for v, e in zip(base, expected)):
+        return
+    assert _values(CALLS[name](scaled)) == expected, (name, lengths, k)

@@ -47,7 +47,7 @@ def test_builtin_water_matches_handbook_values():
     assert w.eta == 1.4
     assert w.drho == 0.79
     assert w.rho0 == 997.0
-    assert w.epsilon0 == pytest.approx(1.96, rel=1e-12)
+    assert w.epsilon0 == pytest.approx(1.96, rel=1e-12, abs=0)
     assert w.default_temperature == DEFAULT_TEMPERATURE
     assert dataclasses.replace(w) == w  # constructs, so every invariant holds
 

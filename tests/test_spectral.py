@@ -32,7 +32,7 @@ def test_default_schedule_is_a_tenth_halving_ladder():
     # near the cone the ladder contracts with the cone distance
     dt = 0.9e-9 / WATER.cs
     near = spectral._ladder(WATER.cs * dt / 1e-9)
-    assert near[0] == pytest.approx(abs(1e-9 - WATER.cs * dt) / 1e-9 / 10, rel=1e-12)
+    assert near[0] == pytest.approx(abs(1e-9 - WATER.cs * dt) / 1e-9 / 10, rel=1e-12, abs=0)
 
 
 def test_standard_grid_work_is_bounded():
@@ -55,7 +55,19 @@ def test_standard_grid_converges_on_the_second_pass():
     assert all(est.points % (16 * spectral._BLOCK_PANELS) == 0 for est in estimates)
     # the blocks and the stopping rule fix the work to the point: a change
     # to how a pass is evaluated must not move it
-    assert sum(est.points for est in estimates) == 11_828_112
+    assert sum(est.points for est in estimates) == 11_251_264
+
+
+@pytest.mark.parametrize("b", [10.0, 100.0, 1000.0])
+def test_deep_timelike_points_converge(b):
+    # the ladder scale is the cone distance |1 - b| in units of r; held at
+    # r, these points needed over 5e4 blocks a pass and were refused
+    r = 1e-9
+    dt = b * r / WATER.cs
+    est = extrapolated_correlator(WATER, r, dt)
+    assert est.passes == 2
+    assert est.value == pytest.approx(correlator(WATER, Separation(r, dt)).value, rel=1e-6, abs=0)
+    assert est.error_estimate <= 1e-7 * abs(est.value)
 
 
 def test_off_grid_timelike_sweep_converges_without_chasing_roundoff():
@@ -69,7 +81,7 @@ def test_off_grid_timelike_sweep_converges_without_chasing_roundoff():
         dt = rng.uniform(1.06, 5.0) * r / WATER.cs
         est = extrapolated_correlator(WATER, r, dt)
         ref = correlator(WATER, Separation(r, dt)).value
-        assert est.value == pytest.approx(ref, rel=1e-6)
+        assert est.value == pytest.approx(ref, rel=1e-6, abs=0)
         assert est.points <= 2**21
 
 
@@ -136,23 +148,23 @@ def test_quadrature_matches_damped_closed_form():
     ]:
         num = regulated_integrand_reduction(WATER, r, dt, eps)
         ref = damped_closed_form(WATER, r, dt, eps)
-        assert num == pytest.approx(ref, rel=1e-9)
+        assert num == pytest.approx(ref, rel=1e-9, abs=0)
 
 
 def test_weak_damping_approaches_the_regulator_free_value():
     # the regulator bias at equal times is 6 eps^2/r^2, so eps = r/100
     # sits 6e-4 from the eps -> 0 limit
     num = regulated_integrand_reduction(WATER, 1e-9, 0.0, 0.01e-9)
-    assert num == pytest.approx(EQ_TIME_WATER_1NM, rel=1e-3)
-    assert abs(num / EQ_TIME_WATER_1NM - 1.0) == pytest.approx(6e-4, rel=0.02)
-    assert num == pytest.approx(damped_closed_form(WATER, 1e-9, 0.0, 0.01e-9), rel=1e-9)
+    assert num == pytest.approx(EQ_TIME_WATER_1NM, rel=1e-3, abs=0)
+    assert abs(num / EQ_TIME_WATER_1NM - 1.0) == pytest.approx(6e-4, rel=0.02, abs=0)
+    assert num == pytest.approx(damped_closed_form(WATER, 1e-9, 0.0, 0.01e-9), rel=1e-9, abs=0)
 
 
 def test_quadrature_scale_invariance():
     # doubling r at fixed eps/r scales the damped value by 1/16
     v1 = regulated_integrand_reduction(WATER, 1e-9, 0.0, 1e-9 / 64)
     v2 = regulated_integrand_reduction(WATER, 2e-9, 0.0, 2e-9 / 64)
-    assert v2 == pytest.approx(v1 / 16.0, rel=1e-9)
+    assert v2 == pytest.approx(v1 / 16.0, rel=1e-9, abs=0)
 
 
 def test_quadrature_rejects_bad_arguments():
@@ -273,7 +285,7 @@ def test_extrapolation_agrees_with_closed_form_spacelike_and_timelike():
         dt = u * r / WATER.cs
         est = extrapolated_correlator(WATER, r, dt)
         ref = correlator(WATER, Separation(r, dt)).value
-        assert est.value == pytest.approx(ref, rel=1e-6)
+        assert est.value == pytest.approx(ref, rel=1e-6, abs=0)
         assert est.error_estimate < 1e-6 * abs(est.value)
 
 

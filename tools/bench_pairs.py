@@ -22,8 +22,9 @@ more the Tier-1 pytest command (``python -m pytest -q
 The output file names both commits and the git trees of their ``src``
 and ``perfbench`` directories, holds each side's environment, every
 run's metrics and, per workload and metric, each side's median and
-quartiles, the child/parent ratio of the medians and the count of pairs
-the child won.  Which direction is better comes from ``BENCHMARK.json``;
+quartiles, the child/parent ratio of the medians, the count of pairs
+the child won, and the median and quartiles of the per-pair child/parent
+ratios, which a machine that changes speed in mid-run does not mix.  Which direction is better comes from ``BENCHMARK.json``;
 the ``verify all`` and Tier-1 wall times are lower-is-better.
 Only the standard library is used.
 """
@@ -55,6 +56,10 @@ def summarize(parent: list[float], child: list[float], better: str) -> dict:
     value is strictly better, a tie when equal.  ``gain_shown`` holds when
     the child won at least nine tenths of the pairs and the medians differ,
     in the child's favour, by more than the parent's interquartile range.
+    ``pair_ratio`` summarizes the per-pair ratios child / parent (pairs
+    with a parent value of 0 left out; None if that is every pair): each
+    compares two runs made close together, so a change of machine phase
+    between pairs, which widens both sides' quartiles, leaves it alone.
     """
     if len(parent) != len(child) or not parent:
         raise ValueError("need at least one pair, equally many runs on each side")
@@ -70,6 +75,7 @@ def summarize(parent: list[float], child: list[float], better: str) -> dict:
                 "iqr": q3 - q1, "values": list(values)}
 
     p, c = side(parent), side(child)
+    ratios = [cv / pv for pv, cv in zip(parent, child) if pv]
     gain = sign * (p["median"] - c["median"])
     return {
         "better": better,
@@ -80,6 +86,7 @@ def summarize(parent: list[float], child: list[float], better: str) -> dict:
         "wins": wins,
         "ties": ties,
         "gain_shown": wins >= 0.9 * len(parent) and gain > p["iqr"],
+        "pair_ratio": side(ratios) if ratios else None,
     }
 
 
