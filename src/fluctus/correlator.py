@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (TINY, BoundaryContactError, CoincidenceDivergenceError, FluctusError,
                      SoundConeSingularityError, scaled)
@@ -165,22 +165,23 @@ def _kernel(K: float, c: float, r: float, dt: float, k: float = 1.0, e: int = 0)
 _HBAR_2PI2 = HBAR / (2.0 * math.pi**2)
 
 
-def _density(medium: FluidMedium, r: float, dt: float, k: float = 1.0) -> float:
-    cs = medium.cs
+def _density(medium: FluidMedium, r: float, dt: float, k: float = 1.0, e: int = 0) -> float:
+    cs = medium.cs  # the density correlator times 2**e
     K = _HBAR_2PI2 * medium.rho0
     if K >= TINY:
         K /= cs
         if TINY <= K < math.inf:
-            return _kernel(K, cs, r, dt, k)
-    m, e = math.frexp(medium.rho0)  # K left the normal range: rho0's exponent apart
-    return _kernel(_HBAR_2PI2 * m / cs, cs, r, dt, k, e)
+            return _kernel(K, cs, r, dt, k, e)
+    m, em = math.frexp(medium.rho0)  # K left the normal range: rho0's exponent apart
+    return _kernel(_HBAR_2PI2 * m / cs, cs, r, dt, k, em + e)
 
 
-def _image(medium: FluidMedium, z1: float, z2: float, transverse: float, dt: float) -> float:
-    # The image term's value: the free correlator at z2 reflected to -z2.
+def _image(medium: FluidMedium, z1: float, z2: float, transverse: float, dt: float,
+           e: int = 0) -> float:
+    # The image term's value (times 2**e): the free correlator at z2 reflected to -z2.
     if not (z1 > 0.0 and z2 > 0.0):
         raise ValueError("both points must be strictly inside the fluid (z1, z2 > 0)")
-    return _density(medium, math.hypot(transverse, z1 + z2), dt)
+    return _density(medium, math.hypot(transverse, z1 + z2), dt, 1.0, e)
 
 
 def correlator(medium: FluidMedium, sep: Separation) -> CorrelatorValue:
@@ -282,10 +283,11 @@ def boundary_correlator(medium: FluidMedium, z1: float, z2: float,
     direct = _density(medium, math.hypot(transverse, z1 - z2), dt)
     value = direct + image
     if -TINY < direct < TINY or -TINY < image < TINY or value - value != 0.0:
-        m, e = math.frexp(medium.rho0)
-        if e:  # a term lost digits below the normal range: once more at rho0's mantissa
-            value = boundary_correlator(replace(medium, rho0=m), z1, z2, transverse, dt).value
-        value = scaled(value, e, "boundary_correlator at z1 = {!r} m, z2 = {!r} m, "
+        # A term lost digits below the normal range, or the sum overflowed: add over 2**e.
+        e = math.frexp(max(abs(direct), abs(image)))[1]
+        value = scaled(_density(medium, math.hypot(transverse, z1 - z2), dt, 1.0, -e)
+                       + _image(medium, z1, z2, transverse, dt, -e), e,
+                       "boundary_correlator at z1 = {!r} m, z2 = {!r} m, "
                        "transverse = {!r} m, dt = {!r} s", z1, z2, transverse, dt)
     return CorrelatorValue(value, "boundary-correlator",
                            {"material": medium.name, "z1_m": z1, "z2_m": z2,
@@ -322,12 +324,11 @@ def zero_point_structure_factor(medium: FluidMedium, q: float) -> float:
     """
     if not 0.0 <= q < math.inf:
         raise ValueError(f"wavenumber q must be finite and >= 0, got {q}")
-    rho0, cs = medium.rho0, medium.cs
-    weight = HBAR * rho0
+    weight = HBAR * medium.rho0
     wq = weight * q
-    value = wq / (2.0 * cs)
+    value = wq / (2.0 * medium.cs)
     if weight >= TINY and wq >= TINY and TINY <= value < math.inf:
         return value
-    (m, e), (x, ex), (c, ec) = math.frexp(rho0), math.frexp(q), math.frexp(cs)
+    (m, e), (x, ex), (c, ec) = map(math.frexp, (medium.rho0, q, medium.cs))
     return scaled(HBAR * m * x / (2.0 * c), e + ex - ec,
                   "zero_point_structure_factor for '{.name}' at q = {:.6g} 1/m", medium, q)

@@ -13,8 +13,7 @@ value formed with its factors' exponents apart (:func:`scaled`).
 import math
 import sys
 
-#: The smallest normal float: a product whose partial products all stay
-#: in [TINY, inf) scales exactly with each factor's power of two.
+#: The smallest normal float; a product whose partials all stay above it scales exactly.
 TINY = sys.float_info.min
 
 
@@ -99,9 +98,8 @@ def scaled(mantissa: float, exponent: int, what: str, *args) -> float:
 
     For products that leave the normal range part way (hbar * rho0 at
     rho0 = 1e-300): callers multiply the factors' ``math.frexp`` mantissas
-    in the plain product's order, which keeps its bits where it stays
-    normal, and add the exponents, so one ``ldexp`` rounds the result alone.
-    """
+    in the plain product's order, keeping its bits where it stays normal,
+    and add the exponents, so one ``ldexp`` rounds the result alone."""
     try:
         value = math.ldexp(mantissa, exponent)
     except OverflowError:

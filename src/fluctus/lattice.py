@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, IllPosedStudyError, scaled
+from .errors import AliasingError, IllPosedStudyError, finite, scaled
 from .medium import HBAR, FluidMedium
 from .spectral import regulated_integrand_reduction
 
@@ -153,7 +153,7 @@ def lattice_correlator(medium: FluidMedium, grid: ModeGrid, dx, eps: float) -> f
     weight = np.arange(3 * half * half + 1, dtype=float)
     np.sqrt(weight, out=weight)
     weight *= 2.0 * math.pi
-    damping = weight * -(eps / L)
+    damping = weight * -finite(eps / L, "lattice_correlator at L = {!r} m: eps / L", L)
     np.exp(damping, out=damping)
     weight *= damping  # 0 at s = 0: the zero mode is excluded
     w = np.empty(t.size)

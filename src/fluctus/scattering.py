@@ -146,6 +146,16 @@ def _angular(theta: float) -> float:
 _AT_OMEGA = "{} for '{.name}' at omega = {.omega:.6g} rad/s"
 
 
+def _over_rho0(x: float, pol: float, name: str, medium: FluidMedium,
+               cfg: ScatteringConfig) -> float:
+    # x / rho0 * pol, refused by name unless finite; rho0's exponent apart if x / rho0 overflows.
+    value = x / medium.rho0 * pol
+    if value < math.inf:
+        return value
+    m, e = math.frexp(medium.rho0)
+    return scaled(x / m * pol, -e, _AT_OMEGA, name, medium, cfg)
+
+
 def _shift(medium: FluidMedium, cfg: ScatteringConfig) -> tuple[float, float]:
     # (omega_prime, omega_q) of phonon_kinematics.
     omega = cfg.omega
@@ -311,9 +321,9 @@ def zp_cross_section_exact(medium: FluidMedium, cfg: ScatteringConfig) -> CrossS
     omega_prime, omega_q = _emitted_shift(medium, cfg, "zp_cross_section_exact")
     eta, cs = medium.eta, medium.cs
     eta2 = eta * eta
-    value = (_ZP_EXACT * cfg.omega * omega_prime * omega_prime * omega_prime * omega_q
-             * eta2 * eta2 / cs / cs / medium.rho0) * pol
-    return CrossSectionValue(finite(value, _AT_OMEGA, "zp_cross_section_exact", medium, cfg),
+    x = (_ZP_EXACT * cfg.omega * omega_prime * omega_prime * omega_prime * omega_q
+         * eta2 * eta2 / cs / cs)
+    return CrossSectionValue(_over_rho0(x, pol, "zp_cross_section_exact", medium, cfg),
                              "zp-exact", pol)
 
 
@@ -329,9 +339,8 @@ def zp_cross_section_reduced(medium: FluidMedium, cfg: ScatteringConfig) -> Cros
     pol = polarization_factor(cfg.theta, cfg.pol)
     omega, eta = cfg.omega, medium.eta
     omega2, eta2 = omega * omega, eta * eta
-    value = (_angular(cfg.theta) * _ZP_REDUCED * omega2 * omega2 * omega * eta2 * eta2
-             / medium.cs / medium.rho0) * pol
-    return CrossSectionValue(finite(value, _AT_OMEGA, "zp_cross_section_reduced", medium, cfg),
+    x = _angular(cfg.theta) * _ZP_REDUCED * omega2 * omega2 * omega * eta2 * eta2 / medium.cs
+    return CrossSectionValue(_over_rho0(x, pol, "zp_cross_section_reduced", medium, cfg),
                              "zp-omega5", pol)
 
 
@@ -340,12 +349,12 @@ def adiabatic_compressibility(medium: FluidMedium) -> float:
 
     Raises FluctusError where the value leaves the float range.
     """
-    rho0, cs = medium.rho0, medium.cs
-    inverse = 1.0 / rho0
+    cs = medium.cs
+    inverse = 1.0 / medium.rho0
     value = inverse / cs / cs
     if TINY <= inverse < math.inf and TINY <= value < math.inf:
         return value
-    (m, e), (c, ec) = math.frexp(rho0), math.frexp(cs)
+    (m, e), (c, ec) = math.frexp(medium.rho0), math.frexp(cs)
     return scaled(1.0 / m / c / c, -e - 2 * ec, "adiabatic_compressibility for '{.name}'", medium)
 
 
@@ -363,11 +372,9 @@ def thermal_brillouin_cross_section(medium: FluidMedium,
     T = _bath_temperature(medium, cfg)
     pol = polarization_factor(cfg.theta, cfg.pol)
     omega2, drho, cs = cfg.omega * cfg.omega, medium.drho, medium.cs
-    value = (_THERMAL * omega2 * omega2 * T * drho * drho
-             / cs / cs / medium.rho0) * pol
-    return CrossSectionValue(
-        finite(value, _AT_OMEGA, "thermal_brillouin_cross_section", medium, cfg),
-        "thermal-brillouin", pol)
+    x = _THERMAL * omega2 * omega2 * T * drho * drho / cs / cs
+    return CrossSectionValue(_over_rho0(x, pol, "thermal_brillouin_cross_section", medium, cfg),
+                             "thermal-brillouin", pol)
 
 
 def thermal_total_cross_section(medium: FluidMedium,

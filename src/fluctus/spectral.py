@@ -206,13 +206,9 @@ def _panel_sums(b: float, epsilons: tuple[float, ...], halvings: int,
 
 
 def _in_units_of_r(medium: FluidMedium, r: float, integral: float, call: str) -> float:
-    """The correlator from its damped integral computed in units of r.
-
-    Substituting q -> q / r scales the integral by r^-3, so the
-    quadrature and the closed form work with r = 1 and only this product,
-    formed by ``errors.scaled``, can leave the float range: a FluctusError
-    naming ``call``.
-    """
+    """The correlator from its damped integral computed in units of r (q -> q / r
+    scales it by r^-3): only this product, formed by ``errors.scaled``, can
+    leave the float range, refused by a FluctusError naming ``call``."""
     (h, eh), (rho, erho), (c, ec), (x, ex), (i, ei) = map(
         math.frexp, (HBAR, medium.rho0, medium.cs, r, integral))
     mantissa = h * rho / (4.0 * math.pi**2 * c * x) * i / x / x / x

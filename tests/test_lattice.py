@@ -246,6 +246,14 @@ def test_a_value_beyond_the_float_range_is_refused_by_name(L, dx, eps):
         lattice_correlator(WATER, ModeGrid(L=L, N=8), dx, eps)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_damping_length_beyond_the_float_range_in_units_of_the_side_is_refused_by_name():
+    # eps / L = inf made the damping 0 * -inf = nan, with a numpy warning
+    with pytest.raises(FluctusError, match=r"^lattice_correlator at L = 1e-300 m: eps / L is "
+                                           r"outside the float range$"):
+        lattice_correlator(WATER, ModeGrid(L=1e-300, N=8), [0.0, 0.0, 0.0], 1e20)
+
+
 @pytest.mark.parametrize("dx", [[1e150, 0.0, 0.0], [1e199, 0.0, 0.0]], ids=["L/1e50", "L/10"])
 def test_a_huge_box_folds_and_scales_in_units_of_the_side(dx):
     # L**3 raised OverflowError, and |dx| = L/10 overflowed in the norm; the
