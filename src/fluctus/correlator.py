@@ -125,12 +125,11 @@ def _kernel(K: float, c: float, r: float, dt: float, k: float = 1.0, e: int = 0)
 
         -K 2**e / rho^4 * (a^2 + 3 beta^2) / (a^2 - k beta^2)^3
 
-    with rho = max(r, c|dt|), a = r / rho, beta = c|dt| / rho: the plain
-    product where e = 0 and K / rho^4 and the value are normal, else with
-    the exponents of K and rho apart (``errors.scaled``).  k = 1, or 3 for
-    the rejected variant.  Raises CoincidenceDivergenceError at rho = 0,
-    SoundConeSingularityError in the SOUND_CONE_TOLERANCE band, FluctusError
-    outside the float range.
+    with rho = max(r, c|dt|), a = r / rho, beta = c|dt| / rho: plain where e = 0
+    and K / rho^4 and the value are normal, else with the exponents of K and rho
+    apart (``errors.scaled``).  k = 1, or 3 for the rejected variant.  Raises
+    CoincidenceDivergenceError at rho = 0, SoundConeSingularityError in the
+    SOUND_CONE_TOLERANCE band, FluctusError outside the float range.
     """
     b = c * abs(dt)
     rho = max(r, b)
@@ -166,13 +165,14 @@ _HBAR_2PI2 = HBAR / (2.0 * math.pi**2)
 
 
 def _density(medium: FluidMedium, r: float, dt: float, k: float = 1.0, e: int = 0) -> float:
-    cs = medium.cs  # the density correlator times 2**e
+    """The density correlator times 2**e; rho0's exponent apart where K is not normal."""
+    cs = medium.cs
     K = _HBAR_2PI2 * medium.rho0
     if K >= TINY:
         K /= cs
         if TINY <= K < math.inf:
             return _kernel(K, cs, r, dt, k, e)
-    m, em = math.frexp(medium.rho0)  # K left the normal range: rho0's exponent apart
+    m, em = math.frexp(medium.rho0)
     return _kernel(_HBAR_2PI2 * m / cs, cs, r, dt, k, em + e)
 
 

@@ -142,7 +142,7 @@ def _angular(theta: float) -> float:
     return 2.0 * math.sin(0.5 * theta)
 
 
-#: A refused cross section's or ratio's name: formatted with it, the medium and the config.
+#: How a refused cross section or ratio names itself (format with its name, medium, config).
 _AT_OMEGA = "{} for '{.name}' at omega = {.omega:.6g} rad/s"
 
 

@@ -280,6 +280,9 @@ def _normal(x):
 _WATER_1E9 = Draw(_WATER, Separation(1e-9, 2e-13), _AT_350NM, 1e-9, 3e-9, 1e-9, 1.0,
                   (0.2e-9, 0.1e-9, 0.0))
 _WATER_Q = replace(_WATER_1E9, a=1e7)
+# x / rho0 overflows before the parallel polarization factor, 0.29, brings it back
+_SLOW = Draw(fluid_medium("slow", rho0=1.0, cs=1e-64, eta=1.0, drho=0.0), Separation(0.0),
+             ScatteringConfig(omega=1.0, theta=1.0, pol=Polarization.PARALLEL), 0.0, 0.0, 0.0, 1.0)
 _SCALED = sorted((name, lengths) for name, ps in SCALING.items()
                  for lengths, p in enumerate(ps) if p is not None)
 
@@ -300,6 +303,7 @@ _SCALED = sorted((name, lengths) for name, ps in SCALING.items()
 @example(case=("zp_cross_section_chain", 0), draw=_WATER_1E9, exponent=0, k=-1017)
 @example(case=("adiabatic_compressibility", 0), draw=_WATER_1E9, exponent=0, k=-1040)
 @example(case=("zero_point_structure_factor", 0), draw=_WATER_Q, exponent=0, k=-925)
+@example(case=("zp_cross_section_reduced", 0), draw=_SLOW, exponent=1023, k=None)
 def test_scaling_by_a_power_of_two_is_exact(case, draw, exponent, k):
     name, lengths = case
     p = SCALING[name][lengths]
