@@ -123,12 +123,12 @@ def _cmd_correlator(args) -> int:
     records = []
     for r in rs:
         value = correlator(medium, Separation(r, dt))
-        records.append(OutputRecord(inputs=value.inputs, value=value.value,
-                                    unit="kg^2/m^6", formula=value.formula))
+        records.append(OutputRecord(inputs={"material": medium.name, "r_m": r, "dt_s": dt},
+                                    value=value.value, unit="kg^2/m^6", formula=value.formula))
     for z in zs:
         shift = boundary_shift_planar(medium, z)
-        records.append(OutputRecord(inputs=shift.inputs, value=shift.value,
-                                    unit="kg^2/m^6", formula=shift.formula))
+        records.append(OutputRecord(inputs={"material": medium.name, "z_m": z},
+                                    value=shift.value, unit="kg^2/m^6", formula=shift.formula))
         e2, b2 = em_vacuum_shift_plate(z)
         for tag, coeff in (("em-plate-shift-E2", e2), ("em-plate-shift-B2", b2)):
             records.append(OutputRecord(inputs={"z_m": z}, value=coeff,
@@ -145,7 +145,8 @@ _KINDS = {
 }
 
 
-def _config_from_args(args, theta_rad: float) -> scattering.ScatteringConfig:
+def _config_from_args(args, theta_rad: float, medium) -> scattering.ScatteringConfig:
+    # The bath temperature resolved: --temperature, else the medium's own.
     omega = args.omega
     if args.wavelength is not None:  # argparse admits exactly one of the two
         omega = scattering.omega_from_wavelength(args.wavelength)
@@ -153,7 +154,8 @@ def _config_from_args(args, theta_rad: float) -> scattering.ScatteringConfig:
         omega=omega,
         theta=theta_rad,
         pol=scattering.Polarization(getattr(args, "pol", "perpendicular")),
-        temperature=args.temperature,
+        temperature=(medium.default_temperature if args.temperature is None
+                     else args.temperature),
     )
 
 
@@ -164,7 +166,7 @@ def _cmd_xsection(args) -> int:
     thetas_deg = parse_range(args.theta)
     records = []
     for theta_deg in thetas_deg:
-        cfg = _config_from_args(args, math.radians(theta_deg))
+        cfg = _config_from_args(args, math.radians(theta_deg), medium)
         xs = _KINDS[args.kind](medium, cfg)
         inputs = {
             "material": medium.name,
@@ -174,7 +176,7 @@ def _cmd_xsection(args) -> int:
             "volume_m3": args.volume,
         }
         if args.kind.startswith("thermal"):
-            inputs["temperature_k"] = scattering._bath_temperature(medium, cfg)
+            inputs["temperature_k"] = cfg.temperature
         records.append(OutputRecord(inputs=inputs, value=xs.value * args.volume,
                                     unit="m^2/sr", formula=xs.formula))
     _emit(records, args.format)
@@ -183,12 +185,11 @@ def _cmd_xsection(args) -> int:
 
 def _cmd_ratio(args) -> int:
     medium = resolve_material(args.material)
-    cfg = _config_from_args(args, math.radians(float(args.theta)))
+    cfg = _config_from_args(args, math.radians(float(args.theta)), medium)
     value = scattering.ratio_zp_thermal(medium, cfg)
     record = OutputRecord(
         inputs={"material": medium.name, "omega_rad_s": cfg.omega,
-                "theta_deg": float(args.theta),
-                "temperature_k": scattering._bath_temperature(medium, cfg)},
+                "theta_deg": float(args.theta), "temperature_k": cfg.temperature},
         value=value, unit="dimensionless", formula="zp-thermal-ratio")
     _emit([record], args.format)
     share = 100.0 * value
@@ -198,19 +199,20 @@ def _cmd_ratio(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suites = verify.SUITES if args.suite == "all" else (args.suite,)
-    all_passed = True
-    for suite in suites:
+    if args.suite == "all":
+        suites = verify.verify_all()
+    else:
+        suites = {args.suite: getattr(verify, "verify_" + args.suite)()}
+    for suite, checks in suites.items():
         print(f"suite: {suite}")
-        for check in getattr(verify, "verify_" + suite)():
+        for check in checks:
             status = "PASS" if check.passed else "FAIL"
             line = (f"  [{status}] {check.name}: tolerance={check.tolerance:.3e} "
                     f"achieved={check.achieved:.3e}")
             if check.detail:
                 line += f"  ({check.detail})"
             print(line)
-            all_passed = all_passed and check.passed
-    return 0 if all_passed else 1
+    return 0 if all(check.passed for checks in suites.values() for check in checks) else 1
 
 
 def _cmd_materials(args) -> int:

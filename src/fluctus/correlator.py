@@ -103,21 +103,18 @@ class Separation:
 class CorrelatorValue:
     """A density-squared correlation (kg^2/m^6) with its formula identity.
 
-    ``formula`` names the closed form that produced the number and
-    ``inputs`` echoes the call (keys carry units).
+    ``formula`` names the closed form that produced the number.
     """
 
     value: float
     formula: str
-    inputs: dict
 
-    def __init__(self, value: float, formula: str, inputs: dict):
+    def __init__(self, value: float, formula: str):
         # Stored through __dict__: the generated frozen __init__ calls
         # object.__setattr__ per field and takes about twice as long.
         d = self.__dict__
         d["value"] = value
         d["formula"] = formula
-        d["inputs"] = inputs
 
 
 def _kernel(K: float, c: float, r: float, dt: float, k: float = 1.0, e: int = 0) -> float:
@@ -196,9 +193,7 @@ def correlator(medium: FluidMedium, sep: Separation) -> CorrelatorValue:
     SoundConeSingularityError, CoincidenceDivergenceError
         On or at the apex of the sound cone.
     """
-    r, dt = sep.r, sep.dt
-    return CorrelatorValue(_density(medium, r, dt), "density-correlator",
-                           {"material": medium.name, "r_m": r, "dt_s": dt})
+    return CorrelatorValue(_density(medium, sep.r, sep.dt), "density-correlator")
 
 
 def equal_time_correlator(medium: FluidMedium, r: float) -> CorrelatorValue:
@@ -209,8 +204,7 @@ def equal_time_correlator(medium: FluidMedium, r: float) -> CorrelatorValue:
     """
     if not r >= 0.0:
         raise ValueError(f"distance must be positive, got {r}")
-    return CorrelatorValue(_density(medium, r, 0.0), "equal-time-correlator",
-                           {"material": medium.name, "r_m": r})
+    return CorrelatorValue(_density(medium, r, 0.0), "equal-time-correlator")
 
 
 def scalar_field_analog(c_light: float, sep: Separation) -> float:
@@ -248,8 +242,7 @@ def boundary_shift_planar(medium: FluidMedium, z: float) -> CorrelatorValue:
         raise BoundaryContactError("z = 0: the renormalized variance diverges at the wall")
     if not z > 0.0:
         raise ValueError(f"distance to wall must be positive, got {z}")
-    return CorrelatorValue(_density(medium, 2.0 * z, 0.0), "planar-boundary-shift",
-                           {"material": medium.name, "z_m": z})
+    return CorrelatorValue(_density(medium, 2.0 * z, 0.0), "planar-boundary-shift")
 
 
 def boundary_image_term(medium: FluidMedium, z1: float, z2: float,
@@ -263,9 +256,7 @@ def boundary_image_term(medium: FluidMedium, z1: float, z2: float,
     image sits at distance 2z and the term equals
     :func:`boundary_shift_planar` exactly.
     """
-    return CorrelatorValue(_image(medium, z1, z2, transverse, dt), "boundary-image-term",
-                           {"material": medium.name, "z1_m": z1, "z2_m": z2,
-                            "transverse_m": transverse, "dt_s": dt})
+    return CorrelatorValue(_image(medium, z1, z2, transverse, dt), "boundary-image-term")
 
 
 def boundary_correlator(medium: FluidMedium, z1: float, z2: float,
@@ -289,9 +280,7 @@ def boundary_correlator(medium: FluidMedium, z1: float, z2: float,
                        + _image(medium, z1, z2, transverse, dt, -e), e,
                        "boundary_correlator at z1 = {!r} m, z2 = {!r} m, "
                        "transverse = {!r} m, dt = {!r} s", z1, z2, transverse, dt)
-    return CorrelatorValue(value, "boundary-correlator",
-                           {"material": medium.name, "z1_m": z1, "z2_m": z2,
-                            "transverse_m": transverse, "dt_s": dt})
+    return CorrelatorValue(value, "boundary-correlator")
 
 
 def em_vacuum_shift_plate(z: float) -> tuple[float, float]:

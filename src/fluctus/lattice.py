@@ -153,7 +153,10 @@ def lattice_correlator(medium: FluidMedium, grid: ModeGrid, dx, eps: float) -> f
     weight = np.arange(3 * half * half + 1, dtype=float)
     np.sqrt(weight, out=weight)
     weight *= 2.0 * math.pi
-    damping = weight * -finite(eps / L, "lattice_correlator at L = {!r} m: eps / L", L)
+    # Past eps / L = 1e3 every damping factor e^{-2 pi sqrt(s) eps / L}, s >= 1,
+    # is 0 already; the cap keeps the product from overflowing on the way.
+    eps_l = finite(eps / L, "lattice_correlator at L = {!r} m: eps / L", L)
+    damping = weight * -min(eps_l, 1e3)
     np.exp(damping, out=damping)
     weight *= damping  # 0 at s = 0: the zero mode is excluded
     w = np.empty(t.size)

@@ -283,17 +283,19 @@ def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
     (2 pi / hbar) |M|^2 rho_f / (flux * V), per unit scattering volume.
     Every quantization-volume factor cancels analytically, so the result
     is independent of ``volume``; the parameter exists to demonstrate
-    that cancellation.
+    that cancellation.  The pieces take V's ``math.frexp`` mantissa, as its
+    power of two cancels exactly: no piece leaves the float range for V.
     """
     pol = polarization_factor(cfg.theta, cfg.pol)
     if pol == 0.0:
         return CrossSectionValue(0.0, "zp-golden-rule-chain", pol)
     omega_prime, omega_q = _emitted_shift(medium, cfg, "zp_cross_section_chain")
     epsilon0, cs = medium.epsilon0, medium.cs
+    v = math.frexp(volume)[0] if volume > 0.0 else volume  # else refused below as given
     try:
-        m2 = matrix_element_sq(medium, cfg.omega, omega_prime, omega_q, volume, pol)
-        rate = _TWO_PI_HBAR * m2 * density_of_states(omega_prime, epsilon0, volume)
-        flux_volume = incident_flux(epsilon0, volume) * volume
+        m2 = matrix_element_sq(medium, cfg.omega, omega_prime, omega_q, v, pol)
+        rate = _TWO_PI_HBAR * m2 * density_of_states(omega_prime, epsilon0, v)
+        flux_volume = incident_flux(epsilon0, v) * v
         # A flux that underflows to 0 leaves a value beyond the float range.
         value = rate / flux_volume if flux_volume else math.inf
     except FluctusError:  # a piece beyond the float range is refused as the chain
@@ -303,7 +305,7 @@ def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
         return CrossSectionValue(value, "zp-golden-rule-chain", pol)
     m, e = math.frexp(medium.rho0)
     if e:  # once more at rho0's mantissa, its exponent apart
-        value = zp_cross_section_chain(replace(medium, rho0=m), cfg, volume).value
+        value = zp_cross_section_chain(replace(medium, rho0=m), cfg, v).value
     return CrossSectionValue(scaled(value, -e, _AT_OMEGA, "zp_cross_section_chain", medium, cfg),
                              "zp-golden-rule-chain", pol)
 
@@ -358,10 +360,6 @@ def adiabatic_compressibility(medium: FluidMedium) -> float:
     return scaled(1.0 / m / c / c, -e - 2 * ec, "adiabatic_compressibility for '{.name}'", medium)
 
 
-def _bath_temperature(medium: FluidMedium, cfg: ScatteringConfig) -> float:
-    return cfg.temperature if cfg.temperature is not None else medium.default_temperature
-
-
 def thermal_brillouin_cross_section(medium: FluidMedium,
                                     cfg: ScatteringConfig) -> CrossSectionValue:
     """Thermal Brillouin cross section per unit scattering volume.
@@ -369,7 +367,7 @@ def thermal_brillouin_cross_section(medium: FluidMedium,
     omega^4 kB T / (16 pi^2 c^4 cs^2 rho0) * [rho0 (d eps/d rho0)_S]^2
     times the polarization factor.  Classical (no hbar) and linear in T.
     """
-    T = _bath_temperature(medium, cfg)
+    T = cfg.temperature or medium.default_temperature
     pol = polarization_factor(cfg.theta, cfg.pol)
     omega2, drho, cs = cfg.omega * cfg.omega, medium.drho, medium.cs
     x = _THERMAL * omega2 * omega2 * T * drho * drho / cs / cs
@@ -392,16 +390,13 @@ def thermal_total_cross_section(medium: FluidMedium,
         raise MissingPropertyError("cp", medium.name)
     if medium.deps_dt is None:
         raise MissingPropertyError("deps_dt", medium.name)
-    T = _bath_temperature(medium, cfg)
+    T = cfg.temperature or medium.default_temperature
     pol = polarization_factor(cfg.theta, cfg.pol)
-    drho, deps_dt, cs = medium.drho, medium.deps_dt, medium.cs
-    brillouin = drho * drho / medium.rho0 / cs / cs
-    rayleigh = T / medium.rho0 / medium.cp * deps_dt * deps_dt
-    omega2 = cfg.omega * cfg.omega
-    value = _THERMAL * omega2 * omega2 * T * (brillouin + rayleigh) * pol
-    return CrossSectionValue(
-        finite(value, _AT_OMEGA, "thermal_total_cross_section", medium, cfg),
-        "thermal-total", pol)
+    omega2, drho, deps_dt, cs = cfg.omega * cfg.omega, medium.drho, medium.deps_dt, medium.cs
+    x = (_THERMAL * omega2 * omega2 * T
+         * (drho * drho / cs / cs + T / medium.cp * deps_dt * deps_dt))
+    return CrossSectionValue(_over_rho0(x, pol, "thermal_total_cross_section", medium, cfg),
+                             "thermal-total", pol)
 
 
 def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
@@ -420,8 +415,9 @@ def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
             "whose square is 0; the thermal Brillouin cross section vanishes and the "
             "ratio is undefined"
         )
-    # Divided by T alone: 2 kB T underflows to 0 for T below ~2e-301 K.
+    T = cfg.temperature or medium.default_temperature
     eta2 = medium.eta * medium.eta
-    value = (_angular(cfg.theta) * (_HBAR_2KB * cfg.omega / _bath_temperature(medium, cfg))
+    # Divided by T alone: 2 kB T underflows to 0 for T below ~2e-301 K.
+    value = (_angular(cfg.theta) * (_HBAR_2KB * cfg.omega / T)
              * (medium.cs / C_LIGHT) * eta2 * eta2 / drho2)
     return finite(value, _AT_OMEGA, "ratio_zp_thermal", medium, cfg)

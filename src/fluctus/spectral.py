@@ -246,7 +246,11 @@ def _regulated_values(b: float, epsilons: tuple[float, ...],
     prev = None
     achieved = math.inf
     points = 0
-    for halvings in range(_MAX_HALVINGS + 1):
+    # No pass at all where the smallest damping length takes even the finest
+    # pass's first node below e^-746, which is 0: every pass would sum to 0,
+    # and eps q overflow on the way.
+    first = math.pi * (1.0 + float(_GL_NODES[0])) / ((1.0 + b) * 2.0**(_MAX_HALVINGS + 1))
+    for halvings in range(0 if epsilons[-1] * first > 746.0 else _MAX_HALVINGS + 1):
         blocks = qmax * (1.0 + b) * 2.0**halvings / (math.pi * _BLOCK_PANELS)
         if not blocks <= _MAX_BLOCKS:  # also refuses inf and nan
             raise ConvergenceError(

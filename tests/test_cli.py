@@ -292,6 +292,34 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_all_prints_what_verify_all_returns(capsys, monkeypatch):
+    from fluctus.verify import verify_all
+
+    returned = []
+
+    def spy():
+        returned.append(verify_all())
+        return returned[-1]
+
+    monkeypatch.setattr("fluctus.cli.verify.verify_all", spy)
+    code, out, _ = run_cli(capsys, "verify", "all")
+    assert code == 0 and len(returned) == 1
+    suites = [line[len("suite: "):] for line in out.splitlines() if line.startswith("suite: ")]
+    assert suites == list(returned[0]) == ["chain", "spectral", "lattice"]
+    assert out.count("[PASS]") == sum(map(len, returned[0].values()))
+    assert "FAIL" not in out
+
+
+def test_verify_all_fails_with_one_failing_suite(capsys, monkeypatch):
+    from fluctus.verify import CheckResult
+
+    monkeypatch.setattr("fluctus.cli.verify.verify_chain", lambda: [CheckResult(
+        name="synthetic failing check", tolerance=1e-12, achieved=1.0, passed=False)])
+    code, out, _ = run_cli(capsys, "verify", "all")
+    assert code == 1
+    assert out.count("[FAIL]") == 1 and "suite: lattice" in out
+
+
 # --- json/csv structural round trips ---------------------------------------------------
 
 def test_json_schema_is_stable(capsys):

@@ -254,6 +254,12 @@ def test_a_damping_length_beyond_the_float_range_in_units_of_the_side_is_refused
         lattice_correlator(WATER, ModeGrid(L=1e-300, N=8), [0.0, 0.0, 0.0], 1e20)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_damping_length_past_every_mode_sums_to_zero_without_overflow():
+    # 2 pi sqrt(s) eps / L overflowed in the damping table, with a numpy warning
+    assert lattice_correlator(WATER, ModeGrid(1.0, 8), (0.1, 0.0, 0.0), 1e307) == 0.0
+
+
 @pytest.mark.parametrize("dx", [[1e150, 0.0, 0.0], [1e199, 0.0, 0.0]], ids=["L/1e50", "L/10"])
 def test_a_huge_box_folds_and_scales_in_units_of_the_side(dx):
     # L**3 raised OverflowError, and |dx| = L/10 overflowed in the norm; the

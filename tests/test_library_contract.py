@@ -118,8 +118,14 @@ CALLS = {
 
 # Positive floats, log-uniform from the smallest subnormal to the largest finite.
 _POSITIVE = st.floats(-323.3, 308.25).map(lambda e: 10.0 ** e)
-_SIGNED = st.one_of(st.just(0.0), st.builds(lambda s, x: s * x,
-                                            st.sampled_from([-1.0, 1.0]), _POSITIVE))
+
+
+def _signed(x):
+    return st.one_of(st.just(0.0), st.builds(lambda s, y: s * y,
+                                             st.sampled_from([-1.0, 1.0]), x))
+
+
+_SIGNED = _signed(_POSITIVE)
 _NONNEGATIVE = st.one_of(st.just(0.0), _POSITIVE)
 
 
@@ -153,6 +159,31 @@ _CONFIGS = st.builds(
 _DRAWS = st.builds(Draw, medium=_MEDIA, sep=st.builds(Separation, _NONNEGATIVE, _SIGNED),
                    cfg=_CONFIGS, a=_NONNEGATIVE, b=_NONNEGATIVE, transverse=_NONNEGATIVE,
                    volume=_POSITIVE, dx=st.tuples(_SIGNED, _SIGNED, _SIGNED))
+
+# Physically sized draws: water-like media, nm lengths and optical frequencies,
+# with a box displacement below L/2 and the volume over the whole range.
+_NM = st.floats(-1.0, 1.0).map(lambda e: 1e-9 * 10.0 ** e)
+
+_PHYSICAL_MEDIA = st.builds(
+    fluid_medium, st.just("physical"), rho0=st.floats(500.0, 3000.0),
+    cs=st.floats(300.0, 3000.0), eta=st.floats(1.0, 2.0), drho=st.floats(-2.0, 2.0),
+    cp=st.one_of(st.none(), st.floats(1e3, 5e3)),
+    deps_dt=st.one_of(st.none(), st.floats(-1e-3, 1e-3)),
+    default_temperature=st.floats(200.0, 400.0))
+
+_PHYSICAL_CONFIGS = st.builds(
+    ScatteringConfig, omega=st.floats(200e-9, 800e-9).map(omega_from_wavelength),
+    theta=st.floats(0.01, math.pi), pol=st.sampled_from(list(Polarization)),
+    temperature=st.one_of(st.none(), st.floats(200.0, 400.0)))
+
+
+@st.composite
+def _physical_draws(draw):
+    a = draw(_NM)
+    return Draw(draw(_PHYSICAL_MEDIA), Separation(draw(_NM), draw(_signed(_NM)) * 1e-3),
+                draw(_PHYSICAL_CONFIGS), a, draw(_NM), draw(st.one_of(st.just(0.0), _NM)),
+                draw(_POSITIVE), tuple(a * draw(st.floats(-0.25, 0.25)) for _ in range(3)))
+
 
 _AT_350NM = ScatteringConfig(omega=omega_from_wavelength(350e-9), theta=math.pi / 2)
 # z1 = z2 = 1e-300: the direct and image terms are each about -1.2e308
@@ -238,6 +269,7 @@ SCALING = {
     "zp_cross_section_reduced": (-1, None),
     "adiabatic_compressibility": (-1, None),
     "thermal_brillouin_cross_section": (-1, None),
+    "thermal_total_cross_section": (-1, None),
     "ratio_zp_thermal": (0, None),
     "lattice_correlator": (1, -4),
     "damped_closed_form": (1, -4),
@@ -280,6 +312,9 @@ def _normal(x):
 _WATER_1E9 = Draw(_WATER, Separation(1e-9, 2e-13), _AT_350NM, 1e-9, 3e-9, 1e-9, 1.0,
                   (0.2e-9, 0.1e-9, 0.0))
 _WATER_Q = replace(_WATER_1E9, a=1e7)
+_WATER_V1E250 = replace(_WATER_1E9, volume=1e250)
+_WATER_RAYLEIGH = replace(_WATER_1E9, medium=replace(_WATER, cp=4180.0, deps_dt=-1e-4),
+                          cfg=replace(_AT_350NM, theta=1.0))
 # x / rho0 overflows before the parallel polarization factor, 0.29, brings it back
 _SLOW = Draw(fluid_medium("slow", rho0=1.0, cs=1e-64, eta=1.0, drho=0.0), Separation(0.0),
              ScatteringConfig(omega=1.0, theta=1.0, pol=Polarization.PARALLEL), 0.0, 0.0, 0.0, 1.0)
@@ -288,11 +323,12 @@ _SCALED = sorted((name, lengths) for name, ps in SCALING.items()
 
 
 # Drawn, k puts the first expected value at binary exponent ``exponent``,
-# so that most draws with a normal value check something; the examples,
-# the faults this property found, give k and rho0 = 997 * 2**k.
+# so that most draws with a normal value check something; half the draws
+# are physically sized, as few full-range ones give a normal value.  The
+# examples, the faults this property found, give k and rho0 = 997 * 2**k.
 @settings(max_examples=600, deadline=None)
-@given(case=st.sampled_from(_SCALED), draw=_DRAWS, exponent=st.integers(-1021, 1024),
-       k=st.none())
+@given(case=st.sampled_from(_SCALED), draw=st.one_of(_DRAWS, _physical_draws()),
+       exponent=st.integers(-1021, 1024), k=st.none())
 @example(case=("correlator", 0), draw=_WATER_1E9, exponent=0, k=-1010)
 @example(case=("equal_time_correlator", 0), draw=_WATER_1E9, exponent=0, k=-1010)
 @example(case=("boundary_correlator", 0), draw=_WATER_1E9, exponent=0, k=-1010)
@@ -301,6 +337,9 @@ _SCALED = sorted((name, lengths) for name, ps in SCALING.items()
 @example(case=("zp_cross_section_chain", 0), draw=_WATER_1E9, exponent=0, k=800)
 @example(case=("zp_cross_section_chain", 0), draw=_WATER_1E9, exponent=0, k=900)
 @example(case=("zp_cross_section_chain", 0), draw=_WATER_1E9, exponent=0, k=-1017)
+@example(case=("zp_cross_section_chain", 0), draw=_WATER_V1E250, exponent=0, k=-500)
+@example(case=("thermal_total_cross_section", 0), draw=_WATER_RAYLEIGH, exponent=0, k=-1030)
+@example(case=("thermal_total_cross_section", 0), draw=_WATER_RAYLEIGH, exponent=0, k=1000)
 @example(case=("adiabatic_compressibility", 0), draw=_WATER_1E9, exponent=0, k=-1040)
 @example(case=("zero_point_structure_factor", 0), draw=_WATER_Q, exponent=0, k=-925)
 @example(case=("zp_cross_section_reduced", 0), draw=_SLOW, exponent=1023, k=None)

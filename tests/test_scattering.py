@@ -174,6 +174,16 @@ def test_chain_is_volume_independent():
     assert v2 == pytest.approx(v1, rel=1e-12, abs=0)
 
 
+def test_chain_is_volume_independent_over_the_float_range():
+    # at theta = pi/2, V = 1e250 was off by 1.3e-7, V = 1e260 and 1e270 gave 0.0,
+    # and V = 1e-300 and every V >= 1e275 were refused
+    cfg = benchmark_config(theta=math.pi / 2)
+    expected = zp_cross_section_chain(WATER, cfg).value
+    for volume in [5e-324, 1.7976931348623157e308, 3.7] + [10.0**e for e in range(-300, 301, 10)]:
+        value = zp_cross_section_chain(WATER, cfg, volume=volume).value
+        assert value == pytest.approx(expected, rel=1e-15, abs=0), volume
+
+
 def test_crossed_polarization_kills_everything():
     cfg = benchmark_config(pol=Polarization.CROSSED)
     assert zp_cross_section_chain(WATER, cfg).value == 0.0

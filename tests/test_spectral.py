@@ -8,7 +8,7 @@ from fluctus import spectral
 from fluctus.correlator import Separation, correlator
 from fluctus.errors import ConvergenceError, FluctusError, SoundConeSingularityError
 from fluctus.lattice import ModeGrid, convergence_study, lattice_correlator
-from fluctus.medium import builtin_material
+from fluctus.medium import builtin_material, fluid_medium
 from fluctus.spectral import (
     damped_closed_form,
     extrapolated_correlator,
@@ -221,6 +221,15 @@ def test_unresolved_damping_is_refused_not_returned_as_zero():
         regulated_integrand_reduction(WATER, 1e-9, 0.0, 1e-3)
     with pytest.raises(FluctusError, match="eps / r is outside the float range"):
         regulated_integrand_reduction(WATER, 1e-9, 0.0, 1e300)
+
+
+@pytest.mark.filterwarnings("error")
+def test_damping_past_every_node_is_refused_without_overflow():
+    # eps q overflowed in the node damping, with a numpy warning, before the refusal
+    medium = fluid_medium("u", rho0=1.0, cs=1.0, eta=1.0, drho=0.0)
+    with pytest.raises(ConvergenceError, match="did not converge") as exc:
+        regulated_integrand_reduction(medium, 1.0, 0.0, 1e307)
+    assert exc.value.achieved == math.inf
 
 
 @pytest.mark.filterwarnings("error")
