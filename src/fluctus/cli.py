@@ -70,6 +70,8 @@ def parse_range(text: str) -> list[float]:
     if n < 2:
         raise ValueError(f"sweep needs at least 2 points, got {n}")
     lo, hi = float(lo_s), float(hi_s)
+    if not math.isfinite(hi - lo):  # also an infinite or nan end
+        raise ValueError(f"sweep ends and their difference must be finite, got {lo!r}..{hi!r}")
     if logarithmic:
         if lo <= 0 or hi <= 0:
             raise ValueError("logarithmic sweep needs positive endpoints")
@@ -78,8 +80,6 @@ def parse_range(text: str) -> list[float]:
 
 
 def _emit(records: list[OutputRecord], fmt: str) -> None:
-    if not records:
-        return
     for r in records:
         finite(r.value, r.formula)
     if fmt == "json":
@@ -307,7 +307,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (FluctusError, ValueError, ArithmeticError, OSError) as exc:
+    except (FluctusError, ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -156,6 +156,15 @@ def _kernel(K: float, c: float, r: float, dt: float, k: float = 1.0, e: int = 0)
                   "correlator at r = {!r} m, c*|dt| = {!r} m", r, b)
 
 
+def _density_scale(medium: FluidMedium, x: float, length: float, p: int, what: str,
+                   *args) -> float:
+    """hbar rho0 x length**p / cs, with every factor's exponent apart (``errors.scaled``):
+    the scale of the structure factor (x = 1/2, p = 1) and of the two numerical oracles,
+    which sum in units of a length.  ``what`` and ``args`` name the call on refusal."""
+    (m, e), (xm, ex), (lm, el), (c, ec) = map(math.frexp, (medium.rho0, x, length, medium.cs))
+    return scaled(HBAR * m * xm * lm**p / c, e + ex + p * el - ec, what, *args)
+
+
 # hbar / (2 pi^2), folded once: the density correlators' prefactor is
 # this times rho0 / cs, and the scalar analog's this times c^3.
 _HBAR_2PI2 = HBAR / (2.0 * math.pi**2)
@@ -313,11 +322,5 @@ def zero_point_structure_factor(medium: FluidMedium, q: float) -> float:
     """
     if not 0.0 <= q < math.inf:
         raise ValueError(f"wavenumber q must be finite and >= 0, got {q}")
-    weight = HBAR * medium.rho0
-    wq = weight * q
-    value = wq / (2.0 * medium.cs)
-    if weight >= TINY and wq >= TINY and TINY <= value < math.inf:
-        return value
-    (m, e), (x, ex), (c, ec) = map(math.frexp, (medium.rho0, q, medium.cs))
-    return scaled(HBAR * m * x / (2.0 * c), e + ex - ec,
-                  "zero_point_structure_factor for '{.name}' at q = {:.6g} 1/m", medium, q)
+    return _density_scale(medium, 0.5, q, 1,
+                          "zero_point_structure_factor for '{.name}' at q = {:.6g} 1/m", medium, q)

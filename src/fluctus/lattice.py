@@ -41,8 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, IllPosedStudyError, finite, scaled
-from .medium import HBAR, FluidMedium
+from .correlator import _density_scale
+from .errors import AliasingError, IllPosedStudyError, finite
+from .medium import FluidMedium
 from .spectral import regulated_integrand_reduction
 
 __all__ = [
@@ -166,14 +167,11 @@ def lattice_correlator(medium: FluidMedium, grid: ModeGrid, dx, eps: float) -> f
         re, im = folded @ w
         a = axis[0, mx]
         slab_sums.append(a.real * re - a.imag * im)
-    total = math.fsum(slab_sums)
     # Omega_q = cs |q| cancels one cs of the 1/cs^2 normalization; the
-    # sum in units of L scales as L^-4, formed with the exponents apart.
-    (h, eh), (rho, erho), (tot, etot), (c, ec), (x, ex) = map(
-        math.frexp, (HBAR, medium.rho0, total, medium.cs, L))
-    return scaled(h * rho * tot / 2.0 / c / x / x / x / x, eh + erho + etot - ec - 4 * ex,
-                  "lattice_correlator at L = {!r} m, dx = {!r} m, eps = {!r} m",
-                  L, dx.tolist(), eps)
+    # sum in units of L scales as L^-4.
+    return _density_scale(medium, math.fsum(slab_sums) / 2.0, L, -4,
+                          "lattice_correlator at L = {!r} m, dx = {!r} m, eps = {!r} m",
+                          L, dx.tolist(), eps)
 
 
 @dataclass(frozen=True)

@@ -351,12 +351,7 @@ def adiabatic_compressibility(medium: FluidMedium) -> float:
 
     Raises FluctusError where the value leaves the float range.
     """
-    cs = medium.cs
-    inverse = 1.0 / medium.rho0
-    value = inverse / cs / cs
-    if TINY <= inverse < math.inf and TINY <= value < math.inf:
-        return value
-    (m, e), (c, ec) = math.frexp(medium.rho0), math.frexp(cs)
+    (m, e), (c, ec) = math.frexp(medium.rho0), math.frexp(medium.cs)
     return scaled(1.0 / m / c / c, -e - 2 * ec, "adiabatic_compressibility for '{.name}'", medium)
 
 

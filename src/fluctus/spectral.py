@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlator import Regime, Separation
-from .errors import ConvergenceError, SoundConeSingularityError, finite, scaled
-from .medium import HBAR, FluidMedium
+from .correlator import Regime, Separation, _density_scale
+from .errors import ConvergenceError, SoundConeSingularityError, finite
+from .medium import FluidMedium
 
 __all__ = [
     "regulated_integrand_reduction",
@@ -56,6 +56,11 @@ __all__ = [
 #: Damping floor: the quadrature domain ends where the damped envelope
 #: has fallen below this fraction of its peak.
 _DAMPING_FLOOR = 1e-14
+
+#: The truncation wavenumber times the damping length: past q = _TRUNCATION / eps
+#: the q^2 envelope times the damping is below _DAMPING_FLOOR of its peak.  Eight
+#: fixed-point steps of x = -ln(_DAMPING_FLOOR) + 2 ln x from x = 33.
+_TRUNCATION = 39.59352235773582
 
 #: Gauss-Legendre rule applied per oscillation panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -121,17 +126,6 @@ def _ladder(b: float) -> tuple[float, ...]:
     """
     eps0 = abs(1.0 - b) / _LADDER_START
     return tuple(eps0 / 2.0**k for k in range(_LADDER_RUNGS))
-
-
-def _truncation_wavenumber(eps: float) -> float:
-    # Solve x = -ln(floor) + 2 ln x, x = eps*q: beyond this the q^2
-    # envelope times the damping is below _DAMPING_FLOOR of its peak.
-    x = 33.0
-    target = -math.log(_DAMPING_FLOOR)
-    for _ in range(8):
-        x = target + 2.0 * math.log(x)
-    # A damping length that underflowed to 0 would need unbounded work.
-    return x / eps if eps > 0.0 else math.inf
 
 
 def _phase(n: np.ndarray, turns: np.ndarray) -> np.ndarray:
@@ -207,12 +201,9 @@ def _panel_sums(b: float, epsilons: tuple[float, ...], halvings: int,
 
 def _in_units_of_r(medium: FluidMedium, r: float, integral: float, call: str) -> float:
     """The correlator from its damped integral computed in units of r (q -> q / r
-    scales it by r^-3): only this product, formed by ``errors.scaled``, can
-    leave the float range, refused by a FluctusError naming ``call``."""
-    (h, eh), (rho, erho), (c, ec), (x, ex), (i, ei) = map(
-        math.frexp, (HBAR, medium.rho0, medium.cs, r, integral))
-    mantissa = h * rho / (4.0 * math.pi**2 * c * x) * i / x / x / x
-    return scaled(mantissa, eh + erho - ec - 4 * ex + ei, call)
+    scales it by r^-3): only this scale can leave the float range, refused by a
+    FluctusError naming ``call``."""
+    return _density_scale(medium, integral / (4.0 * math.pi**2), r, -4, call)
 
 
 def _separation(r: float, dt: float, eps: float | None = None) -> Separation:
@@ -242,7 +233,8 @@ def _regulated_values(b: float, epsilons: tuple[float, ...],
     achieved pass-to-pass difference, and the passes and points spent.
     A ConvergenceError names ``call``.
     """
-    qmax = _truncation_wavenumber(epsilons[-1])
+    # A damping length that underflowed to 0 would need unbounded work.
+    qmax = _TRUNCATION / epsilons[-1] if epsilons[-1] > 0.0 else math.inf
     prev = None
     achieved = math.inf
     points = 0
@@ -300,12 +292,13 @@ def damped_closed_form(medium: FluidMedium, r: float, dt: float, eps: float) -> 
     Raises FluctusError if the value lies outside the float range.
     """
     _separation(r, dt, eps)
-    s = complex(eps, medium.cs * dt)
+    lag = medium.cs * dt
+    s = complex(eps, lag)
     # In units of r the integral is 2 (3 z^2 - 1) / (z^2 + 1)^3 with
     # z = s / r; past |z| = 1 it is written in powers of 1 / z instead,
     # so that neither form overflows on the way to a finite value.
     try:
-        if abs(s) <= r:
+        if math.hypot(eps, lag) <= r:  # |s|, but inf where abs(s) would raise
             z = s / r
             x = z * z
             d = x + 1.0

@@ -43,6 +43,22 @@ def test_parse_range_scalar_and_sweeps():
         parse_range("1..2:1")
 
 
+@pytest.mark.parametrize("sweep", ["1e-9..inf:3", "nan..1e-8:3", "1e-9..inf:3L",
+                                   "-1e308..1e308:3"])
+def test_sweep_ends_and_their_difference_must_be_finite(capsys, sweep):
+    code, out, err = run_cli(capsys, "correlator", "--material", "water", "--r", sweep)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: sweep ends and their difference must be finite")
+
+
+def test_a_sweep_numpy_cannot_allocate_exits_2(capsys):
+    # 10**15 points need 7 PiB: the allocation is refused before anything is written
+    code, out, err = run_cli(capsys, "correlator", "--material", "water",
+                             "--r", "1e-9..1e-8:1000000000000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Unable to allocate")
+
+
 # --- correlator command ------------------------------------------------------
 
 def test_correlator_single_value(capsys):

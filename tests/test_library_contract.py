@@ -41,7 +41,7 @@ from fluctus.correlator import (
 )
 from fluctus.errors import FluctusError, MaterialValidationError
 from fluctus.lattice import ModeGrid, lattice_correlator
-from fluctus.medium import C_LIGHT, FluidMedium, builtin_material, fluid_medium
+from fluctus.medium import C_LIGHT, HBAR, FluidMedium, builtin_material, fluid_medium
 from fluctus.scattering import (
     CrossSectionValue,
     Kinematics,
@@ -205,6 +205,10 @@ _HUGE_BOX = Draw(_WATER, Separation(1.0), _AT_350NM, 1e200, 1e198, 0.0, 1.0,
                  (1e150, 0.0, 0.0))
 _HUGE_DX = Draw(_WATER, Separation(1.0), _AT_350NM, 1e200, 1e198, 0.0, 1.0,
                 (1e199, 0.0, 0.0))
+# |eps + i cs dt| overflows although both parts are finite
+_HUGE_DAMPED_LAG = Draw(fluid_medium("u", rho0=1.0, cs=1.0, eta=1.0, drho=0.0),
+                        Separation(1.0, -1.7782794100389228e308), _AT_350NM, 0.0, 1e308,
+                        0.0, 1.0)
 
 
 def _values(result):
@@ -229,6 +233,7 @@ def _values(result):
 @example(name="lattice_correlator", draw=_TINY_BOX)
 @example(name="lattice_correlator", draw=_HUGE_BOX)
 @example(name="lattice_correlator", draw=_HUGE_DX)
+@example(name="damped_closed_form", draw=_HUGE_DAMPED_LAG)
 def test_public_call_is_finite_or_a_typed_error(name, draw):
     try:
         result = CALLS[name](draw)
@@ -248,6 +253,14 @@ def test_sound_from_half_light_speed_up_is_refused(cs, rho0, eta, drho, temperat
         fluid_medium("drawn", rho0=rho0, cs=cs, eta=eta, drho=drho,
                      default_temperature=temperature)
     assert exc.value.violations == ["cS < c/2"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(medium=_PHYSICAL_MEDIA, q=st.floats(1e6, 1e11))
+def test_exponent_apart_forms_equal_their_plain_products(medium, q):
+    # bit for bit wherever the plain product stays in the normal range
+    assert zero_point_structure_factor(medium, q) == HBAR * medium.rho0 * q / (2.0 * medium.cs)
+    assert adiabatic_compressibility(medium) == 1.0 / medium.rho0 / medium.cs / medium.cs
 
 
 # --- exact scaling ------------------------------------------------------------

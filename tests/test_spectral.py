@@ -129,7 +129,7 @@ def test_block_roundoff_does_not_add_up_coherently():
     # differ by roundoff alone; a block length on which the fast phase
     # advances a whole number of turns lets the node sums' roundoff,
     # shared by every block, add up (1e-4 here with 32-panel blocks)
-    qmax = spectral._truncation_wavenumber(1e-4)
+    qmax = spectral._TRUNCATION / 1e-4
     two, three = (spectral._panel_sums(0.0, (1e-4,), halvings, math.ceil(
                       qmax * 2**halvings / (math.pi * spectral._BLOCK_PANELS)))[0]
                   for halvings in (2, 3))
@@ -243,7 +243,8 @@ def test_extrapolation_far_away_underflows_to_a_finite_zero(r):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("dt, eps", [(0.0, 1e300), (1e306, 1e-10)], ids=["eps-1e300", "dt-1e306"])
+@pytest.mark.parametrize("dt, eps", [(0.0, 1e300), (1e306, 1e-10), (-1.2e305, 1e308)],
+                         ids=["eps-1e300", "dt-1e306", "abs-s-overflows"])
 def test_damped_closed_form_underflows_to_a_finite_zero(dt, eps):
     assert damped_closed_form(WATER, 1e-9, dt, eps) == 0.0
 
