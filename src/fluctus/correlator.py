@@ -21,12 +21,12 @@ electromagnetic counterpart near a reflecting plate for side-by-side
 display, the relativistic scalar-field analog obtained by swapping the
 sound and light speeds, and the linear-in-q zero-point structure factor.
 
-The closed form and its refusals are written once, in the private
-``_kernel``; every correlator here, the planar wall shift (the image
-term at r = 2z), the rejected variant in ``fluctus.verify`` and
-``Separation.regime`` call it.  Values on the sound cone, at coincident
-points or outside the float range are errors, not infinities; regulated
-evaluation lives in ``fluctus.spectral``.
+The closed form, its prefactor and its refusals are written once, in
+the private ``_kernel``, which every correlator here, the planar wall
+shift (the image term at r = 2z), the rejected variant in
+``fluctus.verify`` and ``Separation.regime`` call.  Values on the sound
+cone, at coincident points or outside the float range are errors, not
+infinities; regulated evaluation lives in ``fluctus.spectral``.
 """
 
 from __future__ import annotations
@@ -87,9 +87,11 @@ class Separation:
             raise ValueError(f"time lag dt must be finite, got {self.dt}")
 
     def regime(self, cs: float) -> Regime:
-        """Classify against the sound cone of speed cs by the correlators' refusals."""
-        try:
-            _kernel(0.0, cs, self.r, self.dt)
+        """Classify against the sound cone of speed cs > 0 by the correlators' refusals."""
+        if not 0.0 < cs < math.inf:
+            raise ValueError(f"sound speed must be positive and finite, got {cs}")
+        try:  # f = 0: only the refusals matter
+            _kernel(0.0, cs, -1, self.r, self.dt)
         except CoincidenceDivergenceError:
             return Regime.COINCIDENT
         except SoundConeSingularityError:
@@ -117,17 +119,21 @@ class CorrelatorValue:
         d["formula"] = formula
 
 
-def _kernel(K: float, c: float, r: float, dt: float, k: float = 1.0, e: int = 0) -> float:
-    """-K 2**e (r^2 + 3 c^2 dt^2) / (r^2 - k c^2 dt^2)^3, evaluated scale-free as
+# hbar / (2 pi^2), folded once: the kernel's prefactor is this times f c**n.
+_HBAR_2PI2 = HBAR / (2.0 * math.pi**2)
 
-        -K 2**e / rho^4 * (a^2 + 3 beta^2) / (a^2 - k beta^2)^3
 
-    with rho = max(r, c|dt|), a = r / rho, beta = c|dt| / rho: plain where e = 0
-    and K / rho^4 and the value are normal, else with the exponents of K and rho
-    apart (``errors.scaled``).  k = 1, or 3 for the rejected variant.  Raises
-    CoincidenceDivergenceError at rho = 0, SoundConeSingularityError in the
-    SOUND_CONE_TOLERANCE band, FluctusError outside the float range.
-    """
+def _kernel(f: float, c: float, n: int, r: float, dt: float, k: float = 1.0,
+            e: int = 0) -> float:
+    """-K 2**e (r^2 + 3 c^2 dt^2) / (r^2 - k c^2 dt^2)^3, K = hbar f c**n / 2 pi^2 (f = rho0,
+    n = -1: the density correlators; f = 1, n = 3, as ((hbar / 2 pi^2 c) c) c: the analog;
+    k = 1, or 3 for the rejected variant), scale-free as -K 2**e / rho^4 (a^2 + 3 beta^2)
+    / (a^2 - k beta^2)^3, rho = max(r, c|dt|), a = r / rho, beta = c|dt| / rho.  Plain
+    where e = 0 and hbar f / 2 pi^2, K, rho^2, K / rho^4 and the value are normal, else
+    with the exponents of f, c, rho (and of dt, where c|dt| is subnormal) apart
+    (``errors.scaled``): one range decision per call.  Raises CoincidenceDivergenceError
+    at rho = 0, SoundConeSingularityError in the SOUND_CONE_TOLERANCE band, FluctusError
+    outside the float range."""
     b = c * abs(dt)
     rho = max(r, b)
     if abs(r - b) <= SOUND_CONE_TOLERANCE * rho:
@@ -143,16 +149,25 @@ def _kernel(K: float, c: float, r: float, dt: float, k: float = 1.0, e: int = 0)
     a2, b2 = a * a, beta * beta
     d = a2 - k * b2
     s = rho * rho
+    h = _HBAR_2PI2 * f
+    K = h / c if n < 0 else h * c * c * c
     try:
         scale = K / s / s
         value = -scale * (a2 + 3.0 * b2) / (d * d * d)
     except ZeroDivisionError:  # s underflowed to 0, or d^3 (the variant's own root)
         scale = value = 0.0
-    if scale >= TINY and not e and value - value == 0.0:
+    if h >= TINY and K >= TINY and s >= TINY and scale >= TINY and not e and value - value == 0.0:
         return value
-    (m, em), (x, ex) = math.frexp(K), math.frexp(rho)
+    (h, ef), (m, ec), (t, et), (x, ex) = map(math.frexp, (f, c, dt, rho))
+    if 0.0 < b < TINY:  # c|dt| lost bits: rho and its ratios again, in units of 2**ex
+        a, beta = math.ldexp(r, -ex), math.ldexp(m * abs(t), ec + et - ex)
+        x = max(a, beta)
+        a2, b2 = (a / x) * (a / x), (beta / x) * (beta / x)
+        d = a2 - k * b2
+    h *= _HBAR_2PI2
     x *= x
-    return scaled(-m / x / x * (a2 + 3.0 * b2) / (d * d * d or math.nan), em + e - 4 * ex,
+    return scaled(-(h / m if n < 0 else h * m * m * m) / x / x * (a2 + 3.0 * b2)
+                  / (d * d * d or math.nan), ef + n * ec + e - 4 * ex,
                   "correlator at r = {!r} m, c*|dt| = {!r} m", r, b)
 
 
@@ -165,29 +180,12 @@ def _density_scale(medium: FluidMedium, x: float, length: float, p: int, what: s
     return scaled(HBAR * m * xm * lm**p / c, e + ex + p * el - ec, what, *args)
 
 
-# hbar / (2 pi^2), folded once: the density correlators' prefactor is
-# this times rho0 / cs, and the scalar analog's this times c^3.
-_HBAR_2PI2 = HBAR / (2.0 * math.pi**2)
-
-
-def _density(medium: FluidMedium, r: float, dt: float, k: float = 1.0, e: int = 0) -> float:
-    """The density correlator times 2**e; rho0's exponent apart where K is not normal."""
-    cs = medium.cs
-    K = _HBAR_2PI2 * medium.rho0
-    if K >= TINY:
-        K /= cs
-        if TINY <= K < math.inf:
-            return _kernel(K, cs, r, dt, k, e)
-    m, em = math.frexp(medium.rho0)
-    return _kernel(_HBAR_2PI2 * m / cs, cs, r, dt, k, em + e)
-
-
 def _image(medium: FluidMedium, z1: float, z2: float, transverse: float, dt: float,
            e: int = 0) -> float:
     # The image term's value (times 2**e): the free correlator at z2 reflected to -z2.
     if not (z1 > 0.0 and z2 > 0.0):
         raise ValueError("both points must be strictly inside the fluid (z1, z2 > 0)")
-    return _density(medium, math.hypot(transverse, z1 + z2), dt, 1.0, e)
+    return _kernel(medium.rho0, medium.cs, -1, math.hypot(transverse, z1 + z2), dt, 1.0, e)
 
 
 def correlator(medium: FluidMedium, sep: Separation) -> CorrelatorValue:
@@ -202,7 +200,8 @@ def correlator(medium: FluidMedium, sep: Separation) -> CorrelatorValue:
     SoundConeSingularityError, CoincidenceDivergenceError
         On or at the apex of the sound cone.
     """
-    return CorrelatorValue(_density(medium, sep.r, sep.dt), "density-correlator")
+    return CorrelatorValue(_kernel(medium.rho0, medium.cs, -1, sep.r, sep.dt),
+                           "density-correlator")
 
 
 def equal_time_correlator(medium: FluidMedium, r: float) -> CorrelatorValue:
@@ -213,7 +212,7 @@ def equal_time_correlator(medium: FluidMedium, r: float) -> CorrelatorValue:
     """
     if not r >= 0.0:
         raise ValueError(f"distance must be positive, got {r}")
-    return CorrelatorValue(_density(medium, r, 0.0), "equal-time-correlator")
+    return CorrelatorValue(_kernel(medium.rho0, medium.cs, -1, r, 0.0), "equal-time-correlator")
 
 
 def scalar_field_analog(c_light: float, sep: Separation) -> float:
@@ -230,8 +229,7 @@ def scalar_field_analog(c_light: float, sep: Separation) -> float:
     """
     if not 0.0 < c_light < math.inf:
         raise ValueError(f"propagation speed must be positive and finite, got {c_light}")
-    # c*c*c, not c**3: an overflow becomes inf, which the kernel refuses.
-    return _kernel(_HBAR_2PI2 * c_light * c_light * c_light, c_light, sep.r, sep.dt)
+    return _kernel(1.0, c_light, 3, sep.r, sep.dt)
 
 
 def boundary_shift_planar(medium: FluidMedium, z: float) -> CorrelatorValue:
@@ -251,7 +249,8 @@ def boundary_shift_planar(medium: FluidMedium, z: float) -> CorrelatorValue:
         raise BoundaryContactError("z = 0: the renormalized variance diverges at the wall")
     if not z > 0.0:
         raise ValueError(f"distance to wall must be positive, got {z}")
-    return CorrelatorValue(_density(medium, 2.0 * z, 0.0), "planar-boundary-shift")
+    return CorrelatorValue(_kernel(medium.rho0, medium.cs, -1, 2.0 * z, 0.0),
+                           "planar-boundary-shift")
 
 
 def boundary_image_term(medium: FluidMedium, z1: float, z2: float,
@@ -280,12 +279,13 @@ def boundary_correlator(medium: FluidMedium, z1: float, z2: float,
     FluctusError.
     """
     image = _image(medium, z1, z2, transverse, dt)
-    direct = _density(medium, math.hypot(transverse, z1 - z2), dt)
+    rd = math.hypot(transverse, z1 - z2)
+    direct = _kernel(medium.rho0, medium.cs, -1, rd, dt)
     value = direct + image
     if -TINY < direct < TINY or -TINY < image < TINY or value - value != 0.0:
         # A term lost digits below the normal range, or the sum overflowed: add over 2**e.
         e = math.frexp(max(abs(direct), abs(image)))[1]
-        value = scaled(_density(medium, math.hypot(transverse, z1 - z2), dt, 1.0, -e)
+        value = scaled(_kernel(medium.rho0, medium.cs, -1, rd, dt, 1.0, -e)
                        + _image(medium, z1, z2, transverse, dt, -e), e,
                        "boundary_correlator at z1 = {!r} m, z2 = {!r} m, "
                        "transverse = {!r} m, dt = {!r} s", z1, z2, transverse, dt)

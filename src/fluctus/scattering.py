@@ -173,9 +173,8 @@ def _emitted_shift(medium: FluidMedium, cfg: ScatteringConfig,
     """
     omega_prime, omega_q = _shift(medium, cfg)
     if omega_q == 0.0 or omega_prime == 0.0:
-        raise FluctusError(
-            f"{formula} for '{medium.name}' at omega = {cfg.omega:.6g} rad/s: "
-            "the phonon shift or omega' lies below the float resolution of omega")
+        raise FluctusError(_AT_OMEGA.format(formula, medium, cfg) + ": the phonon shift "
+                           "or omega' lies below the float resolution of omega")
     return omega_prime, omega_q
 
 
@@ -355,6 +354,25 @@ def adiabatic_compressibility(medium: FluidMedium) -> float:
     return scaled(1.0 / m / c / c, -e - 2 * ec, "adiabatic_compressibility for '{.name}'", medium)
 
 
+def _thermal_apart(medium: FluidMedium, cfg: ScatteringConfig, T: float, pol: float,
+                   name: str, entropy: bool = False) -> float:
+    """A thermal line, _THERMAL omega^4 T (drho^2 / cs^2 [+ T deps_dt^2 / cp]) / rho0 * pol,
+    with every factor's exponent apart (``errors.scaled``): for where a partial product
+    of the plain form left the float range.  ``entropy`` adds the bracket's second term."""
+    (w, ew), (t, et), (d, ed), (c, ec), (m, em) = map(
+        math.frexp, (cfg.omega, T, medium.drho, medium.cs, medium.rho0))
+    bracket, e = d * d / c / c, 2 * (ed - ec)
+    if entropy:  # both terms over the larger one's power of two
+        (p, ep), (q, eq) = math.frexp(medium.cp), math.frexp(medium.deps_dt)
+        er = et - ep + 2 * eq
+        top = max(e, er)
+        bracket = math.ldexp(bracket, e - top) + math.ldexp(t / p * q * q, er - top)
+        e = top
+    w *= w
+    return scaled(_THERMAL * w * w * t * bracket / m * pol, 4 * ew + et + e - em,
+                  _AT_OMEGA, name, medium, cfg)
+
+
 def thermal_brillouin_cross_section(medium: FluidMedium,
                                     cfg: ScatteringConfig) -> CrossSectionValue:
     """Thermal Brillouin cross section per unit scattering volume.
@@ -366,7 +384,9 @@ def thermal_brillouin_cross_section(medium: FluidMedium,
     pol = polarization_factor(cfg.theta, cfg.pol)
     omega2, drho, cs = cfg.omega * cfg.omega, medium.drho, medium.cs
     x = _THERMAL * omega2 * omega2 * T * drho * drho / cs / cs
-    return CrossSectionValue(_over_rho0(x, pol, "thermal_brillouin_cross_section", medium, cfg),
+    name = "thermal_brillouin_cross_section"
+    return CrossSectionValue(_over_rho0(x, pol, name, medium, cfg) if x < math.inf
+                             else _thermal_apart(medium, cfg, T, pol, name),
                              "thermal-brillouin", pol)
 
 
@@ -390,7 +410,9 @@ def thermal_total_cross_section(medium: FluidMedium,
     omega2, drho, deps_dt, cs = cfg.omega * cfg.omega, medium.drho, medium.deps_dt, medium.cs
     x = (_THERMAL * omega2 * omega2 * T
          * (drho * drho / cs / cs + T / medium.cp * deps_dt * deps_dt))
-    return CrossSectionValue(_over_rho0(x, pol, "thermal_total_cross_section", medium, cfg),
+    name = "thermal_total_cross_section"
+    return CrossSectionValue(_over_rho0(x, pol, name, medium, cfg) if x < math.inf
+                             else _thermal_apart(medium, cfg, T, pol, name, True),
                              "thermal-total", pol)
 
 

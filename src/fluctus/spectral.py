@@ -53,13 +53,9 @@ __all__ = [
     "SpectralEstimate",
 ]
 
-#: Damping floor: the quadrature domain ends where the damped envelope
-#: has fallen below this fraction of its peak.
-_DAMPING_FLOOR = 1e-14
-
-#: The truncation wavenumber times the damping length: past q = _TRUNCATION / eps
-#: the q^2 envelope times the damping is below _DAMPING_FLOOR of its peak.  Eight
-#: fixed-point steps of x = -ln(_DAMPING_FLOOR) + 2 ln x from x = 33.
+#: The truncation wavenumber times the damping length: the quadrature domain ends
+#: at q = _TRUNCATION / eps, past which the q^2 envelope times the damping is below
+#: 1e-14 of its peak.  Eight fixed-point steps of x = -ln(1e-14) + 2 ln x from x = 33.
 _TRUNCATION = 39.59352235773582
 
 #: Gauss-Legendre rule applied per oscillation panel.
@@ -227,8 +223,8 @@ def _regulated_values(b: float, epsilons: tuple[float, ...],
     it p times, at most _MAX_HALVINGS, until two successive passes agree
     to _QUAD_TOL on every ladder entry (and none sums to exactly 0).  A
     pass covers the domain up to the truncation wavenumber with whole
-    blocks (at most one past it, where the damped envelope is below
-    _DAMPING_FLOOR); one that would need more than _MAX_BLOCKS blocks is
+    blocks (at most one past it, where the damped envelope is below 1e-14
+    of its peak); one that would need more than _MAX_BLOCKS blocks is
     refused before anything is allocated.  Returns the values, the
     achieved pass-to-pass difference, and the passes and points spent.
     A ConvergenceError names ``call``.

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice, scattering, spectral
-from .correlator import Separation, _density, correlator
+from .correlator import Separation, _kernel, correlator
 from .medium import FluidMedium, builtin_material, fluid_medium
 
 __all__ = [
@@ -89,7 +89,7 @@ def rejected_variant_correlator(medium: FluidMedium, r: float, dt: float) -> flo
     Kept only so the spectral suite can demonstrate that the quadrature
     rules this variant out; it is not a supported correlator.
     """
-    return _density(medium, r, dt, 3.0)
+    return _kernel(medium.rho0, medium.cs, -1, r, dt, 3.0)
 
 
 def verify_spectral() -> list[CheckResult]:

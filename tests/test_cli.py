@@ -41,6 +41,8 @@ def test_parse_range_scalar_and_sweeps():
         parse_range("1..2")
     with pytest.raises(ValueError):
         parse_range("1..2:1")
+    with pytest.raises(ValueError, match="logarithmic sweep needs positive endpoints"):
+        parse_range("0..1e-8:3L")
 
 
 @pytest.mark.parametrize("sweep", ["1e-9..inf:3", "nan..1e-8:3", "1e-9..inf:3L",

@@ -46,9 +46,17 @@ def test_regime_classification():
     assert Separation(1.0, 6.7568e-4).regime(cs) is Regime.ON_CONE
 
 
+@pytest.mark.parametrize("cs", [0.0, -1.0, math.nan, math.inf])
+def test_regime_needs_a_positive_finite_sound_speed(cs):
+    with pytest.raises(ValueError, match="sound speed must be positive and finite"):
+        Separation(0.0, 1.0).regime(cs)
+
+
 def test_negative_distance_rejected():
     with pytest.raises(ValueError):
         Separation(-1.0, 0.0)
+    with pytest.raises(ValueError, match="distance must be positive"):
+        equal_time_correlator(WATER, -1e-9)
 
 
 # --- the closed-form correlator ---------------------------------------------
@@ -145,7 +153,7 @@ def test_analog_homogeneity_and_sign():
         scalar_field_analog(c, Separation(3.0e-1, 1e-9))
     with pytest.raises(ValueError):
         scalar_field_analog(math.inf, Separation(1e-9, 0.0))
-    with pytest.raises(FluctusError):  # c^3 overflows the prefactor
+    with pytest.raises(FluctusError):  # the value, about -5e900, is outside the float range
         scalar_field_analog(1e300, Separation(1e-9, 0.0))
 
 
@@ -240,6 +248,8 @@ def test_em_plate_coefficients():
     assert e2 == -b2
     with pytest.raises(BoundaryContactError):
         em_vacuum_shift_plate(0.0)
+    with pytest.raises(ValueError, match="distance to plate must be positive"):
+        em_vacuum_shift_plate(-1e-9)
 
 
 # --- structure factor ----------------------------------------------------------

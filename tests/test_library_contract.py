@@ -331,6 +331,10 @@ _WATER_RAYLEIGH = replace(_WATER_1E9, medium=replace(_WATER, cp=4180.0, deps_dt=
 # x / rho0 overflows before the parallel polarization factor, 0.29, brings it back
 _SLOW = Draw(fluid_medium("slow", rho0=1.0, cs=1e-64, eta=1.0, drho=0.0), Separation(0.0),
              ScatteringConfig(omega=1.0, theta=1.0, pol=Polarization.PARALLEL), 0.0, 0.0, 0.0, 1.0)
+# rho^2 is subnormal where K / rho^4 is still normal: the plain product rounds rho^2 to 52 bits
+_SUBNORMAL_RHO2 = Draw(fluid_medium("corner", rho0=5.414288132957572e-265, cs=1e8, eta=1.0,
+                                    drho=0.0), Separation(1.3112827216033715e-154), _AT_350NM,
+                       1.0, 1.0, 0.0, 1.0)
 _SCALED = sorted((name, lengths) for name, ps in SCALING.items()
                  for lengths, p in enumerate(ps) if p is not None)
 
@@ -356,6 +360,7 @@ _SCALED = sorted((name, lengths) for name, ps in SCALING.items()
 @example(case=("adiabatic_compressibility", 0), draw=_WATER_1E9, exponent=0, k=-1040)
 @example(case=("zero_point_structure_factor", 0), draw=_WATER_Q, exponent=0, k=-925)
 @example(case=("zp_cross_section_reduced", 0), draw=_SLOW, exponent=1023, k=None)
+@example(case=("correlator", 1), draw=_SUBNORMAL_RHO2, exponent=0, k=100)
 def test_scaling_by_a_power_of_two_is_exact(case, draw, exponent, k):
     name, lengths = case
     p = SCALING[name][lengths]
@@ -370,3 +375,41 @@ def test_scaling_by_a_power_of_two_is_exact(case, draw, exponent, k):
     if scaled is None or not all(_normal(v) and _normal(e) for v, e in zip(base, expected)):
         return
     assert _values(CALLS[name](scaled)) == expected, (name, lengths, k)
+
+
+# The scalar analog cannot join SCALING: its speed is the draw's ``a``, which
+# ``_scaled_draw`` scales as a length.  Scaling c by 2**j at fixed c dt scales
+# it by 2**(3 j), and scaling r and dt by 2**k by 2**(-4 k); drawn, j puts c at
+# binary exponent ``c_exponent`` and k the expected value at ``exponent``.  The
+# examples reach, from a base in the normal range, c = 1e-100 at r = 1e-140 and
+# c = 1e120 at r = 1e110, where hbar c^3 / 2 pi^2 leaves the float range, and a
+# c and r where rho^2 is subnormal but the value is not, and c = 1e-297 at
+# dt = 1e-11, where c|dt| is subnormal.
+@settings(max_examples=600, deadline=None)
+@given(c=_POSITIVE, sep=st.builds(Separation, _NONNEGATIVE, _SIGNED),
+       c_exponent=st.integers(-1073, 1024), exponent=st.integers(-1021, 1024),
+       j=st.none(), k=st.none())
+@example(c=math.ldexp(1e-100, 332), sep=Separation(math.ldexp(1e-140, 465)), c_exponent=0,
+         exponent=0, j=-332, k=-465)
+@example(c=math.ldexp(1e120, -399), sep=Separation(math.ldexp(1e110, -365)), c_exponent=0,
+         exponent=0, j=399, k=365)
+@example(c=math.ldexp(1.755956641450399e-91, 300),
+         sep=Separation(math.ldexp(1.3112827216033715e-154, 511)), c_exponent=0, exponent=0,
+         j=-300, k=-511)
+@example(c=math.ldexp(1e-297, 986), sep=Separation(0.0, math.ldexp(-1e-11, 8)), c_exponent=0,
+         exponent=0, j=-986, k=-994)
+def test_the_analog_scales_exactly_in_its_speed_and_lengths(c, sep, c_exponent, exponent,
+                                                            j, k):
+    try:
+        base = scalar_field_analog(c, sep)
+    except (FluctusError, ValueError):
+        return
+    if j is None:
+        j = c_exponent - math.frexp(c)[1]
+        k = (3 * j - exponent + math.frexp(base)[1]) // 4
+    scaled = [_exactly_scaled(x, e) for x, e in ((c, j), (sep.r, k), (sep.dt, k - j))]
+    expected = _ldexp(base, 3 * j - 4 * k)
+    if None in scaled or not (_normal(base) and _normal(expected)):
+        return
+    c2, r2, dt2 = scaled
+    assert scalar_field_analog(c2, Separation(r2, dt2)) == expected, (j, k)

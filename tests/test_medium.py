@@ -98,6 +98,17 @@ def test_bad_number_reports_line():
     assert ":4" in str(exc.value)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("cs_m_s = 1480", "cs_m_s 1480", "expected 'key = value', got 'cs_m_s 1480'"),
+    ("name = water", "name =", "empty value for 'name'"),
+], ids=["no-equals-sign", "empty-name"])
+def test_malformed_line_reports_line(old, new, message):
+    with pytest.raises(MaterialFileError) as exc:
+        parse_material(WATER_FILE.replace(old, new), source="f.mat")
+    line = WATER_FILE.splitlines().index(old) + 1
+    assert str(exc.value) == f"f.mat:{line}: {message}"
+
+
 def test_duplicate_key_is_rejected():
     with pytest.raises(MaterialFileError):
         parse_material(WATER_FILE + "cs_m_s = 1500\n")

@@ -142,6 +142,8 @@ def test_matrix_element_frozen_value_and_volume_scaling():
     assert matrix_element_sq(WATER, 5.386e15, 5.386e15, 5.31e10, 2.0, 1.0) == \
         pytest.approx(m2 / 2.0, rel=1e-14, abs=0)
     assert matrix_element_sq(WATER, 5.386e15, 5.386e15, 5.31e10, 1.0, 0.0) == 0.0
+    with pytest.raises(ValueError, match="quantization volume must be positive"):
+        matrix_element_sq(WATER, 5.386e15, 5.386e15, 5.31e10, 0.0, 1.0)
 
 
 def test_density_of_states_values():
@@ -285,6 +287,23 @@ def test_brillouin_term_is_first_term_of_total():
                     - thermal_brillouin_cross_section(medium, hot).value)
     assert rayleigh_hot == pytest.approx(4.0 * rayleigh, rel=1e-12, abs=0)
     assert rayleigh > 0.0
+
+
+def test_thermal_lines_survive_a_partial_product_beyond_the_float_range():
+    # drho^2 / cs^2 = 1e320 overflows before rho0 = 1e300 brings the value back;
+    # the same medium with cs * 2**500 and rho0 * 2**-1000 has the same values
+    slow = fluid_medium("slow", rho0=1e300, cs=1e-160, eta=1.0, drho=1.0, cp=4180.0,
+                        deps_dt=-1e-4)
+    same = fluid_medium("slow", rho0=math.ldexp(1e300, -1000), cs=math.ldexp(1e-160, 500),
+                        eta=1.0, drho=1.0, cp=4180.0, deps_dt=-1e-4)
+    cfg = ScatteringConfig(omega=omega_from_wavelength(350e-9), theta=1.0)
+    brillouin = thermal_brillouin_cross_section(slow, cfg).value
+    assert brillouin == pytest.approx(thermal_brillouin_cross_section(same, cfg).value,
+                                      rel=1e-15, abs=0)
+    assert brillouin == pytest.approx(2.678754210275111e26, rel=1e-15, abs=0)
+    # the entropy line, T deps_dt^2 / cp, is about 7e-330 of the Brillouin term here
+    assert thermal_total_cross_section(slow, cfg).value == pytest.approx(brillouin, rel=1e-15,
+                                                                          abs=0)
 
 
 def test_default_temperature_comes_from_the_medium():

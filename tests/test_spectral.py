@@ -205,8 +205,11 @@ def test_oracle_inputs_refused_by_name(call, argument):
     # the ladder is formed in units of r, so it cannot underflow to zero and
     # be reported as an exhausted quadrature budget
     (lambda: extrapolated_correlator(WATER, 5e-324, 0.0), "extrapolated_correlator at r = 5e-324"),
+    # (z^2 + 1)^3 underflows to 0 at the undamped cone
+    (lambda: damped_closed_form(fluid_medium("u", rho0=1.0, cs=1.0, eta=1.0, drho=0.0),
+                                1.0, 1.0, 5e-324), "damped_closed_form at r = 1.0"),
 ], ids=["extrapolated-r-1e-300", "damped-r-1e-300", "reduction-r-1e-300",
-        "extrapolated-r-5e-324"])
+        "extrapolated-r-5e-324", "damped-undamped-cone"])
 def test_values_outside_the_float_range_are_refused_by_name(call, name):
     # the correlator scales as r^-4: at r = 1e-300 it has no double value
     with pytest.raises(FluctusError, match=f"^{re.escape(name)} m.*outside the float range"):
