@@ -26,9 +26,10 @@ complete the set.  All cross sections are per unit scattering volume
 The zero-point channel creates a phonon, so it feeds only the
 frequency-downshifted (Stokes) side of the Brillouin doublet.
 
-Every cross section and the ratio returns a finite value or raises a
-FluctusError naming the function, the medium and omega: each passes its
-value through ``fluctus.errors.finite`` just before it returns.
+Every cross section and the ratio is right over the float range, or a
+FluctusError naming the function, the medium and omega: its plain product
+where every partial product is normal, else its factors' exponents apart
+(``_apart``), rounded once by ``fluctus.errors.scaled``, which refuses.
 """
 
 from __future__ import annotations
@@ -146,20 +147,21 @@ def _angular(theta: float) -> float:
 _AT_OMEGA = "{} for '{.name}' at omega = {.omega:.6g} rad/s"
 
 
-def _over_rho0(x: float, pol: float, name: str, medium: FluidMedium,
-               cfg: ScatteringConfig) -> float:
-    # x / rho0 * pol, refused by name unless finite; rho0's exponent apart if x / rho0 overflows.
-    value = x / medium.rho0 * pol
-    if value < math.inf:
-        return value
-    m, e = math.frexp(medium.rho0)
-    return scaled(x / m * pol, -e, _AT_OMEGA, name, medium, cfg)
+def _apart(c: float, factors, pol: float, what: str, *args, e: int = 0) -> float:
+    """c times or over each factor x (n = 1, -1) or its square (n = 2, -2) in turn, times pol
+    2**e, on the factors' ``math.frexp`` mantissas with the exponents apart, rounded once by
+    ``errors.scaled``: the plain form's bits wherever all its partial products are normal."""
+    for x, n in factors:
+        m, ex = math.frexp(x)
+        e += n * ex
+        m = m * m if n * n == 4 else m
+        c = c * m if n > 0 else c / m
+    return scaled(c * pol, e, what, *args)
 
 
-def _shift(medium: FluidMedium, cfg: ScatteringConfig) -> tuple[float, float]:
+def _shift(medium: FluidMedium, omega: float, theta: float) -> tuple[float, float]:
     # (omega_prime, omega_q) of phonon_kinematics.
-    omega = cfg.omega
-    omega_prime = omega - _angular(cfg.theta) * (medium.cs / C_LIGHT) * omega
+    omega_prime = omega - _angular(theta) * (medium.cs / C_LIGHT) * omega
     # Re-derive the shift from the rounded difference so that
     # omega_prime + omega_q reproduces omega exactly in floating point.
     return omega_prime, omega - omega_prime
@@ -171,7 +173,7 @@ def _emitted_shift(medium: FluidMedium, cfg: ScatteringConfig,
     omega' is 0: as theta > 0 and cs < c/2, only where the float resolution
     of omega cannot hold the split, and a cross section built on it is wrong.
     """
-    omega_prime, omega_q = _shift(medium, cfg)
+    omega_prime, omega_q = _shift(medium, cfg.omega, cfg.theta)
     if omega_q == 0.0 or omega_prime == 0.0:
         raise FluctusError(_AT_OMEGA.format(formula, medium, cfg) + ": the phonon shift "
                            "or omega' lies below the float resolution of omega")
@@ -188,7 +190,7 @@ def phonon_kinematics(medium: FluidMedium, cfg: ScatteringConfig) -> Kinematics:
 
     always a fraction of omega (at most 2 cs/c < 1 at backscatter).
     """
-    omega_prime, omega_q = _shift(medium, cfg)
+    omega_prime, omega_q = _shift(medium, cfg.omega, cfg.theta)
     return Kinematics(cfg.omega, omega_prime, omega_q, omega_q / medium.cs)
 
 
@@ -275,6 +277,17 @@ def incident_flux(epsilon0: float, volume: float) -> float:
                   "incident_flux at epsilon0 = {:.6g}, volume = {:.6g} m^3", epsilon0, volume)
 
 
+def _golden_rule(medium: FluidMedium, omega: float, omega_prime: float, omega_q: float,
+                 v: float, pol: float) -> tuple[float, float, float]:
+    # (|M|^2, rate, flux V) at volume v; (inf, inf, 1) where a piece, and so the chain, is refused.
+    try:
+        m2 = matrix_element_sq(medium, omega, omega_prime, omega_q, v, pol)
+        rate = _TWO_PI_HBAR * m2 * density_of_states(omega_prime, medium.epsilon0, v)
+        return m2, rate, incident_flux(medium.epsilon0, v) * v
+    except FluctusError:
+        return math.inf, math.inf, 1.0
+
+
 def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
                            volume: float = 1.0) -> CrossSectionValue:
     """Zero-point cross section assembled from the golden-rule chain.
@@ -289,23 +302,21 @@ def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
     if pol == 0.0:
         return CrossSectionValue(0.0, "zp-golden-rule-chain", pol)
     omega_prime, omega_q = _emitted_shift(medium, cfg, "zp_cross_section_chain")
-    epsilon0, cs = medium.epsilon0, medium.cs
     v = math.frexp(volume)[0] if volume > 0.0 else volume  # else refused below as given
-    try:
-        m2 = matrix_element_sq(medium, cfg.omega, omega_prime, omega_q, v, pol)
-        rate = _TWO_PI_HBAR * m2 * density_of_states(omega_prime, epsilon0, v)
-        flux_volume = incident_flux(epsilon0, v) * v
-        # A flux that underflows to 0 leaves a value beyond the float range.
-        value = rate / flux_volume if flux_volume else math.inf
-    except FluctusError:  # a piece beyond the float range is refused as the chain
-        m2 = rate = value = math.inf
-    # Right only where every partial product after rho0 is normal (m2 cs^2: before / cs^2).
-    if m2 >= TINY and m2 * cs * cs >= TINY and rate >= TINY and TINY <= value < math.inf:
+    m2, rate, flux_volume = _golden_rule(medium, cfg.omega, omega_prime, omega_q, v, pol)
+    # Plain where every partial product is normal: m2 cs^2 is the one before / cs^2, and m2
+    # cs^2 rho0 v bounds hbar^3/8 omega omega' Omega_q, the least product of frequencies.
+    if (m2 >= TINY and (x := m2 * medium.cs * medium.cs) >= TINY and x * medium.rho0 * v >= TINY
+            and rate >= TINY and TINY <= (value := rate / flux_volume) < math.inf):
         return CrossSectionValue(value, "zp-golden-rule-chain", pol)
-    m, e = math.frexp(medium.rho0)
-    if e:  # once more at rho0's mantissa, its exponent apart
-        value = zp_cross_section_chain(replace(medium, rho0=m), cfg, v).value
-    return CrossSectionValue(scaled(value, -e, _AT_OMEGA, "zp_cross_section_chain", medium, cfg),
+    # Else again at rho0's mantissa and omega scaled into [2**-22, 2**-21): Omega_q >= omega's
+    # resolution, and omega'^2 < 2**-42 < 1 / _DOS keeps the density of states below eps0^1.5.
+    (m, e), (w, ew) = math.frexp(medium.rho0), math.frexp(cfg.omega)
+    w, ew = math.ldexp(w, -21), ew + 21
+    _, rate, flux_volume = _golden_rule(replace(medium, rho0=m), w,
+                                        *_shift(medium, w, cfg.theta), v, pol)
+    return CrossSectionValue(_apart(1.0, ((rate, 1), (flux_volume, -1)), 1.0, _AT_OMEGA,
+                                    "zp_cross_section_chain", medium, cfg, e=5 * ew - e),
                              "zp-golden-rule-chain", pol)
 
 
@@ -320,12 +331,16 @@ def zp_cross_section_exact(medium: FluidMedium, cfg: ScatteringConfig) -> CrossS
     if pol == 0.0:
         return CrossSectionValue(0.0, "zp-exact", pol)
     omega_prime, omega_q = _emitted_shift(medium, cfg, "zp_cross_section_exact")
-    eta, cs = medium.eta, medium.cs
+    omega, eta, cs, rho0 = cfg.omega, medium.eta, medium.cs, medium.rho0
     eta2 = eta * eta
-    x = (_ZP_EXACT * cfg.omega * omega_prime * omega_prime * omega_prime * omega_q
-         * eta2 * eta2 / cs / cs)
-    return CrossSectionValue(_over_rho0(x, pol, "zp_cross_section_exact", medium, cfg),
-                             "zp-exact", pol)
+    # Plain where every partial product is normal: those before y fall to it if omega < 1, else
+    # stay >= _ZP_EXACT 2**-159 (omega', Omega_q >= 2**-53 omega as not 0); eta^2 >= 1 raises.
+    if ((y := _ZP_EXACT * omega * omega_prime * omega_prime * omega_prime * omega_q) >= TINY
+            and (x := y * eta2 * eta2 / cs / cs) >= TINY and TINY <= (z := x / rho0) < math.inf):
+        return CrossSectionValue(z * pol, "zp-exact", pol)
+    return CrossSectionValue(_apart(_ZP_EXACT, ((omega, 1), (omega_prime, 1), (omega_prime, 1),
+        (omega_prime, 1), (omega_q, 1), (eta, 2), (eta, 2), (cs, -1), (cs, -1), (rho0, -1)),
+        pol, _AT_OMEGA, "zp_cross_section_exact", medium, cfg), "zp-exact", pol)
 
 
 def zp_cross_section_reduced(medium: FluidMedium, cfg: ScatteringConfig) -> CrossSectionValue:
@@ -338,11 +353,15 @@ def zp_cross_section_reduced(medium: FluidMedium, cfg: ScatteringConfig) -> Cros
     the neglected recoil is bounded by 4 Omega_q / omega.
     """
     pol = polarization_factor(cfg.theta, cfg.pol)
-    omega, eta = cfg.omega, medium.eta
+    a, omega, eta, cs, rho0 = _angular(cfg.theta), cfg.omega, medium.eta, medium.cs, medium.rho0
     omega2, eta2 = omega * omega, eta * eta
-    x = _angular(cfg.theta) * _ZP_REDUCED * omega2 * omega2 * omega * eta2 * eta2 / medium.cs
-    return CrossSectionValue(_over_rho0(x, pol, "zp_cross_section_reduced", medium, cfg),
-                             "zp-omega5", pol)
+    # Plain where every partial product is normal: omega's powers take k monotonically to y.
+    if ((k := a * _ZP_REDUCED) >= TINY and (y := k * omega2 * omega2 * omega) >= TINY
+            and (x := y * eta2 * eta2 / cs) >= TINY and TINY <= (z := x / rho0) < math.inf):
+        return CrossSectionValue(z * pol, "zp-omega5", pol)
+    return CrossSectionValue(_apart(_ZP_REDUCED, (
+        (a, 1), (omega, 2), (omega, 2), (omega, 1), (eta, 2), (eta, 2), (cs, -1), (rho0, -1)),
+        pol, _AT_OMEGA, "zp_cross_section_reduced", medium, cfg), "zp-omega5", pol)
 
 
 def adiabatic_compressibility(medium: FluidMedium) -> float:
@@ -350,27 +369,8 @@ def adiabatic_compressibility(medium: FluidMedium) -> float:
 
     Raises FluctusError where the value leaves the float range.
     """
-    (m, e), (c, ec) = math.frexp(medium.rho0), math.frexp(medium.cs)
-    return scaled(1.0 / m / c / c, -e - 2 * ec, "adiabatic_compressibility for '{.name}'", medium)
-
-
-def _thermal_apart(medium: FluidMedium, cfg: ScatteringConfig, T: float, pol: float,
-                   name: str, entropy: bool = False) -> float:
-    """A thermal line, _THERMAL omega^4 T (drho^2 / cs^2 [+ T deps_dt^2 / cp]) / rho0 * pol,
-    with every factor's exponent apart (``errors.scaled``): for where a partial product
-    of the plain form left the float range.  ``entropy`` adds the bracket's second term."""
-    (w, ew), (t, et), (d, ed), (c, ec), (m, em) = map(
-        math.frexp, (cfg.omega, T, medium.drho, medium.cs, medium.rho0))
-    bracket, e = d * d / c / c, 2 * (ed - ec)
-    if entropy:  # both terms over the larger one's power of two
-        (p, ep), (q, eq) = math.frexp(medium.cp), math.frexp(medium.deps_dt)
-        er = et - ep + 2 * eq
-        top = max(e, er)
-        bracket = math.ldexp(bracket, e - top) + math.ldexp(t / p * q * q, er - top)
-        e = top
-    w *= w
-    return scaled(_THERMAL * w * w * t * bracket / m * pol, 4 * ew + et + e - em,
-                  _AT_OMEGA, name, medium, cfg)
+    return _apart(1.0, ((medium.rho0, -1), (medium.cs, -1), (medium.cs, -1)), 1.0,
+                  "adiabatic_compressibility for '{.name}'", medium)
 
 
 def thermal_brillouin_cross_section(medium: FluidMedium,
@@ -382,12 +382,16 @@ def thermal_brillouin_cross_section(medium: FluidMedium,
     """
     T = cfg.temperature or medium.default_temperature
     pol = polarization_factor(cfg.theta, cfg.pol)
-    omega2, drho, cs = cfg.omega * cfg.omega, medium.drho, medium.cs
-    x = _THERMAL * omega2 * omega2 * T * drho * drho / cs / cs
-    name = "thermal_brillouin_cross_section"
-    return CrossSectionValue(_over_rho0(x, pol, name, medium, cfg) if x < math.inf
-                             else _thermal_apart(medium, cfg, T, pol, name),
-                             "thermal-brillouin", pol)
+    omega, drho, cs, rho0 = cfg.omega, medium.drho, medium.cs, medium.rho0
+    omega2 = omega * omega
+    # Plain where every partial product is normal: each unchecked one is bounded by checked ones.
+    if ((y := _THERMAL * omega2 * omega2) >= TINY and (t := y * T) >= TINY
+            and (u := t * drho * drho) >= TINY and (x := u / cs / cs) >= TINY
+            and TINY <= (z := x / rho0) < math.inf):
+        return CrossSectionValue(z * pol, "thermal-brillouin", pol)
+    return CrossSectionValue(_apart(_THERMAL, (
+        (omega, 2), (omega, 2), (T, 1), (drho, 1), (drho, 1), (cs, -1), (cs, -1), (rho0, -1)),
+        pol, _AT_OMEGA, "thermal_brillouin_cross_section", medium, cfg), "thermal-brillouin", pol)
 
 
 def thermal_total_cross_section(medium: FluidMedium,
@@ -407,13 +411,15 @@ def thermal_total_cross_section(medium: FluidMedium,
         raise MissingPropertyError("deps_dt", medium.name)
     T = cfg.temperature or medium.default_temperature
     pol = polarization_factor(cfg.theta, cfg.pol)
-    omega2, drho, deps_dt, cs = cfg.omega * cfg.omega, medium.drho, medium.deps_dt, medium.cs
-    x = (_THERMAL * omega2 * omega2 * T
-         * (drho * drho / cs / cs + T / medium.cp * deps_dt * deps_dt))
-    name = "thermal_total_cross_section"
-    return CrossSectionValue(_over_rho0(x, pol, name, medium, cfg) if x < math.inf
-                             else _thermal_apart(medium, cfg, T, pol, name, True),
-                             "thermal-total", pol)
+    # The bracket drho^2 / cs^2 + T deps_dt^2 / cp over its larger nonzero term's power of 2.
+    (d, ed), (c, ec), (t, et), (p, ep), (q, eq) = map(
+        math.frexp, (medium.drho, medium.cs, T, medium.cp, medium.deps_dt))
+    b1, e1, b2, e2 = d * d / c / c, 2 * (ed - ec), t / p * q * q, et - ep + 2 * eq
+    top = e1 if not b2 or (b1 and e1 > e2) else e2
+    bracket = math.ldexp(b1, e1 - top) + math.ldexp(b2, e2 - top)
+    return CrossSectionValue(_apart(_THERMAL, (
+        (cfg.omega, 2), (cfg.omega, 2), (T, 1), (bracket, 1), (medium.rho0, -1)), pol, _AT_OMEGA,
+        "thermal_total_cross_section", medium, cfg, e=top), "thermal-total", pol)
 
 
 def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
@@ -427,14 +433,18 @@ def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
     """
     drho2 = medium.drho * medium.drho
     if drho2 == 0.0:  # also catches a drho whose square underflows
-        raise FluctusError(
-            f"ratio_zp_thermal: material '{medium.name}' has drho = {medium.drho!r}, "
-            "whose square is 0; the thermal Brillouin cross section vanishes and the "
-            "ratio is undefined"
-        )
+        raise FluctusError(f"ratio_zp_thermal: material '{medium.name}' has drho = "
+                           f"{medium.drho!r}, whose square is 0; the thermal Brillouin cross "
+                           "section vanishes and the ratio is undefined")
     T = cfg.temperature or medium.default_temperature
-    eta2 = medium.eta * medium.eta
-    # Divided by T alone: 2 kB T underflows to 0 for T below ~2e-301 K.
-    value = (_angular(cfg.theta) * (_HBAR_2KB * cfg.omega / T)
-             * (medium.cs / C_LIGHT) * eta2 * eta2 / drho2)
-    return finite(value, _AT_OMEGA, "ratio_zp_thermal", medium, cfg)
+    a, omega, cs, eta2 = _angular(cfg.theta), cfg.omega, medium.cs, medium.eta * medium.eta
+    # Plain where every partial is normal (s < 1/2: x bounds a w); over T alone, as 2 kB T
+    # underflows to 0 for T below ~2e-301 K.
+    if ((h := _HBAR_2KB * omega) >= TINY and (w := h / T) >= TINY
+            and (s := cs / C_LIGHT) >= TINY and (x := a * w * s) >= TINY
+            and TINY <= drho2 < math.inf and (value := x * eta2 * eta2 / drho2) < math.inf):
+        return value
+    # cs 2**128 / c is normal for every cs, and has the bits of cs / c where that is normal.
+    return _apart(_HBAR_2KB, ((omega, 1), (T, -1), (a, 1), (math.ldexp(cs, 128) / C_LIGHT, 1),
+                              (medium.eta, 2), (medium.eta, 2), (medium.drho, -2)), 1.0,
+                  _AT_OMEGA, "ratio_zp_thermal", medium, cfg, e=-128)

@@ -17,7 +17,9 @@ construction.
 Values that are right, not only finite: scaling rho0 by 2**k scales each
 rho0-linear result by exactly 2**(p k), bit for bit, wherever that
 result is a normal float, and so does scaling every length of a draw
-together.  A wrong 0, or a value off by one ulp, fails this property.
+together, and scaling the light's angular frequency omega (a cross
+section as omega**5 or omega**4, the ratio as omega).  A wrong 0, or a
+value off by one ulp, fails this property.
 """
 
 import math
@@ -41,7 +43,7 @@ from fluctus.correlator import (
 )
 from fluctus.errors import FluctusError, MaterialValidationError
 from fluctus.lattice import ModeGrid, lattice_correlator
-from fluctus.medium import C_LIGHT, HBAR, FluidMedium, builtin_material, fluid_medium
+from fluctus.medium import C_LIGHT, HBAR, K_B, FluidMedium, builtin_material, fluid_medium
 from fluctus.scattering import (
     CrossSectionValue,
     Kinematics,
@@ -256,38 +258,47 @@ def test_sound_from_half_light_speed_up_is_refused(cs, rho0, eta, drho, temperat
 
 
 @settings(max_examples=200, deadline=None)
-@given(medium=_PHYSICAL_MEDIA, q=st.floats(1e6, 1e11))
-def test_exponent_apart_forms_equal_their_plain_products(medium, q):
+@given(medium=_PHYSICAL_MEDIA, q=st.floats(1e6, 1e11), cfg=_PHYSICAL_CONFIGS,
+       cp=st.floats(1e3, 5e3), deps_dt=st.floats(1e-6, 1e-3), sign=st.sampled_from([-1, 1]))
+def test_exponent_apart_forms_equal_their_plain_products(medium, q, cfg, cp, deps_dt, sign):
     # bit for bit wherever the plain product stays in the normal range
     assert zero_point_structure_factor(medium, q) == HBAR * medium.rho0 * q / (2.0 * medium.cs)
     assert adiabatic_compressibility(medium) == 1.0 / medium.rho0 / medium.cs / medium.cs
+    deps_dt *= sign
+    T, omega2 = cfg.temperature or medium.default_temperature, cfg.omega * cfg.omega
+    plain = (K_B / (16.0 * math.pi**2 * C_LIGHT**4) * omega2 * omega2 * T
+             * (medium.drho * medium.drho / medium.cs / medium.cs + T / cp * deps_dt * deps_dt)
+             / medium.rho0 * polarization_factor(cfg.theta, cfg.pol))
+    full = replace(medium, cp=cp, deps_dt=deps_dt)
+    assert thermal_total_cross_section(full, cfg).value == plain
 
 
 # --- exact scaling ------------------------------------------------------------
 
 #: The power p of 2**(p k) by which each call's values scale when rho0 is
-#: scaled by 2**k, and when every length of the draw (r, dt, a, b,
-#: transverse and dx: the z, eps and L of the calls) is; None where the
-#: call is not homogeneous in them.  ``zero_point_structure_factor`` reads
-#: ``a`` as the wavenumber q, so it scales as 2**k with the lengths.
+#: scaled by 2**k (axis 0), when every length of the draw (r, dt, a, b,
+#: transverse and dx: the z, eps and L of the calls) is (axis 1), and when
+#: omega is (axis 2); None where the call is not homogeneous in them.
+#: ``zero_point_structure_factor`` reads ``a`` as the wavenumber q, so it
+#: scales as 2**k with the lengths.
 SCALING = {
-    "correlator": (1, -4),
-    "equal_time_correlator": (1, -4),
-    "boundary_shift_planar": (1, -4),
-    "boundary_image_term": (1, -4),
-    "boundary_correlator": (1, -4),
-    "zero_point_structure_factor": (1, 1),
-    "zp_cross_section_chain": (-1, None),
-    "zp_cross_section_exact": (-1, None),
-    "zp_cross_section_reduced": (-1, None),
-    "adiabatic_compressibility": (-1, None),
-    "thermal_brillouin_cross_section": (-1, None),
-    "thermal_total_cross_section": (-1, None),
-    "ratio_zp_thermal": (0, None),
-    "lattice_correlator": (1, -4),
-    "damped_closed_form": (1, -4),
-    "regulated_integrand_reduction": (1, -4),
-    "extrapolated_correlator": (1, -4),
+    "correlator": (1, -4, None),
+    "equal_time_correlator": (1, -4, None),
+    "boundary_shift_planar": (1, -4, None),
+    "boundary_image_term": (1, -4, None),
+    "boundary_correlator": (1, -4, None),
+    "zero_point_structure_factor": (1, 1, None),
+    "zp_cross_section_chain": (-1, None, 5),
+    "zp_cross_section_exact": (-1, None, 5),
+    "zp_cross_section_reduced": (-1, None, 5),
+    "adiabatic_compressibility": (-1, None, None),
+    "thermal_brillouin_cross_section": (-1, None, 4),
+    "thermal_total_cross_section": (-1, None, 4),
+    "ratio_zp_thermal": (0, None, 1),
+    "lattice_correlator": (1, -4, None),
+    "damped_closed_form": (1, -4, None),
+    "regulated_integrand_reduction": (1, -4, None),
+    "extrapolated_correlator": (1, -4, None),
 }
 
 
@@ -301,15 +312,22 @@ def _ldexp(x, k):
 def _exactly_scaled(x, k):
     # x * 2**k, or None where that product is not exact
     y = _ldexp(x, k)
-    return y if math.isfinite(y) and math.ldexp(y, -k) == x else None
+    return y if math.isfinite(y) and _ldexp(y, -k) == x else None
 
 
-def _scaled_draw(draw, k, lengths):
-    """The draw with rho0, or every length, scaled by 2**k; None where a
-    scaled input would not be exact."""
-    if not lengths:
+def _scaled_draw(draw, k, axis):
+    """The draw with rho0 (axis 0), every length (1) or omega (2) scaled by
+    2**k; None where a scaled input would not be exact, or where omega
+    before or after is not normal: the phonon shift is a difference at
+    omega's float resolution, which a subnormal omega does not scale."""
+    if axis == 0:
         rho0 = _exactly_scaled(draw.medium.rho0, k)
         return None if rho0 is None else replace(draw, medium=replace(draw.medium, rho0=rho0))
+    if axis == 2:
+        omega = _exactly_scaled(draw.cfg.omega, k)
+        if omega is None or not (_normal(omega) and _normal(draw.cfg.omega)):
+            return None
+        return replace(draw, cfg=replace(draw.cfg, omega=omega))
     xs = [_exactly_scaled(x, k) for x in (draw.sep.r, draw.sep.dt, draw.a, draw.b,
                                          draw.transverse, *draw.dx)]
     if None in xs:
@@ -335,14 +353,35 @@ _SLOW = Draw(fluid_medium("slow", rho0=1.0, cs=1e-64, eta=1.0, drho=0.0), Separa
 _SUBNORMAL_RHO2 = Draw(fluid_medium("corner", rho0=5.414288132957572e-265, cs=1e8, eta=1.0,
                                     drho=0.0), Separation(1.3112827216033715e-154), _AT_350NM,
                        1.0, 1.0, 0.0, 1.0)
-_SCALED = sorted((name, lengths) for name, ps in SCALING.items()
-                 for lengths, p in enumerate(ps) if p is not None)
+# rho0 = 1e-300 at omega = 1e6: the zero-point partial products of omega underflow before
+# rho0 brings the value back, at omega 2**-182 (the closed forms, then 0.0), 2**-254 (the
+# chain, off by 2e-5) and 2**-262 (the chain, then 0.0)
+_LIGHT = replace(_WATER_1E9, medium=fluid_medium("light", rho0=1e-300, cs=1480.0, eta=1.33,
+                                                 drho=0.79),
+                 cfg=ScatteringConfig(omega=1e6, theta=1.0))
+# rho0 = 1e-40 at T = 300: omega = 1e-64 gave 9.251873284023184e-280, where the value is
+# 9.2519387597139587e-280, and omega = 1e-66 gave 0.0
+_LIGHT_THERMAL = replace(_LIGHT, medium=replace(_LIGHT.medium, rho0=1e-40),
+                         cfg=ScatteringConfig(omega=math.ldexp(1e-64, 200), theta=1.0,
+                                              temperature=300.0))
+# drho = 0 at cs = 1e-160: the zero term set the bracket's power of two, and omega = 1e95
+# gave 0.0, where the value is 2.330488534219703e+294
+_NO_DRHO = replace(_LIGHT, medium=fluid_medium("z", rho0=1e20, cs=1e-160, eta=1.0, drho=0.0,
+                                               cp=4180.0, deps_dt=-1e-4),
+                   cfg=ScatteringConfig(omega=math.ldexp(1e95, -100), theta=1.0,
+                                        temperature=300.0))
+# eta = 1e66: at omega = 2**-957 the ratio was 1.7599708315994718e-44, not ...713e-44
+_HIGH_ETA = replace(_LIGHT, medium=fluid_medium("d", rho0=1.0, cs=1.0, eta=1e66, drho=1.0),
+                    cfg=ScatteringConfig(omega=1.0, theta=2.0, temperature=1.0))
+_SCALED = sorted((name, axis) for name, ps in SCALING.items()
+                 for axis, p in enumerate(ps) if p is not None)
 
 
 # Drawn, k puts the first expected value at binary exponent ``exponent``,
 # so that most draws with a normal value check something; half the draws
 # are physically sized, as few full-range ones give a normal value.  The
-# examples, the faults this property found, give k and rho0 = 997 * 2**k.
+# examples, the faults this property found, give k: rho0 = 997 * 2**k on
+# axis 0, and on axis 2 the omega of a case above times 2**k.
 @settings(max_examples=600, deadline=None)
 @given(case=st.sampled_from(_SCALED), draw=st.one_of(_DRAWS, _physical_draws()),
        exponent=st.integers(-1021, 1024), k=st.none())
@@ -361,20 +400,30 @@ _SCALED = sorted((name, lengths) for name, ps in SCALING.items()
 @example(case=("zero_point_structure_factor", 0), draw=_WATER_Q, exponent=0, k=-925)
 @example(case=("zp_cross_section_reduced", 0), draw=_SLOW, exponent=1023, k=None)
 @example(case=("correlator", 1), draw=_SUBNORMAL_RHO2, exponent=0, k=100)
+@example(case=("zp_cross_section_exact", 2), draw=_LIGHT, exponent=0, k=-182)
+@example(case=("zp_cross_section_reduced", 2), draw=_LIGHT, exponent=0, k=-182)
+@example(case=("zp_cross_section_chain", 2), draw=_LIGHT, exponent=0, k=-254)
+@example(case=("zp_cross_section_chain", 2), draw=_LIGHT, exponent=0, k=-262)
+@example(case=("thermal_brillouin_cross_section", 2), draw=_LIGHT_THERMAL, exponent=0, k=-200)
+@example(case=("thermal_brillouin_cross_section", 2), draw=replace(
+    _LIGHT_THERMAL, cfg=replace(_LIGHT_THERMAL.cfg, omega=math.ldexp(1e-66, 200))),
+    exponent=0, k=-200)
+@example(case=("thermal_total_cross_section", 2), draw=_NO_DRHO, exponent=0, k=100)
+@example(case=("ratio_zp_thermal", 2), draw=_HIGH_ETA, exponent=0, k=-957)
 def test_scaling_by_a_power_of_two_is_exact(case, draw, exponent, k):
-    name, lengths = case
-    p = SCALING[name][lengths]
+    name, axis = case
+    p = SCALING[name][axis]
     try:
         base = _values(CALLS[name](draw))
     except (FluctusError, ValueError):
         return
     if k is None:
         k = (exponent - math.frexp(base[0])[1]) // p if p else exponent
-    scaled = _scaled_draw(draw, k, lengths)
+    scaled = _scaled_draw(draw, k, axis)
     expected = tuple(_ldexp(v, p * k) for v in base)
     if scaled is None or not all(_normal(v) and _normal(e) for v, e in zip(base, expected)):
         return
-    assert _values(CALLS[name](scaled)) == expected, (name, lengths, k)
+    assert _values(CALLS[name](scaled)) == expected, (name, axis, k)
 
 
 # The scalar analog cannot join SCALING: its speed is the draw's ``a``, which

@@ -306,6 +306,16 @@ def test_thermal_lines_survive_a_partial_product_beyond_the_float_range():
                                                                           abs=0)
 
 
+def test_thermal_total_without_drho_is_independent_of_cs():
+    # with drho = 0 the bracket is T deps_dt^2 / cp alone; at cs = 1e-160 the zero
+    # term drho^2 / cs^2 set the bracket's power of two, and the value was 0.0
+    cfg = ScatteringConfig(omega=1e95, theta=1.0, temperature=300.0)
+    values = [thermal_total_cross_section(fluid_medium("z", rho0=1e20, cs=cs, eta=1.0, drho=0.0,
+                                                       cp=4180.0, deps_dt=-1e-4), cfg).value
+              for cs in (1e-160, 1480.0)]
+    assert values[0] == values[1] == pytest.approx(2.330488534219703e294, rel=1e-15, abs=0)
+
+
 def test_default_temperature_comes_from_the_medium():
     cfg = benchmark_config(temperature=None)
     explicit = benchmark_config(temperature=WATER.default_temperature)
@@ -339,6 +349,14 @@ def test_ratio_scales_linearly_in_omega_and_inverse_t(scale_w, scale_t):
                               temperature=base.temperature * scale_t)
     assert ratio_zp_thermal(WATER, scaled) == \
         pytest.approx(value * scale_w / scale_t, rel=1e-12, abs=0)
+
+
+def test_ratio_scales_exactly_where_drho_squared_is_subnormal():
+    # drho^2 = 0.62 * 2**-1030 is subnormal: its lost bits made the ratio 2.5e-15 off
+    small = fluid_medium("small", rho0=WATER.rho0, cs=WATER.cs, eta=WATER.eta,
+                         drho=math.ldexp(WATER.drho, -515))
+    assert ratio_zp_thermal(small, benchmark_config()) == \
+        math.ldexp(ratio_zp_thermal(WATER, benchmark_config()), 1030)
 
 
 def test_ratio_is_independent_of_rho0_at_fixed_drho():
