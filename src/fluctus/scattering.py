@@ -433,9 +433,11 @@ def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
     """
     drho2 = medium.drho * medium.drho
     if drho2 == 0.0:  # also catches a drho whose square underflows
-        raise FluctusError(f"ratio_zp_thermal: material '{medium.name}' has drho = "
-                           f"{medium.drho!r}, whose square is 0; the thermal Brillouin cross "
-                           "section vanishes and the ratio is undefined")
+        raise FluctusError(
+            f"ratio_zp_thermal: material '{medium.name}' has drho = {medium.drho!r}, "
+            "whose square is 0; the thermal Brillouin cross section vanishes and the "
+            "ratio is undefined"
+        )
     T = cfg.temperature or medium.default_temperature
     a, omega, cs, eta2 = _angular(cfg.theta), cfg.omega, medium.cs, medium.eta * medium.eta
     # Plain where every partial is normal (s < 1/2: x bounds a w); over T alone, as 2 kB T

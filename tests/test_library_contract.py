@@ -382,7 +382,7 @@ _SCALED = sorted((name, axis) for name, ps in SCALING.items()
 # are physically sized, as few full-range ones give a normal value.  The
 # examples, the faults this property found, give k: rho0 = 997 * 2**k on
 # axis 0, and on axis 2 the omega of a case above times 2**k.
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=735, deadline=None)
 @given(case=st.sampled_from(_SCALED), draw=st.one_of(_DRAWS, _physical_draws()),
        exponent=st.integers(-1021, 1024), k=st.none())
 @example(case=("correlator", 0), draw=_WATER_1E9, exponent=0, k=-1010)
