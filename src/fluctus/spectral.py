@@ -77,6 +77,10 @@ _BLOCK_PANELS = 31
 _PANEL_OFFSETS = np.arange(1, 2 * _BLOCK_PANELS, 2)
 _NODE_OFFSETS = (_PANEL_OFFSETS[:, None] + _GL_NODES).ravel()
 _NODE_WEIGHTS = np.tile(_GL_WEIGHTS, _BLOCK_PANELS)
+#: Each node's weight times 1, 2 k and k^2 at node offset k, the parts of
+#: (start + k)^2 that vary within a block (:func:`_panel_sums`).
+_NODE_MOMENTS = _NODE_WEIGHTS * np.stack((np.ones(_NODE_OFFSETS.size), 2.0 * _NODE_OFFSETS,
+                                          _NODE_OFFSETS * _NODE_OFFSETS))
 
 #: The regulator standard.  The damping ladder has _LADDER_RUNGS lengths
 #: halving from scale/_LADDER_START (see :func:`_ladder`); every rung is
@@ -139,6 +143,18 @@ def _phase(n: np.ndarray, turns: np.ndarray) -> np.ndarray:
     return (2.0 * math.pi) * (frac - np.rint(frac))
 
 
+def _fast_node_osc(halvings: int) -> np.ndarray:
+    """A pass's node factors (:func:`_panel_sums`) with the slow rows 0: the
+    fast node phases are (k_i + x_j) / 2**(halvings + 2) turns, whatever b is."""
+    turns = 1.0 / 2 ** (halvings + 2)
+    phase = (_phase(_PANEL_OFFSETS, turns)[:, None] + (2.0 * math.pi) * turns * _GL_NODES).ravel()
+    return np.stack((np.cos(phase), np.zeros_like(phase), np.sin(phase), np.zeros_like(phase)))
+
+
+#: The fast frequency's node factors for each number of halvings.
+_FAST_NODE_OSC = tuple(_fast_node_osc(halvings) for halvings in range(_MAX_HALVINGS + 1))
+
+
 def _panel_sums(b: float, epsilons: tuple[float, ...], halvings: int,
                 blocks: int) -> np.ndarray:
     """Quadrature of q^2 sin(q) cos(qb) e^{-eps q} for every damping length.
@@ -156,11 +172,16 @@ def _panel_sums(b: float, epsilons: tuple[float, ...], halvings: int,
         sin(q a) = sin(s a) cos(u a) + cos(s a) sin(u a),
         q^2 = s^2 + 2 s u + u^2.
 
-    The node sums of w_j u^p e^{-eps u} {cos, sin}(u a), p = 0, 1, 2, over
-    a block's 16 _BLOCK_PANELS nodes are the same for every block, so a
-    pass is one (rungs x 12) by (12 x blocks) product plus, per block, the
-    sin and cos of each frequency and one exp per rung.  As s, u >= 0,
-    neither damping factor exceeds 1 and the q^2 terms do not cancel.
+    In units of h, with start = s / h and k = u / h, q^2 is h^2 times
+    (start + 2 k) start + k^2.  The node sums of w_j {1, 2 k, k^2}
+    e^{-eps u} {cos, sin}(u a) over a block's 16 _BLOCK_PANELS nodes are
+    the same for every block, so a pass is two 2-D products,
+    (3 rungs x nodes) by (nodes x 4) and that by (4 x blocks), plus, per
+    block, the sin and cos of each frequency, one exp per rung and start
+    applied by Horner's rule.  The fast frequency's node factors do not
+    depend on b and are tabulated (_FAST_NODE_OSC); only the slow one's
+    are computed in a pass.  As s, u >= 0, neither damping factor
+    exceeds 1 and the q^2 terms do not cancel.
 
     Every phase is reduced exactly (:func:`_phase`): the block phase s a
     and the panel phase h k_i a are integers times a turn count (the
@@ -173,26 +194,30 @@ def _panel_sums(b: float, epsilons: tuple[float, ...], halvings: int,
     """
     period = 2 ** (halvings + 2)
     h = 2.0 * math.pi / ((1.0 + b) * period)
-    turns = np.array([[1.0], [(1.0 - b) / (1.0 + b)]]) / period
-    eps = np.asarray(epsilons)
-    start = 2 * _BLOCK_PANELS * np.arange(blocks)
-    s = start * h
-    # One exact reduction for the panels' integer offsets and the block edges.
-    phase = _phase(np.concatenate((_PANEL_OFFSETS, start)), turns)
-    node_phase = (phase[:, :_BLOCK_PANELS, None]
-                  + (2.0 * math.pi) * turns[:, :, None] * _GL_NODES).reshape(2, -1)
+    slow = (1.0 - b) / (1.0 + b) / period
+    neg_eps = np.negative(epsilons)
+    start = np.arange(0.0, 2 * _BLOCK_PANELS * blocks, 2 * _BLOCK_PANELS)
+    # One exact reduction for the slow panels' integer offsets and both
+    # frequencies' block edges; the fast panels' row goes unused.
+    phase = _phase(np.concatenate((_PANEL_OFFSETS, start.astype(np.int64))),
+                   np.array([[1.0 / period], [slow]]))
+    slow_phase = (phase[1, :_BLOCK_PANELS, None] + (2.0 * math.pi * slow) * _GL_NODES).ravel()
     # Row i of the block factors pairs with row i of the node factors:
     # sin(s a) with cos(u a), cos(s a) with sin(u a), for each frequency.
-    node_osc = np.concatenate((np.cos(node_phase), np.sin(node_phase)))
+    node_osc = _FAST_NODE_OSC[halvings].copy()
+    np.cos(slow_phase, out=node_osc[1])
+    np.sin(slow_phase, out=node_osc[3])
     edge = np.concatenate((np.sin(phase[:, _BLOCK_PANELS:]), np.cos(phase[:, _BLOCK_PANELS:])))
-    u = h * _NODE_OFFSETS
-    node = _NODE_WEIGHTS * np.exp(-np.multiply.outer(eps, u))
-    node_sums = np.stack((node, node * u, node * (u * u))) @ node_osc.T
-    features = (edge[:, None, :] * np.stack((s * s, 2.0 * s, np.ones(blocks)))).reshape(-1, blocks)
-    per_block = node_sums.transpose(1, 2, 0).reshape(len(eps), -1) @ features
-    damping = np.multiply.outer(-eps, s)
-    per_block *= np.exp(damping, out=damping)
-    return per_block.sum(axis=1) * (h / 2.0)
+    node = np.exp(np.multiply.outer(neg_eps, h * _NODE_OFFSETS))
+    moments = (_NODE_MOMENTS[:, None, :] * node).reshape(-1, _NODE_OFFSETS.size)
+    per_block = ((moments @ node_osc.T) @ edge).reshape(3, len(epsilons), blocks)
+    terms = per_block[0] * start
+    terms += per_block[1]
+    terms *= start
+    terms += per_block[2]
+    damping = np.multiply.outer(neg_eps, start * h)
+    terms *= np.exp(damping, out=damping)
+    return terms.sum(axis=1) * (h * h) * (h / 2.0)
 
 
 def _in_units_of_r(medium: FluidMedium, r: float, integral: float, call: str) -> float:
@@ -250,9 +275,10 @@ def _regulated_values(b: float, epsilons: tuple[float, ...],
         if prev is not None:
             # A rung whose nodes all underflowed sums to exactly 0: its
             # damping is not resolved, so it never counts as converged.
-            achieved = float(np.max(np.divide(np.abs(cur - prev), np.abs(cur),
-                                              out=np.full_like(cur, math.inf),
-                                              where=cur != 0.0)))
+            gaps = [abs(c - p) / abs(c) if c != 0.0 else math.inf
+                    for c, p in zip(cur.tolist(), prev.tolist())]
+            # A nan rung never converges; max alone drops a nan not first.
+            achieved = math.nan if any(map(math.isnan, gaps)) else max(gaps)
             if achieved <= _QUAD_TOL:
                 return cur, achieved, halvings + 1, points
         prev = cur

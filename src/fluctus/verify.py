@@ -157,21 +157,25 @@ def verify_lattice() -> list[CheckResult]:
 
 def _random_media_and_configs(n: int, seed: int = 20260809):
     rng = np.random.default_rng(seed)
+    # The same draws as rng.uniform(lo, hi), which computes exactly this, at less cost per call.
+    def uniform(lo, hi):
+        return lo + (hi - lo) * rng.random()
+
     pols = list(scattering.Polarization)
     out = []
     for _ in range(n):
         medium = fluid_medium(
             name="random",
-            rho0=rng.uniform(100.0, 2500.0),
-            cs=rng.uniform(200.0, 3500.0),
-            eta=rng.uniform(1.0, 2.0),
-            drho=rng.uniform(0.1, 1.5),
+            rho0=uniform(100.0, 2500.0),
+            cs=uniform(200.0, 3500.0),
+            eta=uniform(1.0, 2.0),
+            drho=uniform(0.1, 1.5),
         )
         cfg = scattering.ScatteringConfig(
-            omega=scattering.omega_from_wavelength(rng.uniform(200e-9, 700e-9)),
-            theta=rng.uniform(0.05, math.pi),
+            omega=scattering.omega_from_wavelength(uniform(200e-9, 700e-9)),
+            theta=uniform(0.05, math.pi),
             pol=pols[rng.integers(len(pols))],
-            temperature=rng.uniform(150.0, 450.0),
+            temperature=uniform(150.0, 450.0),
         )
         out.append((medium, cfg))
     return out

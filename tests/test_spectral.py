@@ -112,7 +112,7 @@ def direct_panel_sums(b, epsilons, halvings, panels):
 
 
 @pytest.mark.parametrize("b", [0.0, 0.375, 2.5], ids=["b=0", "b<r", "b>r"])  # r = 1
-@pytest.mark.parametrize("halvings", [0, 1, 2])
+@pytest.mark.parametrize("halvings", range(spectral._MAX_HALVINGS + 1))
 def test_factored_panel_sums_equal_the_direct_rule(b, halvings):
     epsilons = (0.1, 0.05, 0.025, 0.0125)
     # one block, two, many
@@ -263,6 +263,18 @@ def test_extrapolation_gate_refuses_nan(monkeypatch):
     monkeypatch.setattr(spectral, "_richardson", lambda xs, ys, order: (math.nan, math.nan))
     with pytest.raises(ConvergenceError, match="regulator extrapolation"):
         extrapolated_correlator(WATER, 1e-9, 0.0)
+
+
+@pytest.mark.parametrize("rung", range(spectral._LADDER_RUNGS))
+def test_a_nan_rung_never_converges(monkeypatch, rung):
+    # the other rungs agree exactly from pass to pass; a nan in any
+    # position, not only the first, must keep the pass-to-pass check open
+    sums = np.ones(spectral._LADDER_RUNGS)
+    sums[rung] = math.nan
+    monkeypatch.setattr(spectral, "_panel_sums", lambda b, epsilons, halvings, blocks: sums)
+    with pytest.raises(ConvergenceError, match="panel quadrature did not converge") as exc:
+        extrapolated_correlator(WATER, 1e-9, 0.0)
+    assert math.isnan(exc.value.achieved)
 
 
 def test_unreachable_tolerance_raises_with_achieved_estimate(monkeypatch):
