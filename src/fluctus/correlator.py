@@ -135,7 +135,8 @@ def _kernel(f: float, c: float, n: int, r: float, dt: float, k: float = 1.0,
     at rho = 0, SoundConeSingularityError in the SOUND_CONE_TOLERANCE band, FluctusError
     outside the float range."""
     b = c * abs(dt)
-    rho = max(r, b)
+    # max(r, b) for every float pair, nan and -0.0 included, without the builtin's ~0.2 us call
+    rho = b if b > r else r
     if abs(r - b) <= SOUND_CONE_TOLERANCE * rho:
         if rho == 0.0:
             raise CoincidenceDivergenceError(

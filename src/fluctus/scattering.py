@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import TINY, FluctusError, MissingPropertyError, finite, scaled
 from .medium import C_LIGHT, HBAR, K_B, FluidMedium
@@ -139,8 +139,9 @@ _HBAR_2KB = HBAR / (2.0 * K_B)                                 # ratio
 
 def _angular(theta: float) -> float:
     # sqrt(2 (1 - cos theta)) written without the cancellation that
-    # zeroes it below theta ~ 1e-8.
-    return 2.0 * math.sin(0.5 * theta)
+    # zeroes it below theta ~ 1e-8; below 2**-26 it rounds to theta itself,
+    # which a subnormal 0.5 theta would lose bits of.
+    return theta if theta < 2.0**-26 else 2.0 * math.sin(0.5 * theta)
 
 
 #: How a refused cross section or ratio names itself (format with its name, medium, config).
@@ -233,6 +234,27 @@ class CrossSectionValue:
         d["pol_factor"] = pol_factor
 
 
+def _m2(rho0: float, cs: float, omega: float, omega_prime: float, omega_q: float,
+        volume: float, pol_factor: float) -> float:
+    # matrix_element_sq's arithmetic on bare numbers; may leave the float range.
+    return (_HBAR3_8 * omega * omega_prime * omega_q / volume / rho0 / cs / cs) * pol_factor
+
+
+def _dos(omega_prime: float, epsilon0: float, volume: float) -> float:
+    # density_of_states's arithmetic; may leave the float range.
+    try:
+        e15 = epsilon0**1.5
+    except OverflowError:
+        e15 = math.inf
+    return volume * omega_prime * omega_prime * e15 * _DOS
+
+
+def _flux(epsilon0: float, volume: float) -> float:
+    # incident_flux's arithmetic; a box that underflowed to 0 gives inf.
+    box = volume * math.sqrt(epsilon0)
+    return C_LIGHT / box if box else math.inf
+
+
 def matrix_element_sq(medium: FluidMedium, omega: float, omega_prime: float,
                       omega_q: float, volume: float, pol_factor: float) -> float:
     """Squared first-order matrix element for photon -> photon + phonon (J^2).
@@ -244,9 +266,7 @@ def matrix_element_sq(medium: FluidMedium, omega: float, omega_prime: float,
         raise ValueError("all frequencies must be positive")
     if not volume > 0.0:
         raise ValueError(f"quantization volume must be positive, got {volume}")
-    cs = medium.cs
-    return finite((_HBAR3_8 * omega * omega_prime * omega_q
-                   / volume / medium.rho0 / cs / cs) * pol_factor,
+    return finite(_m2(medium.rho0, medium.cs, omega, omega_prime, omega_q, volume, pol_factor),
                   "matrix_element_sq for '{.name}' at omega = {:.6g} rad/s, "
                   "volume = {:.6g} m^3", medium, omega, volume)
 
@@ -259,11 +279,7 @@ def density_of_states(omega_prime: float, epsilon0: float, volume: float) -> flo
     """
     if not (omega_prime > 0.0 and epsilon0 > 0.0 and volume > 0.0):
         raise ValueError("all inputs must be positive")
-    try:
-        e15 = epsilon0**1.5
-    except OverflowError:
-        e15 = math.inf
-    return finite(volume * omega_prime * omega_prime * e15 * _DOS,
+    return finite(_dos(omega_prime, epsilon0, volume),
                   "density_of_states at omega_prime = {:.6g} rad/s, epsilon0 = {:.6g}, "
                   "volume = {:.6g} m^3", omega_prime, epsilon0, volume)
 
@@ -272,20 +288,20 @@ def incident_flux(epsilon0: float, volume: float) -> float:
     """Flux of one photon in the quantization box: c / (V sqrt(epsilon0))."""
     if not (epsilon0 > 0.0 and volume > 0.0):
         raise ValueError("all inputs must be positive")
-    box = volume * math.sqrt(epsilon0)
-    return finite(C_LIGHT / box if box else math.inf,  # a box that underflowed to 0
+    return finite(_flux(epsilon0, volume),
                   "incident_flux at epsilon0 = {:.6g}, volume = {:.6g} m^3", epsilon0, volume)
 
 
-def _golden_rule(medium: FluidMedium, omega: float, omega_prime: float, omega_q: float,
-                 v: float, pol: float) -> tuple[float, float, float]:
-    # (|M|^2, rate, flux V) at volume v; (inf, inf, 1) where a piece, and so the chain, is refused.
-    try:
-        m2 = matrix_element_sq(medium, omega, omega_prime, omega_q, v, pol)
-        rate = _TWO_PI_HBAR * m2 * density_of_states(omega_prime, medium.epsilon0, v)
-        return m2, rate, incident_flux(medium.epsilon0, v) * v
-    except FluctusError:
-        return math.inf, math.inf, 1.0
+def _golden_rule(rho0: float, cs: float, epsilon0: float, omega: float, omega_prime: float,
+                 omega_q: float, v: float, pol: float) -> tuple[float, float, float]:
+    # (|M|^2, rate, flux V) at volume v; (inf, inf, 1) where a piece, and so the chain, is
+    # refused: the public pieces' arithmetic, with their finite check on the floats.
+    m2 = _m2(rho0, cs, omega, omega_prime, omega_q, v, pol)
+    dos = _dos(omega_prime, epsilon0, v)
+    flux = _flux(epsilon0, v)
+    if m2 - m2 == 0.0 and dos - dos == 0.0 and flux - flux == 0.0:
+        return m2, _TWO_PI_HBAR * m2 * dos, flux * v
+    return math.inf, math.inf, 1.0
 
 
 def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
@@ -302,19 +318,21 @@ def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
     if pol == 0.0:
         return CrossSectionValue(0.0, "zp-golden-rule-chain", pol)
     omega_prime, omega_q = _emitted_shift(medium, cfg, "zp_cross_section_chain")
-    v = math.frexp(volume)[0] if volume > 0.0 else volume  # else refused below as given
-    m2, rate, flux_volume = _golden_rule(medium, cfg.omega, omega_prime, omega_q, v, pol)
+    if not volume > 0.0:
+        raise ValueError(f"quantization volume must be positive, got {volume}")
+    v = math.frexp(volume)[0]
+    rho0, cs, eps0 = medium.rho0, medium.cs, medium.eta * medium.eta
+    m2, rate, flux_volume = _golden_rule(rho0, cs, eps0, cfg.omega, omega_prime, omega_q, v, pol)
     # Plain where every partial product is normal: m2 cs^2 is the one before / cs^2, and m2
     # cs^2 rho0 v bounds hbar^3/8 omega omega' Omega_q, the least product of frequencies.
-    if (m2 >= TINY and (x := m2 * medium.cs * medium.cs) >= TINY and x * medium.rho0 * v >= TINY
+    if (m2 >= TINY and (x := m2 * cs * cs) >= TINY and x * rho0 * v >= TINY
             and rate >= TINY and TINY <= (value := rate / flux_volume) < math.inf):
         return CrossSectionValue(value, "zp-golden-rule-chain", pol)
     # Else again at rho0's mantissa and omega scaled into [2**-22, 2**-21): Omega_q >= omega's
     # resolution, and omega'^2 < 2**-42 < 1 / _DOS keeps the density of states below eps0^1.5.
-    (m, e), (w, ew) = math.frexp(medium.rho0), math.frexp(cfg.omega)
+    (m, e), (w, ew) = math.frexp(rho0), math.frexp(cfg.omega)
     w, ew = math.ldexp(w, -21), ew + 21
-    _, rate, flux_volume = _golden_rule(replace(medium, rho0=m), w,
-                                        *_shift(medium, w, cfg.theta), v, pol)
+    _, rate, flux_volume = _golden_rule(m, cs, eps0, w, *_shift(medium, w, cfg.theta), v, pol)
     return CrossSectionValue(_apart(1.0, ((rate, 1), (flux_volume, -1)), 1.0, _AT_OMEGA,
                                     "zp_cross_section_chain", medium, cfg, e=5 * ew - e),
                              "zp-golden-rule-chain", pol)

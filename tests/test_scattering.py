@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from fluctus.correlator import zero_point_structure_factor
 from fluctus.errors import FluctusError, MaterialValidationError, MissingPropertyError
-from fluctus.medium import C_LIGHT, HBAR, builtin_material, fluid_medium
+from fluctus import scattering
+from fluctus.medium import C_LIGHT, HBAR, FluidMedium, builtin_material, fluid_medium
 from fluctus.scattering import (
     Polarization,
     ScatteringConfig,
@@ -184,6 +186,41 @@ def test_chain_is_volume_independent_over_the_float_range():
     for volume in [5e-324, 1.7976931348623157e308, 3.7] + [10.0**e for e in range(-300, 301, 10)]:
         value = zp_cross_section_chain(WATER, cfg, volume=volume).value
         assert value == pytest.approx(expected, rel=1e-15, abs=0), volume
+
+
+def test_chain_is_its_pieces_arithmetic():
+    # at V = 0.5, V's frexp mantissa is V itself, so the chain's float-level pieces see
+    # the public pieces' inputs: its value is their golden-rule quotient bit for bit
+    rng = random.Random(22)
+    for _ in range(300):
+        medium = fluid_medium("lab", rho0=rng.uniform(100.0, 2500.0),
+                              cs=rng.uniform(200.0, 3500.0), eta=rng.uniform(1.0, 2.0),
+                              drho=rng.uniform(0.1, 1.5))
+        cfg = ScatteringConfig(omega=omega_from_wavelength(rng.uniform(200e-9, 700e-9)),
+                               theta=rng.uniform(0.05, math.pi),
+                               pol=rng.choice(list(Polarization)))
+        k = phonon_kinematics(medium, cfg)
+        pol = polarization_factor(cfg.theta, cfg.pol)
+        m2 = matrix_element_sq(medium, cfg.omega, k.omega_prime, k.omega_q, 0.5, pol)
+        rate = 2.0 * math.pi / HBAR * m2 * density_of_states(k.omega_prime, medium.epsilon0, 0.5)
+        expected = rate / (incident_flux(medium.epsilon0, 0.5) * 0.5)
+        assert zp_cross_section_chain(medium, cfg, volume=0.5).value == expected, (medium, cfg)
+
+
+def test_the_second_pass_builds_no_medium(monkeypatch):
+    # at rho0 = 1e-300 and omega = 1e17 the plain rate overflows, so the chain runs again
+    # at rho0's mantissa, which it hands to the pieces as a number
+    thin = fluid_medium("thin", rho0=1e-300, cs=1480.0, eta=1.33, drho=0.79)
+    cfg = benchmark_config(omega=1e17)
+    passes, built = [], []
+    golden_rule, post_init = scattering._golden_rule, FluidMedium.__post_init__
+    monkeypatch.setattr(scattering, "_golden_rule",
+                        lambda *args: passes.append(args) or golden_rule(*args))
+    monkeypatch.setattr(FluidMedium, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    value = zp_cross_section_chain(thin, cfg).value
+    assert len(passes) == 2 and built == []
+    assert value == pytest.approx(zp_cross_section_exact(thin, cfg).value, rel=1e-12, abs=0)
 
 
 def test_crossed_polarization_kills_everything():
@@ -379,6 +416,16 @@ def test_small_angle_forms_stay_linear_in_theta():
     for c in cfgs:
         assert zp_cross_section_exact(WATER, c).value > 0.0
         assert zp_cross_section_chain(WATER, c).value > 0.0
+
+
+def test_a_subnormal_angle_keeps_its_bits():
+    # below 2**-26, 2 sin(theta/2) rounds to theta itself; halving a subnormal theta
+    # first lost its bits, and theta = 5e-324 gave a ratio of 0.0
+    assert scattering._angular(4e-308) == 4e-308
+    ratio = ratio_zp_thermal(WATER, ScatteringConfig(omega=1e200, theta=5e-324, temperature=300.0))
+    assert ratio == 1.911284145395558e-142
+    assert 2.0 * ratio == ratio_zp_thermal(
+        WATER, ScatteringConfig(omega=1e200, theta=1e-323, temperature=300.0))
 
 
 def test_ratio_rejects_vanishing_drho():

@@ -12,8 +12,9 @@ repository's own ``.git`` is left as it is.  For every workload that
 each tree with the same seed and the benchmark's ``run_seconds``; the
 side that runs first alternates from pair to pair, so that a machine
 drifting between fast and slow periods weighs on both sides alike.
-Seeds cycle through ``--seeds``.  Two more pairs of ``--trace 1`` runs
-give the per-layer metrics.  Ten more alternating pairs time
+Seeds cycle through ``--seeds``.  Four more pairs of ``--trace 1`` runs
+give the per-layer metrics, whose p50s move by tens of percent from run
+to run.  Ten more alternating pairs time
 ``python -m fluctus.cli verify all`` as a subprocess in each tree, cold
 start included, which the in-process workloads do not see, and ten
 more the Tier-1 pytest command (``python -m pytest -q
@@ -46,7 +47,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10          # the fewest that can show a gain in nine of ten pairs
-TRACED_PAIRS = 2
+TRACED_PAIRS = 4    # two read an untouched layer's p50 37–56 % apart between the sides
 
 
 def summarize(parent: list[float], child: list[float], better: str) -> dict:
