@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (TINY, BoundaryContactError, CoincidenceDivergenceError, FluctusError,
-                     SoundConeSingularityError, scaled)
+                     SoundConeSingularityError, finite, scaled)
 from .medium import HBAR, FluidMedium
 
 __all__ = [
@@ -121,6 +121,8 @@ class CorrelatorValue:
 
 # hbar / (2 pi^2), folded once: the kernel's prefactor is this times f c**n.
 _HBAR_2PI2 = HBAR / (2.0 * math.pi**2)
+# The kernel's refusal of a value, or of a c|dt|, outside the float range.
+_OUT_OF_RANGE = "correlator at r = {!r} m, c*|dt| = {!r} m"
 
 
 def _kernel(f: float, c: float, n: int, r: float, dt: float, k: float = 1.0,
@@ -130,46 +132,49 @@ def _kernel(f: float, c: float, n: int, r: float, dt: float, k: float = 1.0,
     k = 1, or 3 for the rejected variant), scale-free as -K 2**e / rho^4 (a^2 + 3 beta^2)
     / (a^2 - k beta^2)^3, rho = max(r, c|dt|), a = r / rho, beta = c|dt| / rho.  Plain
     where e = 0 and hbar f / 2 pi^2, K, rho^2, K / rho^4 and the value are normal, else
-    with the exponents of f, c, rho (and of dt, where c|dt| is subnormal) apart
-    (``errors.scaled``): one range decision per call.  Raises CoincidenceDivergenceError
-    at rho = 0, SoundConeSingularityError in the SOUND_CONE_TOLERANCE band, FluctusError
-    outside the float range."""
+    with the exponents of f, c and rho apart (``errors.scaled``), rho and its ratios formed
+    from the parts of r and of c|dt| (c's and dt's mantissas and exponents): one range
+    decision per call.  Coincident means r = dt = 0, not a c|dt| rounded to 0.  Raises
+    CoincidenceDivergenceError there, SoundConeSingularityError in the SOUND_CONE_TOLERANCE
+    band, FluctusError outside the float range, an overflowed c|dt| included."""
     b = c * abs(dt)
     # max(r, b) for every float pair, nan and -0.0 included, without the builtin's ~0.2 us call
     rho = b if b > r else r
-    if abs(r - b) <= SOUND_CONE_TOLERANCE * rho:
+    # "not >" and "!=" let in, with the cone band, a non-finite r or c|dt| (a nan, or
+    # inf - inf) for finite() to refuse: the fallback cannot re-form an infinite c|dt|.
+    if not abs(r - b) > SOUND_CONE_TOLERANCE * rho and (rho != 0.0 or dt == 0.0):
         if rho == 0.0:
             raise CoincidenceDivergenceError(
                 "coincident points: the vacuum variance diverges")
-        # An infinite c|dt| falls through to the float-range refusal.
-        if rho < math.inf:
-            raise SoundConeSingularityError(
-                f"separation lies on the sound cone of speed {c!r} m/s "
-                f"(r = {r!r} m, c*|dt| = {b!r} m)")
-    a, beta = r / rho, b / rho
-    a2, b2 = a * a, beta * beta
-    d = a2 - k * b2
+        finite(r - b, _OUT_OF_RANGE, r, b)
+        raise SoundConeSingularityError(
+            f"separation lies on the sound cone of speed {c!r} m/s "
+            f"(r = {r!r} m, c*|dt| = {b!r} m)")
     s = rho * rho
     h = _HBAR_2PI2 * f
     K = h / c if n < 0 else h * c * c * c
     try:
+        a, beta = r / rho, b / rho
+        a2, b2 = a * a, beta * beta
+        d = a2 - k * b2
         scale = K / s / s
         value = -scale * (a2 + 3.0 * b2) / (d * d * d)
-    except ZeroDivisionError:  # s underflowed to 0, or d^3 (the variant's own root)
+    except ZeroDivisionError:  # rho or s underflowed to 0, or d^3 (the variant's own root)
         scale = value = 0.0
     if h >= TINY and K >= TINY and s >= TINY and scale >= TINY and not e and value - value == 0.0:
         return value
+    # The ratios again in units of 2**ex, bit for bit the plain ones where c|dt| is normal;
+    # ex from c|dt| = m |t| 2**(ec + et) where rho rounded to 0.
     (h, ef), (m, ec), (t, et), (x, ex) = map(math.frexp, (f, c, dt, rho))
-    if 0.0 < b < TINY:  # c|dt| lost bits: rho and its ratios again, in units of 2**ex
-        a, beta = math.ldexp(r, -ex), math.ldexp(m * abs(t), ec + et - ex)
-        x = max(a, beta)
-        a2, b2 = (a / x) * (a / x), (beta / x) * (beta / x)
-        d = a2 - k * b2
+    ex = ex if rho else math.frexp(m * abs(t))[1] + ec + et
+    a, beta = math.ldexp(r, -ex), math.ldexp(m * abs(t), ec + et - ex)
+    x = max(a, beta)
+    a2, b2 = (a / x) * (a / x), (beta / x) * (beta / x)
+    d = a2 - k * b2
     h *= _HBAR_2PI2
     x *= x
     return scaled(-(h / m if n < 0 else h * m * m * m) / x / x * (a2 + 3.0 * b2)
-                  / (d * d * d or math.nan), ef + n * ec + e - 4 * ex,
-                  "correlator at r = {!r} m, c*|dt| = {!r} m", r, b)
+                  / (d * d * d or math.nan), ef + n * ec + e - 4 * ex, _OUT_OF_RANGE, r, b)
 
 
 def _density_scale(medium: FluidMedium, x: float, length: float, p: int, what: str,

@@ -264,8 +264,8 @@ def matrix_element_sq(medium: FluidMedium, omega: float, omega_prime: float,
     """
     if not (omega > 0.0 and omega_prime > 0.0 and omega_q > 0.0):
         raise ValueError("all frequencies must be positive")
-    if not volume > 0.0:
-        raise ValueError(f"quantization volume must be positive, got {volume}")
+    if not 0.0 < volume < math.inf:
+        raise ValueError(f"quantization volume must be positive and finite, got {volume}")
     return finite(_m2(medium.rho0, medium.cs, omega, omega_prime, omega_q, volume, pol_factor),
                   "matrix_element_sq for '{.name}' at omega = {:.6g} rad/s, "
                   "volume = {:.6g} m^3", medium, omega, volume)
@@ -318,8 +318,8 @@ def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
     if pol == 0.0:
         return CrossSectionValue(0.0, "zp-golden-rule-chain", pol)
     omega_prime, omega_q = _emitted_shift(medium, cfg, "zp_cross_section_chain")
-    if not volume > 0.0:
-        raise ValueError(f"quantization volume must be positive, got {volume}")
+    if not 0.0 < volume < math.inf:
+        raise ValueError(f"quantization volume must be positive and finite, got {volume}")
     v = math.frexp(volume)[0]
     rho0, cs, eps0 = medium.rho0, medium.cs, medium.eta * medium.eta
     m2, rate, flux_volume = _golden_rule(rho0, cs, eps0, cfg.omega, omega_prime, omega_q, v, pol)

@@ -46,6 +46,11 @@ def test_regime_classification():
     assert Separation(1.0, 6.7568e-4).regime(cs) is Regime.ON_CONE
 
 
+def test_a_time_lag_whose_cone_radius_rounds_to_zero_is_not_coincident():
+    # cs*|dt| = 2**-1075 rounds to 0, but r = 0 < cs*|dt|: inside the cone
+    assert Separation(0.0, -2.0**-13).regime(2.0**-1062) is Regime.TIMELIKE
+
+
 @pytest.mark.parametrize("cs", [0.0, -1.0, math.nan, math.inf])
 def test_regime_needs_a_positive_finite_sound_speed(cs):
     with pytest.raises(ValueError, match="sound speed must be positive and finite"):
@@ -238,6 +243,18 @@ def test_boundary_correlator_sum_beyond_the_float_range_is_refused_by_name():
             f"boundary_correlator at z1 = {z!r} m, z2 = {z!r} m, "
             f"transverse = {transverse!r} m, dt = 0.0 s is outside the float range")):
         boundary_correlator(WATER, z, z, transverse, 0.0)
+
+
+@pytest.mark.parametrize("z, transverse, dt, r, b", [
+    (1e308, 0.0, 1e306, "inf", "inf"),          # z1 + z2 and cs*|dt| overflow
+    (1e-9, math.nan, 1e306, "nan", "inf"),
+    (1e-9, 0.0, math.nan, "2e-09", "nan"),
+], ids=["r-and-cdt-inf", "r-nan-cdt-inf", "cdt-nan"])
+def test_a_non_finite_image_separation_is_refused_by_name(z, transverse, dt, r, b):
+    with pytest.raises(FluctusError, match=re.escape(
+            f"correlator at r = {r} m, c*|dt| = {b} m is outside the float range")) as exc:
+        boundary_image_term(WATER, z, z, transverse, dt)
+    assert exc.type is FluctusError
 
 
 # --- electromagnetic plate comparison ----------------------------------------

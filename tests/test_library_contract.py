@@ -432,8 +432,9 @@ def test_scaling_by_a_power_of_two_is_exact(case, draw, exponent, k):
 # binary exponent ``c_exponent`` and k the expected value at ``exponent``.  The
 # examples reach, from a base in the normal range, c = 1e-100 at r = 1e-140 and
 # c = 1e120 at r = 1e110, where hbar c^3 / 2 pi^2 leaves the float range, and a
-# c and r where rho^2 is subnormal but the value is not, and c = 1e-297 at
-# dt = 1e-11, where c|dt| is subnormal.
+# c and r where rho^2 is subnormal but the value is not, c = 1e-297 at
+# dt = 1e-11, where c|dt| is subnormal, and c = 2**-1062 at r = 0, dt = -2**-13,
+# where c|dt| rounds to 0 but the value is 3.6e300.
 @settings(max_examples=600, deadline=None)
 @given(c=_POSITIVE, sep=st.builds(Separation, _NONNEGATIVE, _SIGNED),
        c_exponent=st.integers(-1073, 1024), exponent=st.integers(-1021, 1024),
@@ -447,6 +448,7 @@ def test_scaling_by_a_power_of_two_is_exact(case, draw, exponent, k):
          j=-300, k=-511)
 @example(c=math.ldexp(1e-297, 986), sep=Separation(0.0, math.ldexp(-1e-11, 8)), c_exponent=0,
          exponent=0, j=-986, k=-994)
+@example(c=1.0, sep=Separation(0.0, -1.0), c_exponent=0, exponent=0, j=-1062, k=-1075)
 def test_the_analog_scales_exactly_in_its_speed_and_lengths(c, sep, c_exponent, exponent,
                                                             j, k):
     try:

@@ -540,7 +540,12 @@ _HEAVY = fluid_medium("heavy", rho0=1e300, cs=1480.0, eta=1.4, drho=0.79)
     (lambda: omega_from_wavelength(math.nan), "wavelength"),
     (lambda: zero_point_structure_factor(WATER, math.inf), "q"),
     (lambda: zero_point_structure_factor(WATER, math.nan), "q"),
-], ids=["wavelength-inf", "wavelength-nan", "q-inf", "q-nan"])
+    *((lambda v=v: zp_cross_section_chain(WATER, benchmark_config(), volume=v),
+       "quantization volume must be positive") for v in (0.0, -1.0, math.nan, math.inf)),
+    (lambda: matrix_element_sq(WATER, 5.386e15, 5.386e15, 5.31e10, math.inf, 1.0),
+     "quantization volume must be positive"),
+], ids=["wavelength-inf", "wavelength-nan", "q-inf", "q-nan", "chain-volume-0",
+        "chain-volume-negative", "chain-volume-nan", "chain-volume-inf", "m2-volume-inf"])
 def test_non_finite_library_input_is_refused_by_name(call, argument):
     with pytest.raises(ValueError, match=rf"\b{argument}\b"):
         call()
