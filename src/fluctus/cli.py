@@ -38,7 +38,7 @@ from .correlator import (
     correlator,
     em_vacuum_shift_plate,
 )
-from .errors import FluctusError, finite
+from .errors import FluctusError, finite, positive
 from .medium import builtin_names, dumps_material, resolve_material
 
 __all__ = ["main", "OutputRecord", "parse_range"]
@@ -160,8 +160,7 @@ def _config_from_args(args, theta_rad: float, medium) -> scattering.ScatteringCo
 
 
 def _cmd_xsection(args) -> int:
-    if not 0.0 < args.volume < math.inf:
-        raise ValueError(f"--volume must be positive and finite, got {args.volume}")
+    positive(args.volume, "--volume")
     medium = resolve_material(args.material)
     thetas_deg = parse_range(args.theta)
     records = []

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (TINY, BoundaryContactError, CoincidenceDivergenceError, FluctusError,
-                     SoundConeSingularityError, finite, scaled)
+                     SoundConeSingularityError, finite, positive, scaled)
 from .medium import HBAR, FluidMedium
 
 __all__ = [
@@ -88,10 +88,9 @@ class Separation:
 
     def regime(self, cs: float) -> Regime:
         """Classify against the sound cone of speed cs > 0 by the correlators' refusals."""
-        if not 0.0 < cs < math.inf:
-            raise ValueError(f"sound speed must be positive and finite, got {cs}")
-        try:  # f = 0: only the refusals matter
-            _kernel(0.0, cs, -1, self.r, self.dt)
+        positive(cs, "sound speed")
+        try:  # only the refusals matter; f = 1 keeps lab-scale values on the plain path
+            _kernel(1.0, cs, -1, self.r, self.dt)
         except CoincidenceDivergenceError:
             return Regime.COINCIDENT
         except SoundConeSingularityError:
@@ -233,9 +232,7 @@ def scalar_field_analog(c_light: float, sep: Separation) -> float:
     Substituting c -> cs makes the ratio to ``correlator`` a single
     separation-independent constant, which is the analog-model map.
     """
-    if not 0.0 < c_light < math.inf:
-        raise ValueError(f"propagation speed must be positive and finite, got {c_light}")
-    return _kernel(1.0, c_light, 3, sep.r, sep.dt)
+    return _kernel(1.0, positive(c_light, "propagation speed"), 3, sep.r, sep.dt)
 
 
 def boundary_shift_planar(medium: FluidMedium, z: float) -> CorrelatorValue:

@@ -5,9 +5,11 @@ quadrature) are raised as subclasses of :class:`FluctusError` so callers
 can distinguish them from programming mistakes.  Plain precondition
 violations on arguments raise the usual ``ValueError``.
 
-The package's float-range arithmetic lives here too, unexported: every
-refusal of a value outside the float range (:func:`finite`), and every
-value formed with its factors' exponents apart (:func:`scaled`).
+The package's argument and float-range rules live here too, unexported:
+every refusal of a physical scalar that is not positive and finite
+(:func:`positive`), every refusal of a value outside the float range
+(:func:`finite`), and every value formed with its factors' exponents
+apart (:func:`scaled`).
 """
 
 import math
@@ -82,6 +84,15 @@ class MissingPropertyError(MaterialError):
             f"material '{material}' does not define '{field}', "
             f"which this operation requires"
         )
+
+
+def positive(value: float, what: str) -> float:
+    """``value`` if positive and finite, else ValueError "<what> must be
+    positive and finite, got <value>": the one refusal of a speed, a
+    frequency, a temperature, a length or a volume argument."""
+    if 0.0 < value < math.inf:
+        return value
+    raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
 def finite(value: float, what: str, *args) -> float:

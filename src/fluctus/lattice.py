@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlator import _density_scale
-from .errors import AliasingError, IllPosedStudyError, finite
+from .errors import AliasingError, IllPosedStudyError, finite, positive
 from .medium import FluidMedium
 from .spectral import regulated_integrand_reduction
 
@@ -73,8 +73,7 @@ class ModeGrid:
     N: int
 
     def __post_init__(self):
-        if not 0.0 < self.L < math.inf:
-            raise ValueError(f"box side L must be positive and finite, got {self.L}")
+        positive(self.L, "box side L")
         try:
             operator.index(self.N)
         except TypeError:
@@ -116,8 +115,7 @@ def lattice_correlator(medium: FluidMedium, grid: ModeGrid, dx, eps: float) -> f
     FluctusError
         If the value lies outside the float range.
     """
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"damping length eps must be positive and finite, got {eps}")
+    positive(eps, "damping length eps")
     dx = np.asarray(dx, dtype=float).reshape(3)
     if not np.isfinite(dx).all():
         raise ValueError(f"displacement dx must be finite, got {dx}")
@@ -212,9 +210,7 @@ def convergence_study(medium: FluidMedium, r: float, ns=(64, 128, 256)) -> Conve
         If any N leaves the separation unresolved, a = L/N > r/4, or the
         continuum value underflows to 0.
     """
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"separation r must be positive and finite, got {r}")
-    L = 16.0 * r
+    L = 16.0 * positive(r, "separation r")
     ns = tuple(ns)
     grids = tuple(ModeGrid(L=L, N=n) for n in ns)
     if len(grids) < 2:

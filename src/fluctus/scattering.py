@@ -38,7 +38,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import TINY, FluctusError, MissingPropertyError, finite, scaled
+from .errors import TINY, FluctusError, MissingPropertyError, finite, positive, scaled
 from .medium import C_LIGHT, HBAR, K_B, FluidMedium
 
 __all__ = [
@@ -87,7 +87,7 @@ class ScatteringConfig:
     vacuum wavelength), ``theta`` the scattering angle in radians in
     (0, pi], ``temperature`` the bath temperature for thermal quantities
     (None defers to the medium's reference temperature).  ``omega`` and
-    ``temperature`` must be positive and finite.
+    ``temperature`` must be positive and finite (``errors.positive``).
     """
 
     omega: float
@@ -96,21 +96,16 @@ class ScatteringConfig:
     temperature: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.omega < math.inf:
-            raise ValueError(
-                f"angular frequency must be positive and finite, got {self.omega}")
+        positive(self.omega, "angular frequency")
         if not 0.0 < self.theta <= math.pi:
             raise ValueError(f"scattering angle must lie in (0, pi], got {self.theta}")
-        if self.temperature is not None and not 0.0 < self.temperature < math.inf:
-            raise ValueError(
-                f"temperature must be positive and finite, got {self.temperature}")
+        if self.temperature is not None:
+            positive(self.temperature, "temperature")
 
 
 def omega_from_wavelength(wavelength: float) -> float:
     """Angular frequency from the vacuum wavelength (m)."""
-    if not 0.0 < wavelength < math.inf:
-        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
-    return finite(2.0 * math.pi * C_LIGHT / wavelength,
+    return finite(2.0 * math.pi * C_LIGHT / positive(wavelength, "wavelength"),
                   "omega_from_wavelength at wavelength = {:.6g} m", wavelength)
 
 
@@ -264,8 +259,7 @@ def matrix_element_sq(medium: FluidMedium, omega: float, omega_prime: float,
     """
     if not (omega > 0.0 and omega_prime > 0.0 and omega_q > 0.0):
         raise ValueError("all frequencies must be positive")
-    if not 0.0 < volume < math.inf:
-        raise ValueError(f"quantization volume must be positive and finite, got {volume}")
+    positive(volume, "quantization volume")
     return finite(_m2(medium.rho0, medium.cs, omega, omega_prime, omega_q, volume, pol_factor),
                   "matrix_element_sq for '{.name}' at omega = {:.6g} rad/s, "
                   "volume = {:.6g} m^3", medium, omega, volume)
@@ -318,9 +312,7 @@ def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
     if pol == 0.0:
         return CrossSectionValue(0.0, "zp-golden-rule-chain", pol)
     omega_prime, omega_q = _emitted_shift(medium, cfg, "zp_cross_section_chain")
-    if not 0.0 < volume < math.inf:
-        raise ValueError(f"quantization volume must be positive and finite, got {volume}")
-    v = math.frexp(volume)[0]
+    v = math.frexp(positive(volume, "quantization volume"))[0]
     rho0, cs, eps0 = medium.rho0, medium.cs, medium.eta * medium.eta
     m2, rate, flux_volume = _golden_rule(rho0, cs, eps0, cfg.omega, omega_prime, omega_q, v, pol)
     # Plain where every partial product is normal: m2 cs^2 is the one before / cs^2, and m2

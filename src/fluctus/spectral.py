@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlator import Regime, Separation, _density_scale
-from .errors import ConvergenceError, SoundConeSingularityError, finite
+from .errors import ConvergenceError, SoundConeSingularityError, finite, positive
 from .medium import FluidMedium
 
 __all__ = [
@@ -233,8 +233,8 @@ def _separation(r: float, dt: float, eps: float | None = None) -> Separation:
     sep = Separation(r, dt)
     if sep.r == 0.0:
         raise ValueError(f"distance r must be positive, got {r} (the reduced integrand is radial)")
-    if eps is not None and not 0.0 < eps < math.inf:
-        raise ValueError(f"damping length eps must be positive and finite, got {eps}")
+    if eps is not None:
+        positive(eps, "damping length eps")
     return sep
 
 

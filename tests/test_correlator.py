@@ -1,3 +1,4 @@
+import importlib
 import math
 import re
 
@@ -49,6 +50,18 @@ def test_regime_classification():
 def test_a_time_lag_whose_cone_radius_rounds_to_zero_is_not_coincident():
     # cs*|dt| = 2**-1075 rounds to 0, but r = 0 < cs*|dt|: inside the cone
     assert Separation(0.0, -2.0**-13).regime(2.0**-1062) is Regime.TIMELIKE
+
+
+def test_regime_classifies_lab_scale_points_on_the_kernels_plain_path(monkeypatch):
+    # the exponent-apart fallback forms its value through scaled(); classifying needs none
+    def fallback(*args):
+        raise AssertionError("regime() took the exponent-apart fallback")
+
+    monkeypatch.setattr(importlib.import_module("fluctus.correlator"), "scaled", fallback)
+    cs = WATER.cs
+    assert Separation(1e-9, 0.0).regime(cs) is Regime.SPACELIKE
+    assert Separation(1e-9, 1e-12).regime(cs) is Regime.TIMELIKE
+    assert Separation(0.0, 1e-12).regime(cs) is Regime.TIMELIKE
 
 
 @pytest.mark.parametrize("cs", [0.0, -1.0, math.nan, math.inf])
