@@ -57,6 +57,7 @@ def test_regime_classifies_lab_scale_points_on_the_kernels_plain_path(monkeypatc
     def fallback(*args):
         raise AssertionError("regime() took the exponent-apart fallback")
 
+    # the module itself: the package's correlator() shadows it as an attribute
     monkeypatch.setattr(importlib.import_module("fluctus.correlator"), "scaled", fallback)
     cs = WATER.cs
     assert Separation(1e-9, 0.0).regime(cs) is Regime.SPACELIKE
