@@ -190,6 +190,11 @@ def _image(medium: FluidMedium, z1: float, z2: float, transverse: float, dt: flo
     # The image term's value (times 2**e): the free correlator at z2 reflected to -z2.
     if not (z1 > 0.0 and z2 > 0.0):
         raise ValueError("both points must be strictly inside the fluid (z1, z2 > 0)")
+    # inf or nan (x - x is nan for both), by comparison alone: every boundary call runs this
+    if not transverse - transverse == 0.0:
+        raise ValueError(f"transverse distance must be finite, got {transverse}")
+    if not dt - dt == 0.0:
+        raise ValueError(f"time lag dt must be finite, got {dt}")
     return _kernel(medium.rho0, medium.cs, -1, math.hypot(transverse, z1 + z2), dt, 1.0, e)
 
 
@@ -278,7 +283,8 @@ def boundary_correlator(medium: FluidMedium, z1: float, z2: float,
     the free correlator at the image separation.  Both separations must
     be off the sound cone; the direct one must not be coincident.
     Sending the transverse distance to infinity recovers the free
-    correlator.  Two finite terms whose sum leaves the float range raise
+    correlator; an infinite or nan ``transverse`` or ``dt`` raises
+    ValueError.  Two finite terms whose sum leaves the float range raise
     FluctusError.
     """
     image = _image(medium, z1, z2, transverse, dt)

@@ -142,6 +142,11 @@ def _angular(theta: float) -> float:
 #: How a refused cross section or ratio names itself (format with its name, medium, config).
 _AT_OMEGA = "{} for '{.name}' at omega = {.omega:.6g} rad/s"
 
+#: The largest x = hbar Omega_q / kB T at which ``ratio_zp_thermal`` answers.  Its thermal
+#: line weights the phonon by the classical occupation 1 / x, which the Stokes weight
+#: 1 / (1 - e^-x) already exceeds by 5 % at x = 0.1; beyond it the ratio is wrong.
+_RATIO_X_MAX = 0.1
+
 
 def _apart(c: float, factors, pol: float, what: str, *args, e: int = 0) -> float:
     """c times or over each factor x (n = 1, -1) or its square (n = 2, -2) in turn, times pol
@@ -439,7 +444,10 @@ def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
     / [rho0 (d eps/d rho0)_S]^2.  Polarization factors cancel in the
     quotient, as does rho0 on its own: only the product drho enters.
     Grows linearly with frequency, falls as 1/T.  Raises FluctusError
-    where drho**2 is 0 and the ratio is undefined.
+    where drho**2 is 0 and the ratio is undefined, and outside the
+    classical thermal line's domain x = hbar Omega_q / kB T <= 0.1
+    (Omega_q = sqrt(2 (1 - cos theta)) (cs / c) omega; 1.4e-3 for water
+    at 350 nm, backscatter, 295 K).
     """
     drho2 = medium.drho * medium.drho
     if drho2 == 0.0:  # also catches a drho whose square underflows
@@ -450,13 +458,22 @@ def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
         )
     T = cfg.temperature or medium.default_temperature
     a, omega, cs, eta2 = _angular(cfg.theta), cfg.omega, medium.cs, medium.eta * medium.eta
-    # Plain where every partial is normal (s < 1/2: x bounds a w); over T alone, as 2 kB T
-    # underflows to 0 for T below ~2e-301 K.
+    # Plain where every partial is normal (s < 1/2: x bounds a w) and 2 x = hbar Omega_q / kB T
+    # is in the domain; over T alone, as 2 kB T underflows to 0 for T below ~2e-301 K.
     if ((h := _HBAR_2KB * omega) >= TINY and (w := h / T) >= TINY
             and (s := cs / C_LIGHT) >= TINY and (x := a * w * s) >= TINY
+            and x + x <= _RATIO_X_MAX
             and TINY <= drho2 < math.inf and (value := x * eta2 * eta2 / drho2) < math.inf):
         return value
     # cs 2**128 / c is normal for every cs, and has the bits of cs / c where that is normal.
-    return _apart(_HBAR_2KB, ((omega, 1), (T, -1), (a, 1), (math.ldexp(cs, 128) / C_LIGHT, 1),
-                              (medium.eta, 2), (medium.eta, 2), (medium.drho, -2)), 1.0,
-                  _AT_OMEGA, "ratio_zp_thermal", medium, cfg, e=-128)
+    factors = ((omega, 1), (T, -1), (a, 1), (math.ldexp(cs, 128) / C_LIGHT, 1))
+    try:  # x with its exponents apart, in the plain x's order; one that overflows is over
+        x = _apart(2.0 * _HBAR_2KB, factors, 1.0, "x", e=-128)
+    except FluctusError:
+        x = math.inf
+    if x > _RATIO_X_MAX:
+        raise FluctusError(_AT_OMEGA.format("ratio_zp_thermal", medium, cfg)
+                           + f": x = hbar Omega_q / kB T = {x:.6g} is above {_RATIO_X_MAX}, "
+                           "the classical thermal line's domain")
+    return _apart(_HBAR_2KB, (*factors, (medium.eta, 2), (medium.eta, 2), (medium.drho, -2)),
+                  1.0, _AT_OMEGA, "ratio_zp_thermal", medium, cfg, e=-128)

@@ -430,6 +430,16 @@ def test_ratio_with_vanishing_drho_exits_2_with_the_reason(tmp_path, capsys):
     assert err.startswith("error: ratio_zp_thermal: ") and "ratio is undefined" in err
 
 
+def test_ratio_beyond_its_classical_domain_exits_2(capsys):
+    # x = hbar Omega_q / kB T = 406 at 1 mK; the parent printed a share of 124917.81 %
+    code, out, err = run_cli(capsys, "ratio", "--material", "water", "--lambda", "350e-9",
+                             "--theta", "180", "--temperature", "1e-3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ratio_zp_thermal for 'water' at omega = ")
+    assert "x = hbar Omega_q / kB T = 405.879 is above 0.1" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_underflowing_medium_is_refused_by_name(tmp_path, capsys):
     # cs^2 rho0 underflows to 0; the parent printed "float division by zero"
     thin = tmp_path / "thin.mat"

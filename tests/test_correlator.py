@@ -259,16 +259,19 @@ def test_boundary_correlator_sum_beyond_the_float_range_is_refused_by_name():
         boundary_correlator(WATER, z, z, transverse, 0.0)
 
 
-@pytest.mark.parametrize("z, transverse, dt, r, b", [
-    (1e308, 0.0, 1e306, "inf", "inf"),          # z1 + z2 and cs*|dt| overflow
-    (1e-9, math.nan, 1e306, "nan", "inf"),
-    (1e-9, 0.0, math.nan, "2e-09", "nan"),
+# Finite inputs whose image separation overflows are out of the float range; a
+# non-finite transverse or dt is bad input, refused as a ValueError naming it.
+@pytest.mark.parametrize("z, transverse, dt, error, message", [
+    (1e308, 0.0, 1e306, FluctusError,            # z1 + z2 and cs*|dt| overflow
+     "correlator at r = inf m, c*|dt| = inf m is outside the float range"),
+    (1e-9, math.nan, 1e306, ValueError, "transverse distance must be finite, got nan"),
+    (1e-9, 0.0, math.nan, ValueError, "time lag dt must be finite, got nan"),
 ], ids=["r-and-cdt-inf", "r-nan-cdt-inf", "cdt-nan"])
-def test_a_non_finite_image_separation_is_refused_by_name(z, transverse, dt, r, b):
-    with pytest.raises(FluctusError, match=re.escape(
-            f"correlator at r = {r} m, c*|dt| = {b} m is outside the float range")) as exc:
-        boundary_image_term(WATER, z, z, transverse, dt)
-    assert exc.type is FluctusError
+def test_a_non_finite_image_separation_is_refused_by_name(z, transverse, dt, error, message):
+    for call in (boundary_image_term, boundary_correlator):
+        with pytest.raises(error, match=re.escape(message)) as exc:
+            call(WATER, z, z, transverse, dt)
+        assert exc.type is error
 
 
 # --- electromagnetic plate comparison ----------------------------------------

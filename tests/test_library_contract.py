@@ -423,7 +423,14 @@ def test_scaling_by_a_power_of_two_is_exact(case, draw, exponent, k):
     expected = tuple(_ldexp(v, p * k) for v in base)
     if scaled is None or not all(_normal(v) and _normal(e) for v, e in zip(base, expected)):
         return
-    assert _values(CALLS[name](scaled)) == expected, (name, axis, k)
+    try:
+        values = _values(CALLS[name](scaled))
+    except FluctusError as exc:
+        # omega scaled up can take the ratio past its domain x = hbar Omega_q / kB T <= 0.1
+        if name == "ratio_zp_thermal" and "is above 0.1" in str(exc):
+            return
+        raise
+    assert values == expected, (name, axis, k)
 
 
 # The scalar analog cannot join SCALING: its speed is the draw's ``a``, which

@@ -378,7 +378,9 @@ def test_ratio_equals_cross_section_quotient():
             assert quotient == pytest.approx(ratio_zp_thermal(WATER, cfg), rel=1e-12, abs=0)
 
 
-@given(scale_w=st.floats(0.1, 10.0), scale_t=st.floats(0.1, 10.0))
+# x = hbar Omega_q / kB T is 1.38e-3 at the base config; the scales keep it
+# at most 0.069, inside the ratio's domain x <= 0.1.
+@given(scale_w=st.floats(0.1, 10.0), scale_t=st.floats(0.2, 10.0))
 def test_ratio_scales_linearly_in_omega_and_inverse_t(scale_w, scale_t):
     base = benchmark_config()
     value = ratio_zp_thermal(WATER, base)
@@ -526,10 +528,27 @@ def test_omega_prime_below_the_float_resolution_is_refused_by_name(formula):
 
 
 def test_ratio_stays_inverse_in_t_where_2_kb_t_underflows():
-    # 2 kB T = 2.8e-325 rounds to 0; the ratio itself is 8.8e301
-    cold = ratio_zp_thermal(WATER, benchmark_config(temperature=1e-302))
-    warm = ratio_zp_thermal(WATER, benchmark_config(temperature=295.0))
-    assert cold == pytest.approx(warm * 295.0 / 1e-302, rel=1e-12, abs=0)
+    # 2 kB T = 2.8e-325 rounds to 0 at 1e-302 K, and is normal at 1e-280 K; at
+    # omega = 1e-290 rad/s x = hbar Omega_q / kB T is 7.6e-5 in the cold bath
+    cold = ratio_zp_thermal(WATER, benchmark_config(omega=1e-290, temperature=1e-302))
+    warm = ratio_zp_thermal(WATER, benchmark_config(omega=1e-290, temperature=1e-280))
+    assert cold == pytest.approx(warm * 1e-280 / 1e-302, rel=1e-12, abs=0)
+    # at 350 nm x is 4e301: refused by name, never divided by 2 kB T = 0
+    with pytest.raises(FluctusError, match=re.escape(
+            "x = hbar Omega_q / kB T = 4.05879e+301 is above 0.1")) as exc:
+        ratio_zp_thermal(WATER, benchmark_config(temperature=1e-302))
+    assert exc.type is FluctusError
+
+
+def test_ratio_is_refused_beyond_its_classical_domain():
+    # x = 1.38e-3 * 295 K / T: 0.090 at 4.5 K, 0.110 at 3.7 K, 406 at 1 mK, where
+    # the ratio formula read 1249.18, a zero-point share of 124917.81 %
+    assert ratio_zp_thermal(WATER, benchmark_config(temperature=4.5)) > 0.0
+    for temperature, x in ((3.7, "0.109697"), (1e-3, "405.879")):
+        with pytest.raises(FluctusError, match=re.escape(
+                "ratio_zp_thermal for 'water' at omega = 5.38186e+15 rad/s: "
+                f"x = hbar Omega_q / kB T = {x} is above 0.1")):
+            ratio_zp_thermal(WATER, benchmark_config(temperature=temperature))
 
 
 _HEAVY = fluid_medium("heavy", rho0=1e300, cs=1480.0, eta=1.4, drho=0.79)
