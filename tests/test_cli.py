@@ -431,7 +431,7 @@ def test_ratio_with_vanishing_drho_exits_2_with_the_reason(tmp_path, capsys):
 
 
 def test_ratio_beyond_its_classical_domain_exits_2(capsys):
-    # x = hbar Omega_q / kB T = 406 at 1 mK; the parent printed a share of 124917.81 %
+    # x = hbar Omega_q / kB T = 406 at 1 mK, where a share of 124917.81 % used to print
     code, out, err = run_cli(capsys, "ratio", "--material", "water", "--lambda", "350e-9",
                              "--theta", "180", "--temperature", "1e-3")
     assert code == 2 and out == ""
