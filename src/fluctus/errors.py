@@ -8,8 +8,9 @@ violations on arguments raise the usual ``ValueError``.
 The package's argument and float-range rules live here too, unexported:
 every refusal of a physical scalar that is not positive and finite
 (:func:`positive`), every refusal of a value outside the float range
-(:func:`finite`), and every value formed with its factors' exponents
-apart (:func:`scaled`).
+(:func:`finite`), every value formed with its factors' exponents
+apart (:func:`scaled`), and every largest deviation that a nan one
+must not vanish from (:func:`largest`).
 """
 
 import math
@@ -116,3 +117,10 @@ def scaled(mantissa: float, exponent: int, what: str, *args) -> float:
     except OverflowError:
         value = math.inf
     return finite(value, what, *args)
+
+
+def largest(values) -> float:
+    """The largest of ``values`` (a sequence of floats), nan if any is nan,
+    0.0 if there are none.  The builtin ``max`` alone keeps its running
+    maximum past a nan not first, so a nan deviation would vanish."""
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)

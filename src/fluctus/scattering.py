@@ -448,6 +448,13 @@ def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
     classical thermal line's domain x = hbar Omega_q / kB T <= 0.1
     (Omega_q = sqrt(2 (1 - cos theta)) (cs / c) omega; 1.4e-3 for water
     at 350 nm, backscatter, 295 K).
+
+    The ratio is (x / 2) (eta^2 / drho)^2: the fluctuation-dissipation
+    share x / 2 (per mode, the vacuum's 1/2 against the classical line's
+    kB T / hbar Omega_q = 1 / x) times the coupling factor (eta^2 /
+    drho)^2, as the zero-point line carries eta^4 where the thermal line
+    carries drho^2.  For water at 350 nm, theta = pi and 295 K the ratio
+    4.2345e-3 is x / 2 = 6.88e-4 times 6.16.
     """
     drho2 = medium.drho * medium.drho
     if drho2 == 0.0:  # also catches a drho whose square underflows

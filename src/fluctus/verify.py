@@ -33,6 +33,7 @@ import numpy as np
 
 from . import lattice, scattering, spectral
 from .correlator import Separation, _kernel, correlator
+from .errors import largest
 from .medium import FluidMedium, builtin_material, fluid_medium
 
 __all__ = [
@@ -68,14 +69,9 @@ class CheckResult:
     detail: str = ""
 
 
-def _largest(deviations) -> float:
-    # The maximum, nan if any deviation is nan (the builtin max can drop one), 0.0 if none.
-    return float(np.max(deviations, initial=0.0))
-
-
 def _at_most(name: str, tolerance: float, deviations, detail: str = "") -> CheckResult:
     """The check that the largest deviation is at most ``tolerance``; a nan one fails it."""
-    achieved = _largest(deviations)
+    achieved = largest(deviations)
     return CheckResult(name, tolerance, achieved, achieved <= tolerance, detail)
 
 
@@ -135,7 +131,7 @@ def verify_spectral() -> list[CheckResult]:
         f"{sum(est.passes for est in estimates)} quadrature passes, "
         f"{sum(est.points for est in estimates)} points, worst quadrature error "
         f"{max(est.quadrature_error for est in estimates):.2e}"))
-    variant_best = _largest(variant_gaps)  # the variant must miss somewhere: a floor, not a gate
+    variant_best = largest(variant_gaps)  # the variant must miss somewhere: a floor, not a gate
     results.append(CheckResult(
         name="rejected denominator variant disagrees somewhere by > 10%",
         tolerance=0.10, achieved=variant_best, passed=variant_best > 0.10,
@@ -147,7 +143,7 @@ def verify_lattice() -> list[CheckResult]:
     """Mode-sum convergence on the standard study geometry (water, r = 16 nm)."""
     study = lattice.convergence_study(builtin_material("water"), r=16e-9)
     errs = [e for _, e in study.rows]
-    largest_increase = max((b - a for a, b in zip(errs, errs[1:])), default=0.0)
+    largest_increase = largest([b - a for a, b in zip(errs, errs[1:])])
     results = [CheckResult(
         name="lattice error decreases monotonically over N = "
              + ",".join(str(n) for n, _ in study.rows),
@@ -167,27 +163,27 @@ def verify_lattice() -> list[CheckResult]:
     return results
 
 
+#: The ranges of a chain case's six uniform draws, in draw order: rho0, cs, eta,
+#: drho, the wavelength and theta.
+_CASE_RANGES = ((100.0, 2500.0), (200.0, 3500.0), (1.0, 2.0), (0.1, 1.5),
+                (200e-9, 700e-9), (0.05, math.pi))
+
+
 def _random_media_and_configs(n: int, seed: int = 20260809):
     rng = np.random.default_rng(seed)
-    # The same draws as rng.uniform(lo, hi), which computes exactly this, at less cost per call.
-    def uniform(lo, hi):
-        return lo + (hi - lo) * rng.random()
-
     pols = list(scattering.Polarization)
     out = []
     for _ in range(n):
-        medium = fluid_medium(
-            name="random",
-            rho0=uniform(100.0, 2500.0),
-            cs=uniform(200.0, 3500.0),
-            eta=uniform(1.0, 2.0),
-            drho=uniform(0.1, 1.5),
-        )
+        # rng.random(6) gives the doubles of six rng.random() calls, and lo + (hi - lo) u
+        # is what rng.uniform(lo, hi) computes, at less cost per call.
+        rho0, cs, eta, drho, wavelength, theta = (
+            lo + (hi - lo) * u for (lo, hi), u in zip(_CASE_RANGES, rng.random(6).tolist()))
+        medium = fluid_medium(name="random", rho0=rho0, cs=cs, eta=eta, drho=drho)
         cfg = scattering.ScatteringConfig(
-            omega=scattering.omega_from_wavelength(uniform(200e-9, 700e-9)),
-            theta=uniform(0.05, math.pi),
+            omega=scattering.omega_from_wavelength(wavelength),
+            theta=theta,
             pol=pols[rng.integers(len(pols))],
-            temperature=uniform(150.0, 450.0),
+            temperature=150.0 + (450.0 - 150.0) * rng.random(),
         )
         out.append((medium, cfg))
     return out

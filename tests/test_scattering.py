@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from fluctus.correlator import zero_point_structure_factor
 from fluctus.errors import FluctusError, MaterialValidationError, MissingPropertyError
 from fluctus import scattering
-from fluctus.medium import C_LIGHT, HBAR, FluidMedium, builtin_material, fluid_medium
+from fluctus.medium import C_LIGHT, HBAR, K_B, FluidMedium, builtin_material, fluid_medium
 from fluctus.scattering import (
     Polarization,
     ScatteringConfig,
@@ -376,6 +376,24 @@ def test_ratio_equals_cross_section_quotient():
             quotient = (zp_cross_section_reduced(WATER, cfg).value
                         / thermal_brillouin_cross_section(WATER, cfg).value)
             assert quotient == pytest.approx(ratio_zp_thermal(WATER, cfg), rel=1e-12, abs=0)
+
+
+def test_ratio_is_the_fd_share_times_the_coupling_factor():
+    # R = (x / 2) (eta^2 / drho)^2 with x = hbar Omega_q / kB T, Omega_q formed as the ratio
+    # forms it: sqrt(2 (1 - cos theta)) = 2 sin(theta / 2).  Both sides are about eight
+    # correctly rounded operations in different orders; 10 000 such draws differed by at
+    # most 5 ulp, and the bound is 8.
+    rnd = random.Random(20261020)
+    for _ in range(200):
+        medium = fluid_medium("rnd", rho0=rnd.uniform(100.0, 2500.0), cs=rnd.uniform(200.0, 3500.0),
+                              eta=rnd.uniform(1.0, 2.0), drho=rnd.uniform(0.1, 1.5))
+        cfg = ScatteringConfig(omega=omega_from_wavelength(rnd.uniform(200e-9, 700e-9)),
+                               theta=rnd.uniform(0.05, math.pi),
+                               temperature=rnd.uniform(150.0, 450.0))
+        omega_q = 2.0 * math.sin(0.5 * cfg.theta) * (medium.cs / C_LIGHT) * cfg.omega
+        x = HBAR * omega_q / (K_B * cfg.temperature)
+        expected = x / 2.0 * (medium.eta**2 / medium.drho) ** 2
+        assert abs(ratio_zp_thermal(medium, cfg) - expected) <= 8 * math.ulp(expected)
 
 
 # x = hbar Omega_q / kB T is 1.38e-3 at the base config; the scales keep it

@@ -1,9 +1,13 @@
-"""A nan deviation fails a verify check instead of vanishing from its maximum."""
+"""A nan deviation fails a verify check instead of vanishing from its maximum, and the
+chain suite's seeded draws stay the same."""
 
 import math
 
-from fluctus import scattering, verify
+import numpy as np
+
+from fluctus import lattice, scattering, verify
 from fluctus.correlator import CorrelatorValue
+from fluctus.medium import fluid_medium
 from fluctus.scattering import CrossSectionValue
 
 
@@ -39,3 +43,48 @@ def test_a_nan_variant_gap_fails_the_rejected_variant_check(monkeypatch):
         "rejected denominator variant disagrees somewhere by > 10%"]
     assert check.passed is False
     assert math.isnan(check.achieved)
+
+
+def _monotone_check(monkeypatch, errors):
+    study = lattice.ConvergenceStudy(L=1.0, r=1.0, eps=0.125, continuum=1.0,
+                                     rows=tuple(zip((64, 128, 256), errors)), slope=4.25)
+    monkeypatch.setattr(lattice, "convergence_study", lambda medium, r: study)
+    return verify.verify_lattice()[0]
+
+
+def test_a_nan_lattice_error_reports_nan_in_the_monotone_check(monkeypatch):
+    check = _monotone_check(monkeypatch, (1.0, 0.5, math.nan))
+    assert check.passed is False
+    assert math.isnan(check.achieved)
+
+
+def test_a_monotone_ladder_reports_its_negative_largest_step(monkeypatch):
+    check = _monotone_check(monkeypatch, (1.0, 0.5, 0.125))
+    assert check.passed is True
+    assert check.achieved == -0.375
+
+
+def _reference_media_and_configs(n, seed=20260809):
+    # The chain suite's draws as scalar calls: six uniforms, the polarization, the temperature.
+    rng = np.random.default_rng(seed)
+    pols = list(scattering.Polarization)
+    out = []
+    for _ in range(n):
+        medium = fluid_medium(name="random", rho0=rng.uniform(100.0, 2500.0),
+                              cs=rng.uniform(200.0, 3500.0), eta=rng.uniform(1.0, 2.0),
+                              drho=rng.uniform(0.1, 1.5))
+        omega = scattering.omega_from_wavelength(rng.uniform(200e-9, 700e-9))
+        theta = rng.uniform(0.05, math.pi)
+        pol = pols[rng.integers(len(pols))]
+        out.append((medium, scattering.ScatteringConfig(
+            omega=omega, theta=theta, pol=pol, temperature=rng.uniform(150.0, 450.0))))
+    return out
+
+
+def test_chain_draws_equal_the_scalar_draws_field_by_field():
+    cases = verify._random_media_and_configs(100)
+    reference = _reference_media_and_configs(100)
+    assert len(cases) == len(reference) == 100
+    for (medium, cfg), (ref_medium, ref_cfg) in zip(cases, reference):
+        assert medium == ref_medium
+        assert cfg == ref_cfg
