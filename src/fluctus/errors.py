@@ -120,7 +120,8 @@ def scaled(mantissa: float, exponent: int, what: str, *args) -> float:
 
 
 def largest(values) -> float:
-    """The largest of ``values`` (a sequence of floats), nan if any is nan,
-    0.0 if there are none.  The builtin ``max`` alone keeps its running
-    maximum past a nan not first, so a nan deviation would vanish."""
+    """The largest of ``values`` (an iterable of floats, read once), nan if
+    any is nan, 0.0 if there are none.  The builtin ``max`` alone keeps its
+    running maximum past a nan not first, so a nan deviation would vanish."""
+    values = list(values)
     return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)

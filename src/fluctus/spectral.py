@@ -94,7 +94,7 @@ _EXTRAP_ORDER = _LADDER_RUNGS - 1
 #: Refinement budget of the panel quadrature: at most this many panel
 #: halvings, and at most this many blocks (2**24 nodes) in one pass.  The
 #: budget bounds a pass's work; its memory goes by blocks, not nodes: under
-#: 230 bytes per block (7.4 MB at the full budget, measured with tracemalloc).
+#: 230 bytes per block (7.7 MB at the full budget, measured with tracemalloc).
 _MAX_HALVINGS = 8
 _MAX_BLOCKS = 2**24 // _NODE_OFFSETS.size
 
@@ -129,16 +129,16 @@ def _ladder(b: float) -> tuple[float, ...]:
     return tuple(eps0 / 2.0**k for k in range(_LADDER_RUNGS))
 
 
-def _phase(n: np.ndarray, turns: float) -> np.ndarray:
+def _phase(n: np.ndarray, turns: np.ndarray) -> np.ndarray:
     """The phase 2 pi n turns at integers n, reduced exactly into [-pi, pi].
 
     ``turns`` is split into a part on the 2**-_TURN_BITS grid, whose
     product with n is reduced modulo one turn in integer arithmetic, and
     a remainder of at most 2**-(_TURN_BITS + 1), whose product with n is
     below one turn.  The phase is therefore accurate to a few ulp of pi,
-    however large n is.
+    however large n is.  Broadcasts over n and turns.
     """
-    steps = round(turns * 2**_TURN_BITS)
+    steps = np.rint(turns * 2**_TURN_BITS).astype(np.int64)
     rest = turns - steps / 2**_TURN_BITS  # exact: the low bits of turns
     frac = (n * steps % 2**_TURN_BITS) / 2**_TURN_BITS + n * rest
     return (2.0 * math.pi) * (frac - np.rint(frac))
@@ -152,25 +152,8 @@ def _fast_node_osc(halvings: int) -> np.ndarray:
     return np.stack((np.cos(phase), np.zeros_like(phase), np.sin(phase), np.zeros_like(phase)))
 
 
-def _fast_edge_osc(halvings: int) -> np.ndarray:
-    """sin and cos of the fast frequency's block-edge phases (:func:`_panel_sums`),
-    62 j / 2**(halvings + 2) turns at block j: with 31 odd they repeat every
-    2**(halvings + 1) blocks, which is the table's length."""
-    edges = np.arange(0, 2 * _BLOCK_PANELS * 2 ** (halvings + 1), 2 * _BLOCK_PANELS)
-    phase = _phase(edges, 1.0 / 2 ** (halvings + 2))
-    return np.stack((np.sin(phase), np.cos(phase)))
-
-
-#: The fast frequency's node factors and block-edge factors for each number of halvings.
+#: The fast frequency's node factors for each number of halvings.
 _FAST_NODE_OSC = tuple(_fast_node_osc(halvings) for halvings in range(_MAX_HALVINGS + 1))
-_FAST_EDGE_OSC = tuple(_fast_edge_osc(halvings) for halvings in range(_MAX_HALVINGS + 1))
-
-
-def _fast_edges(halvings: int, blocks: int) -> np.ndarray:
-    """sin and cos of the fast block-edge phases of ``blocks`` blocks: the
-    period's table (_FAST_EDGE_OSC) repeated."""
-    table = _FAST_EDGE_OSC[halvings]
-    return np.tile(table, -(-blocks // table.shape[1]))[:, :blocks]
 
 
 def _panel_sums(b: float, epsilons: tuple[float, ...], halvings: int,
@@ -196,12 +179,10 @@ def _panel_sums(b: float, epsilons: tuple[float, ...], halvings: int,
     the same for every block, so a pass is two 2-D products,
     (3 rungs x nodes) by (nodes x 4) and that by (4 x blocks), plus, per
     block, the sin and cos of each frequency, one exp per rung and start
-    applied by Horner's rule.  The fast frequency's factors do not depend
-    on b and are tabulated: its node factors (_FAST_NODE_OSC), and its
-    block-edge factors over one period of 2**(halvings + 1) blocks
-    (_FAST_EDGE_OSC), repeated across the pass; only the slow one's are
-    computed in a pass.  As s, u >= 0, neither damping factor exceeds 1
-    and the q^2 terms do not cancel.
+    applied by Horner's rule.  The fast frequency's node factors do not
+    depend on b and are tabulated (_FAST_NODE_OSC); only the slow one's
+    are computed in a pass.  As s, u >= 0, neither damping factor
+    exceeds 1 and the q^2 terms do not cancel.
 
     Every phase is reduced exactly (:func:`_phase`): the block phase s a
     and the panel phase h k_i a are integers times a turn count (the
@@ -217,18 +198,17 @@ def _panel_sums(b: float, epsilons: tuple[float, ...], halvings: int,
     slow = (1.0 - b) / (1.0 + b) / period
     neg_eps = np.negative(epsilons)
     start = np.arange(0.0, 2 * _BLOCK_PANELS * blocks, 2 * _BLOCK_PANELS)
-    # One exact reduction for the slow panels' integer offsets and block edges.
-    phase = _phase(np.concatenate((_PANEL_OFFSETS, start.astype(np.int64))), slow)
-    slow_phase = (phase[:_BLOCK_PANELS, None] + (2.0 * math.pi * slow) * _GL_NODES).ravel()
+    # One exact reduction for the slow panels' integer offsets and both
+    # frequencies' block edges; the fast panels' row goes unused.
+    phase = _phase(np.concatenate((_PANEL_OFFSETS, start.astype(np.int64))),
+                   np.array([[1.0 / period], [slow]]))
+    slow_phase = (phase[1, :_BLOCK_PANELS, None] + (2.0 * math.pi * slow) * _GL_NODES).ravel()
     # Row i of the block factors pairs with row i of the node factors:
     # sin(s a) with cos(u a), cos(s a) with sin(u a), for each frequency.
     node_osc = _FAST_NODE_OSC[halvings].copy()
     np.cos(slow_phase, out=node_osc[1])
     np.sin(slow_phase, out=node_osc[3])
-    edge = np.empty((4, blocks))
-    edge[::2] = _fast_edges(halvings, blocks)
-    np.sin(phase[_BLOCK_PANELS:], out=edge[1])
-    np.cos(phase[_BLOCK_PANELS:], out=edge[3])
+    edge = np.concatenate((np.sin(phase[:, _BLOCK_PANELS:]), np.cos(phase[:, _BLOCK_PANELS:])))
     node = np.exp(np.multiply.outer(neg_eps, h * _NODE_OFFSETS))
     moments = (_NODE_MOMENTS[:, None, :] * node).reshape(-1, _NODE_OFFSETS.size)
     per_block = ((moments @ node_osc.T) @ edge).reshape(3, len(epsilons), blocks)

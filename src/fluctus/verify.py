@@ -163,12 +163,6 @@ def verify_lattice() -> list[CheckResult]:
     return results
 
 
-#: The ranges of a chain case's six uniform draws, in draw order: rho0, cs, eta,
-#: drho, the wavelength and theta.
-_CASE_RANGES = ((100.0, 2500.0), (200.0, 3500.0), (1.0, 2.0), (0.1, 1.5),
-                (200e-9, 700e-9), (0.05, math.pi))
-
-
 def _random_media_and_configs(n: int, seed: int = 20260809):
     rng = np.random.default_rng(seed)
     pols = list(scattering.Polarization)
@@ -176,12 +170,17 @@ def _random_media_and_configs(n: int, seed: int = 20260809):
     for _ in range(n):
         # rng.random(6) gives the doubles of six rng.random() calls, and lo + (hi - lo) u
         # is what rng.uniform(lo, hi) computes, at less cost per call.
-        rho0, cs, eta, drho, wavelength, theta = (
-            lo + (hi - lo) * u for (lo, hi), u in zip(_CASE_RANGES, rng.random(6).tolist()))
-        medium = fluid_medium(name="random", rho0=rho0, cs=cs, eta=eta, drho=drho)
+        u = rng.random(6).tolist()
+        medium = fluid_medium(
+            name="random",
+            rho0=100.0 + (2500.0 - 100.0) * u[0],
+            cs=200.0 + (3500.0 - 200.0) * u[1],
+            eta=1.0 + (2.0 - 1.0) * u[2],
+            drho=0.1 + (1.5 - 0.1) * u[3],
+        )
         cfg = scattering.ScatteringConfig(
-            omega=scattering.omega_from_wavelength(wavelength),
-            theta=theta,
+            omega=scattering.omega_from_wavelength(200e-9 + (700e-9 - 200e-9) * u[4]),
+            theta=0.05 + (math.pi - 0.05) * u[5],
             pol=pols[rng.integers(len(pols))],
             temperature=150.0 + (450.0 - 150.0) * rng.random(),
         )

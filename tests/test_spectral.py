@@ -124,19 +124,6 @@ def test_factored_panel_sums_equal_the_direct_rule(b, halvings):
             assert abs(got - want) <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("halvings", range(spectral._MAX_HALVINGS + 1))
-def test_tiled_fast_edge_table_equals_the_direct_edge_phases(halvings):
-    # with 31 odd the fast edge phase, 62 j / 2**(halvings + 2) turns at block j,
-    # repeats every 2**(halvings + 1) blocks; the repeated table is its sin and cos
-    for blocks in (1, 2, 3, 7, 257, 4097):
-        phase = spectral._phase(np.arange(blocks) * (2 * spectral._BLOCK_PANELS),
-                                1.0 / 2 ** (halvings + 2))
-        tiled = spectral._fast_edges(halvings, blocks)
-        assert tiled.shape == (2, blocks)
-        assert (tiled[0] == np.sin(phase)).all()
-        assert (tiled[1] == np.cos(phase)).all()
-
-
 def test_block_roundoff_does_not_add_up_coherently():
     # at eps = 1e-4 r the integrand cancels by ~1e12, so two fine passes
     # differ by roundoff alone; a block length on which the fast phase

@@ -45,6 +45,13 @@ def test_a_nan_variant_gap_fails_the_rejected_variant_check(monkeypatch):
     assert math.isnan(check.achieved)
 
 
+def test_a_deviation_from_a_generator_is_not_lost():
+    # the maximum reads its deviations once: a generator's are all seen
+    check = verify._at_most("probe", 0.5, (d for d in (0.25, 1.0, 0.125)))
+    assert check.passed is False
+    assert check.achieved == 1.0
+
+
 def _monotone_check(monkeypatch, errors):
     study = lattice.ConvergenceStudy(L=1.0, r=1.0, eps=0.125, continuum=1.0,
                                      rows=tuple(zip((64, 128, 256), errors)), slope=4.25)
