@@ -188,8 +188,8 @@ def _density_scale(medium: FluidMedium, x: float, length: float, p: int, what: s
 def _image(medium: FluidMedium, z1: float, z2: float, transverse: float, dt: float,
            e: int = 0) -> float:
     # The image term's value (times 2**e): the free correlator at z2 reflected to -z2.
-    if not (z1 > 0.0 and z2 > 0.0):
-        raise ValueError("both points must be strictly inside the fluid (z1, z2 > 0)")
+    positive(z1, "distance to wall z1")
+    positive(z2, "distance to wall z2")
     # inf or nan (x - x is nan for both), by comparison alone: every boundary call runs this
     if not transverse - transverse == 0.0:
         raise ValueError(f"transverse distance must be finite, got {transverse}")
@@ -218,10 +218,12 @@ def equal_time_correlator(medium: FluidMedium, r: float) -> CorrelatorValue:
     """Equal-time correlator -hbar rho0 / (2 pi^2 cs r^4); r > 0.
 
     Strictly negative, and identical (bit for bit) to
-    ``correlator(medium, Separation(r, 0))``.
+    ``correlator(medium, Separation(r, 0))``: r = 0 raises
+    CoincidenceDivergenceError, and a negative, infinite or nan r
+    raises ValueError.
     """
-    if not r >= 0.0:
-        raise ValueError(f"distance must be positive, got {r}")
+    if not 0.0 <= r < math.inf:  # r = 0 is the kernel's CoincidenceDivergenceError
+        raise ValueError(f"distance must be positive (finite, > 0), got {r}")
     return CorrelatorValue(_kernel(medium.rho0, medium.cs, -1, r, 0.0), "equal-time-correlator")
 
 
@@ -252,11 +254,13 @@ def boundary_shift_planar(medium: FluidMedium, z: float) -> CorrelatorValue:
     sign is a *reduction* of the fluctuations near the wall, the acoustic
     counterpart of the shift in the mean squared electromagnetic fields
     near a reflecting plate (:func:`em_vacuum_shift_plate`).
+
+    z = 0 raises BoundaryContactError; a z that is otherwise not positive
+    and finite raises ValueError naming the distance to the wall.
     """
     if z == 0.0:
         raise BoundaryContactError("z = 0: the renormalized variance diverges at the wall")
-    if not z > 0.0:
-        raise ValueError(f"distance to wall must be positive, got {z}")
+    positive(z, "distance to wall")
     return CorrelatorValue(_kernel(medium.rho0, medium.cs, -1, 2.0 * z, 0.0),
                            "planar-boundary-shift")
 
@@ -271,6 +275,9 @@ def boundary_image_term(medium: FluidMedium, z1: float, z2: float,
     renormalized variance shift: at z1 = z2 = z, transverse = dt = 0 the
     image sits at distance 2z and the term equals
     :func:`boundary_shift_planar` exactly.
+
+    z1 and z2 must be positive and finite, and are refused first, by name,
+    with ValueError; so are an infinite or nan ``transverse`` or ``dt``.
     """
     return CorrelatorValue(_image(medium, z1, z2, transverse, dt), "boundary-image-term")
 
@@ -283,9 +290,9 @@ def boundary_correlator(medium: FluidMedium, z1: float, z2: float,
     the free correlator at the image separation.  Both separations must
     be off the sound cone; the direct one must not be coincident.
     Sending the transverse distance to infinity recovers the free
-    correlator; an infinite or nan ``transverse`` or ``dt`` raises
-    ValueError.  Two finite terms whose sum leaves the float range raise
-    FluctusError.
+    correlator; z1 or z2 not positive and finite, or an infinite or nan
+    ``transverse`` or ``dt``, raises ValueError naming it.  Two finite
+    terms whose sum leaves the float range raise FluctusError.
     """
     image = _image(medium, z1, z2, transverse, dt)
     rd = math.hypot(transverse, z1 - z2)
@@ -311,11 +318,12 @@ def em_vacuum_shift_plate(z: float) -> tuple[float, float]:
 
     Shown side by side with :func:`boundary_shift_planar` in the CLI;
     note <E^2> = -<B^2> while the density shift has a definite sign.
+    z = 0 raises BoundaryContactError; a z that is otherwise not positive
+    and finite raises ValueError naming the distance to the plate.
     """
     if z == 0.0:
         raise BoundaryContactError("z = 0: plate-contact divergence")
-    if not z > 0.0:
-        raise ValueError(f"distance to plate must be positive, got {z}")
+    positive(z, "distance to plate")
     coeff = 3.0 / (16.0 * math.pi**2)
     return (coeff, -coeff)
 

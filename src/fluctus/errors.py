@@ -7,10 +7,11 @@ violations on arguments raise the usual ``ValueError``.
 
 The package's argument and float-range rules live here too, unexported:
 every refusal of a physical scalar that is not positive and finite
-(:func:`positive`), every refusal of a value outside the float range
-(:func:`finite`), every value formed with its factors' exponents
-apart (:func:`scaled`), and every largest deviation that a nan one
-must not vanish from (:func:`largest`).
+(:func:`positive`: a speed, a frequency, a temperature, the permittivity,
+a length, the distance to a wall or a plate, or a volume), every refusal
+of a value outside the float range (:func:`finite`), every value formed
+with its factors' exponents apart (:func:`scaled`), and every largest
+deviation that a nan one must not vanish from (:func:`largest`).
 """
 
 import math
@@ -90,7 +91,8 @@ class MissingPropertyError(MaterialError):
 def positive(value: float, what: str) -> float:
     """``value`` if positive and finite, else ValueError "<what> must be
     positive and finite, got <value>": the one refusal of a speed, a
-    frequency, a temperature, a length or a volume argument."""
+    frequency, a temperature, a permittivity, a length (a distance to a
+    wall or a plate among them) or a volume argument."""
     if 0.0 < value < math.inf:
         return value
     raise ValueError(f"{what} must be positive and finite, got {value}")

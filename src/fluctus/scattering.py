@@ -261,11 +261,13 @@ def matrix_element_sq(medium: FluidMedium, omega: float, omega_prime: float,
 
     hbar^3 omega omega' Omega_q / (8 V rho0 cs^2) times the squared
     polarization overlap; scales as 1/V with the quantization volume.
+    omega, omega_prime, omega_q and then the volume must be positive and
+    finite, else ValueError names the first that is not.
     """
-    if not (omega > 0.0 and omega_prime > 0.0 and omega_q > 0.0):
-        raise ValueError("all frequencies must be positive")
-    positive(volume, "quantization volume")
-    return finite(_m2(medium.rho0, medium.cs, omega, omega_prime, omega_q, volume, pol_factor),
+    return finite(_m2(medium.rho0, medium.cs, positive(omega, "angular frequency omega"),
+                      positive(omega_prime, "scattered frequency omega_prime"),
+                      positive(omega_q, "phonon frequency omega_q"),
+                      positive(volume, "quantization volume"), pol_factor),
                   "matrix_element_sq for '{.name}' at omega = {:.6g} rad/s, "
                   "volume = {:.6g} m^3", medium, omega, volume)
 
@@ -274,20 +276,25 @@ def density_of_states(omega_prime: float, epsilon0: float, volume: float) -> flo
     """Photon final states per unit energy per steradian in the dielectric.
 
     V omega'^2 epsilon0^(3/2) / (hbar (2 pi c)^3); the epsilon0^(3/2)
-    counts the compressed in-medium mode spacing.
+    counts the compressed in-medium mode spacing.  omega_prime, the
+    permittivity epsilon0 and the volume must be positive and finite, else
+    ValueError names the first that is not.
     """
-    if not (omega_prime > 0.0 and epsilon0 > 0.0 and volume > 0.0):
-        raise ValueError("all inputs must be positive")
-    return finite(_dos(omega_prime, epsilon0, volume),
+    return finite(_dos(positive(omega_prime, "scattered frequency omega_prime"),
+                       positive(epsilon0, "permittivity epsilon0"),
+                       positive(volume, "quantization volume")),
                   "density_of_states at omega_prime = {:.6g} rad/s, epsilon0 = {:.6g}, "
                   "volume = {:.6g} m^3", omega_prime, epsilon0, volume)
 
 
 def incident_flux(epsilon0: float, volume: float) -> float:
-    """Flux of one photon in the quantization box: c / (V sqrt(epsilon0))."""
-    if not (epsilon0 > 0.0 and volume > 0.0):
-        raise ValueError("all inputs must be positive")
-    return finite(_flux(epsilon0, volume),
+    """Flux of one photon in the quantization box: c / (V sqrt(epsilon0)).
+
+    The permittivity epsilon0 and the volume must be positive and finite,
+    else ValueError names the first that is not.
+    """
+    return finite(_flux(positive(epsilon0, "permittivity epsilon0"),
+                        positive(volume, "quantization volume")),
                   "incident_flux at epsilon0 = {:.6g}, volume = {:.6g} m^3", epsilon0, volume)
 
 

@@ -9,8 +9,10 @@ achieved error:
   (time term tripled) at the >10% level, plus the quadrature's
   self-check against the damped closed form.
 * ``lattice``: monotone approach of the mode sum to the continuum on
-  the standard study geometry and the fitted convergence exponent
-  against the band frozen from the direct numerical study.
+  the standard study geometry and the log-log fit of its error over
+  N = 64, 128 and 256 against the band frozen from the direct numerical
+  study: a fit over three mode counts, not an order of convergence, as
+  the error changes sign up to N = 256 and stops falling from N = 384.
 * ``chain``: the golden-rule assembly against the closed-form cross
   section at the 1e-12 level over randomized media and configurations,
   quantization-volume independence, the recoil bound on the
@@ -52,9 +54,10 @@ __all__ = [
 #: line run them; suite ``<name>`` is the function ``verify_<name>``.
 SUITES = ("chain", "spectral", "lattice")
 
-#: Log-log convergence exponent band for the standard lattice study,
-#: frozen from the direct numerical study of the N = 64..256 ladder at
-#: L = 16 r (measured 4.26; the band allows +-0.75).
+#: Band for the slope of the log-log fit of the standard lattice study's
+#: error over N = 64, 128 and 256 at L = 16 r, frozen from the direct
+#: numerical study (measured 4.26; the band allows +-0.75).  A fit over
+#: three mode counts, not an order of convergence.
 LATTICE_SLOPE_BAND = (3.5, 5.0)
 
 

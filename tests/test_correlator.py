@@ -74,8 +74,11 @@ def test_regime_needs_a_positive_finite_sound_speed(cs):
 def test_negative_distance_rejected():
     with pytest.raises(ValueError):
         Separation(-1.0, 0.0)
-    with pytest.raises(ValueError, match="distance must be positive"):
-        equal_time_correlator(WATER, -1e-9)
+    # as Separation(r) does, an infinite or nan r is bad input, not a value out of range
+    for r in (-1e-9, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="distance must be positive") as info:
+            equal_time_correlator(WATER, r)
+        assert info.type is ValueError
 
 
 # --- the closed-form correlator ---------------------------------------------
