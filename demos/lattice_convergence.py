@@ -3,8 +3,10 @@
 A periodic box replaces the spectral integral by a sum over a discrete
 wavevector lattice.  This script shows the box symmetries the sum
 inherits (periodicity, parity) and runs the standard convergence study:
-box fixed at L = 16 r, modes per axis climbing, error against the
-continuum value at identical damping falling monotonically.
+box fixed at L = 16 r, modes per axis climbing over N = 64, 128 and
+256, error against the continuum value at identical damping falling.
+Past N = 256 the error stops at the periodic images' offset, about
+-2.78e-4 of the continuum value (-2.64e-4 at N = 384, -2.78e-4 at 512).
 
 Run:  python demos/lattice_convergence.py
 """
@@ -40,4 +42,5 @@ for n, err in study.rows:
     print(f"{n:5d}  {study.L / n / r:7.4f}  {err:18.6e}")
 print(f"\nmonotone: {study.monotone};  fitted log-log exponent: {study.slope:.3f}")
 print("the error over this ladder is dominated by the missing modes outside")
-print("the covered wavenumber cube, so it collapses fast as N doubles")
+print("the covered wavenumber cube, so it falls fast as N doubles; past N = 256")
+print("it stops at the periodic images' offset, about -2.78e-4 of the continuum")

@@ -80,8 +80,9 @@ def parse_range(text: str) -> list[float]:
 
 
 def _emit(records: list[OutputRecord], fmt: str) -> None:
-    for r in records:
-        finite(r.value, r.formula)
+    for r in records:  # a refusal names the record's inputs, as the library's refusals do
+        finite(r.value, "{} at {}", r.formula,
+               ", ".join(f"{k} = {v!r}" for k, v in r.inputs.items()))
     if fmt == "json":
         print(json.dumps([asdict(r) for r in records], indent=2, allow_nan=False))
         return
@@ -145,14 +146,15 @@ _KINDS = {
 }
 
 
-def _config_from_args(args, theta_rad: float, medium) -> scattering.ScatteringConfig:
-    # The bath temperature resolved: --temperature, else the medium's own.
-    omega = args.omega
-    if args.wavelength is not None:  # argparse admits exactly one of the two
-        omega = scattering.omega_from_wavelength(args.wavelength)
+def _config_from_args(args, theta_deg: float, medium) -> scattering.ScatteringConfig:
+    # --theta checked in the degrees it is given in; the bath temperature resolved:
+    # --temperature, else the medium's own.
+    if not 0.0 < theta_deg <= 180.0:  # radians(180.0) is exactly pi
+        raise ValueError(f"--theta must lie in (0, 180] degrees, got {theta_deg}")
     return scattering.ScatteringConfig(
-        omega=omega,
-        theta=theta_rad,
+        omega=(args.omega if args.wavelength is None  # argparse admits exactly one of the two
+               else scattering.omega_from_wavelength(args.wavelength)),
+        theta=math.radians(theta_deg),
         pol=scattering.Polarization(getattr(args, "pol", "perpendicular")),
         temperature=(medium.default_temperature if args.temperature is None
                      else args.temperature),
@@ -165,7 +167,7 @@ def _cmd_xsection(args) -> int:
     thetas_deg = parse_range(args.theta)
     records = []
     for theta_deg in thetas_deg:
-        cfg = _config_from_args(args, math.radians(theta_deg), medium)
+        cfg = _config_from_args(args, theta_deg, medium)
         xs = _KINDS[args.kind](medium, cfg)
         inputs = {
             "material": medium.name,
@@ -184,7 +186,7 @@ def _cmd_xsection(args) -> int:
 
 def _cmd_ratio(args) -> int:
     medium = resolve_material(args.material)
-    cfg = _config_from_args(args, math.radians(float(args.theta)), medium)
+    cfg = _config_from_args(args, float(args.theta), medium)
     value = scattering.ratio_zp_thermal(medium, cfg)
     record = OutputRecord(
         inputs={"material": medium.name, "omega_rad_s": cfg.omega,

@@ -73,16 +73,20 @@ class Regime(enum.Enum):
 class Separation:
     """Spatial distance r >= 0 (m) and time lag dt (s) between two points.
 
-    The regime tag is derived against a specific sound speed, since the
-    cone position depends on the medium.
+    Both are stored as Python floats (``float(x)``: numpy scalars and
+    numeric strings are converted) and must be finite, whatever their
+    real type.  The regime tag is derived against a specific sound
+    speed, since the cone position depends on the medium.
     """
 
     r: float
     dt: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "r", float(self.r))  # as FluidMedium stores its numbers
         if not 0.0 <= self.r < math.inf:
             raise ValueError(f"separation distance r must be finite and >= 0, got {self.r}")
+        object.__setattr__(self, "dt", float(self.dt))
         if not math.isfinite(self.dt):
             raise ValueError(f"time lag dt must be finite, got {self.dt}")
 

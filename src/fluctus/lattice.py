@@ -66,16 +66,19 @@ class ModeGrid:
 
     Modes are q = (2 pi / L) n for integer n in [-N/2, N/2)^3 without
     the zero mode, so there are N^3 - 1 of them and the largest
-    wavenumber component is (pi N / L)(1 - 2/N).
+    wavenumber component is (pi N / L)(1 - 2/N).  L is stored as a Python
+    float (``float(x)``: numpy scalars and numeric strings are converted)
+    and must be positive and finite, whatever its real type; N is stored
+    as the ``int`` that ``operator.index`` returns.
     """
 
     L: float
     N: int
 
     def __post_init__(self):
-        positive(self.L, "box side L")
+        object.__setattr__(self, "L", positive(float(self.L), "box side L"))  # as FluidMedium
         try:
-            operator.index(self.N)
+            object.__setattr__(self, "N", operator.index(self.N))
         except TypeError:
             raise ValueError(f"modes per axis must be an integer, got {self.N!r}") from None
         if self.N < 8 or self.N % 2 != 0:

@@ -86,8 +86,11 @@ class ScatteringConfig:
     ``omega`` is the vacuum-definition angular frequency (2 pi c over the
     vacuum wavelength), ``theta`` the scattering angle in radians in
     (0, pi], ``temperature`` the bath temperature for thermal quantities
-    (None defers to the medium's reference temperature).  ``omega`` and
-    ``temperature`` must be positive and finite (``errors.positive``).
+    (None defers to the medium's reference temperature).  The three
+    numbers are stored as Python floats (``float(x)``: numpy scalars and
+    numeric strings are converted), so a non-finite value of any real
+    type is refused; ``omega`` and ``temperature`` must be positive and
+    finite (``errors.positive``).
     """
 
     omega: float
@@ -96,11 +99,14 @@ class ScatteringConfig:
     temperature: float | None = None
 
     def __post_init__(self):
-        positive(self.omega, "angular frequency")
+        # Stored as Python floats, each before its check, as FluidMedium stores its numbers.
+        object.__setattr__(self, "omega", positive(float(self.omega), "angular frequency"))
+        object.__setattr__(self, "theta", float(self.theta))
         if not 0.0 < self.theta <= math.pi:
             raise ValueError(f"scattering angle must lie in (0, pi], got {self.theta}")
         if self.temperature is not None:
-            positive(self.temperature, "temperature")
+            object.__setattr__(self, "temperature",
+                               positive(float(self.temperature), "temperature"))
 
 
 def omega_from_wavelength(wavelength: float) -> float:

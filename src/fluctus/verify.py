@@ -36,7 +36,7 @@ import numpy as np
 from . import lattice, scattering, spectral
 from .correlator import Separation, _kernel, correlator
 from .errors import largest
-from .medium import FluidMedium, builtin_material, fluid_medium
+from .medium import FluidMedium, builtin_material
 
 __all__ = [
     "CheckResult",
@@ -174,7 +174,7 @@ def _random_media_and_configs(n: int, seed: int = 20260809):
         # rng.random(6) gives the doubles of six rng.random() calls, and lo + (hi - lo) u
         # is what rng.uniform(lo, hi) computes, at less cost per call.
         u = rng.random(6).tolist()
-        medium = fluid_medium(
+        medium = FluidMedium(
             name="random",
             rho0=100.0 + (2500.0 - 100.0) * u[0],
             cs=200.0 + (3500.0 - 200.0) * u[1],

@@ -199,6 +199,24 @@ def test_xsection_needs_lambda_or_omega(capsys):
     assert "lambda" in err or "omega" in err
 
 
+@pytest.mark.parametrize("theta, got", [("0..200:3", "0.0"), ("180..200:2", "200.0"),
+                                        ("-90", "-90.0"), ("nan", "nan")])
+def test_xsection_refuses_theta_outside_its_degrees(capsys, theta, got):
+    code, out, err = run_cli(capsys, "xsection", "--material", "water",
+                             "--lambda", "350e-9", "--theta", theta)
+    assert code == 2 and out == ""
+    assert err == f"error: --theta must lie in (0, 180] degrees, got {got}\n"
+
+
+def test_xsection_overflow_refusal_names_the_record_inputs(capsys):
+    code, out, err = run_cli(capsys, "xsection", "--material", "water", "--omega", "1e17",
+                             "--theta", "180", "--volume", "1e308")
+    assert code == 2 and out == ""
+    assert err == ("error: zp-omega5 at material = 'water', omega_rad_s = 1e+17, "
+                   "theta_deg = 180.0, pol = 'perpendicular', volume_m3 = 1e+308 "
+                   "is outside the float range\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("ratio", "--material", "water", "--theta", "180"),
     ("xsection", "--material", "water", "--theta", "180", "--lambda", "350e-9",
@@ -220,6 +238,14 @@ def test_ratio_benchmark(capsys):
     rec = json.loads(out)[0]
     assert rec["value"] == pytest.approx(0.0042345021887880737, rel=1e-12, abs=0)
     assert rec["formula"] == "zp-thermal-ratio"
+
+
+@pytest.mark.parametrize("theta", ["200", "0", "-1e-300", "inf"])
+def test_ratio_refuses_theta_outside_its_degrees(capsys, theta):
+    code, out, err = run_cli(capsys, "ratio", "--material", "water",
+                             "--lambda", "350e-9", "--theta", theta)
+    assert code == 2 and out == ""
+    assert err == f"error: --theta must lie in (0, 180] degrees, got {float(theta)}\n"
 
 
 def test_ratio_prints_percentage_in_table_mode(capsys):

@@ -79,3 +79,8 @@ def test_result_types_behave_as_generated_frozen_dataclasses(cls, args):
     assert hash(value) == hash(reference)
     with pytest.raises(dataclasses.FrozenInstanceError):
         value.formula = "other"
+
+
+def test_fluid_medium_is_the_class():
+    # the converting wrapper's rule now lives in FluidMedium itself
+    assert fluctus.fluid_medium is fluctus.FluidMedium
