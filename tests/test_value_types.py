@@ -10,7 +10,6 @@ value of any real type meets the same refusal as a float.
 
 import ast
 import dataclasses
-import math
 from pathlib import Path
 
 import numpy as np
@@ -117,18 +116,23 @@ def test_every_number_of_the_value_types_is_stored_as_a_float(kind):
     assert ScatteringConfig(**copy(dict(CONFIG, temperature=None))).temperature is None
 
 
+NUMBERS = ["rho0", "cs", "eta", "drho", "cp", "deps_dt", "default_temperature"]
+
+
 @pytest.mark.parametrize("value, error", [("abc", ValueError), (None, TypeError)])
 def test_a_number_float_refuses_raises_what_float_raises(value, error):
-    for field in ("rho0", "cs", "eta", "drho", "default_temperature"):
+    # cp and deps_dt may be absent (None); every other number may not
+    for field in NUMBERS if value is not None else set(NUMBERS) - {"cp", "deps_dt"}:
         with pytest.raises(error):
             FluidMedium(**dict(MEDIUM, **{field: value}))
-    with pytest.raises(error):
-        Separation(value)
-    with pytest.raises(error):
-        ScatteringConfig(omega=value, theta=2.0)
-
-
-NUMBERS = ["rho0", "cs", "eta", "drho", "cp", "deps_dt", "default_temperature"]
+    builds = [lambda x: Separation(x), lambda x: Separation(1e-9, x),
+              lambda x: ScatteringConfig(omega=x, theta=2.0),
+              lambda x: ScatteringConfig(omega=5.4e15, theta=x), lambda x: ModeGrid(x, 16)]
+    if value is not None:  # an absent temperature defers to the medium's
+        builds.append(lambda x: ScatteringConfig(omega=5.4e15, theta=2.0, temperature=x))
+    for build in builds:
+        with pytest.raises(error):
+            build(value)
 
 
 @pytest.mark.parametrize("build", ["direct", "replace"])
