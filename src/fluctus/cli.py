@@ -92,7 +92,7 @@ def _emit(records: list[OutputRecord], fmt: str) -> None:
         writer.writerow(keys + ["value", "unit", "formula", "provenance"])
         for r in records:
             writer.writerow([r.inputs.get(k, "") for k in keys]
-                            + [repr(float(r.value)), r.unit, r.formula, r.provenance])
+                            + [repr(r.value), r.unit, r.formula, r.provenance])
         return
     # aligned human table
     header = keys + ["value", "unit", "formula"]
@@ -147,14 +147,18 @@ _KINDS = {
 
 
 def _config_from_args(args, theta_deg: float, medium) -> scattering.ScatteringConfig:
-    # --theta checked in the degrees it is given in; the bath temperature resolved:
-    # --temperature, else the medium's own.
+    # --theta checked in the degrees it is given in, and refused where it rounds to 0 rad
+    # (below 1.43e-322 degrees); the bath temperature resolved: --temperature, else the
+    # medium's own.
     if not 0.0 < theta_deg <= 180.0:  # radians(180.0) is exactly pi
         raise ValueError(f"--theta must lie in (0, 180] degrees, got {theta_deg}")
+    theta = math.radians(theta_deg)
+    if theta == 0.0:
+        raise ValueError(f"--theta of {theta_deg} degrees rounds to 0 rad")
     return scattering.ScatteringConfig(
         omega=(args.omega if args.wavelength is None  # argparse admits exactly one of the two
                else scattering.omega_from_wavelength(args.wavelength)),
-        theta=math.radians(theta_deg),
+        theta=theta,
         pol=scattering.Polarization(getattr(args, "pol", "perpendicular")),
         temperature=(medium.default_temperature if args.temperature is None
                      else args.temperature),

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (TINY, BoundaryContactError, CoincidenceDivergenceError, FluctusError,
-                     SoundConeSingularityError, finite, positive, scaled)
+                     SoundConeSingularityError, finite, nonnegative, positive, real, scaled)
 from .medium import HBAR, FluidMedium
 
 __all__ = [
@@ -73,26 +73,23 @@ class Regime(enum.Enum):
 class Separation:
     """Spatial distance r >= 0 (m) and time lag dt (s) between two points.
 
-    Both are stored as Python floats (``float(x)``: numpy scalars and
-    numeric strings are converted) and must be finite, whatever their
-    real type.  The regime tag is derived against a specific sound
-    speed, since the cone position depends on the medium.
+    Both are stored as Python floats (``errors.nonnegative`` and
+    ``errors.real`` convert numpy scalars and numeric strings with
+    ``float(x)``) and must be finite, whatever their real type.  The
+    regime tag is derived against a specific sound speed, since the cone
+    position depends on the medium.
     """
 
     r: float
     dt: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "r", float(self.r))  # as FluidMedium stores its numbers
-        if not 0.0 <= self.r < math.inf:
-            raise ValueError(f"separation distance r must be finite and >= 0, got {self.r}")
-        object.__setattr__(self, "dt", float(self.dt))
-        if not math.isfinite(self.dt):
-            raise ValueError(f"time lag dt must be finite, got {self.dt}")
+        object.__setattr__(self, "r", nonnegative(self.r, "separation distance r"))
+        object.__setattr__(self, "dt", real(self.dt, "time lag dt"))
 
     def regime(self, cs: float) -> Regime:
         """Classify against the sound cone of speed cs > 0 by the correlators' refusals."""
-        positive(cs, "sound speed")
+        cs = positive(cs, "sound speed")
         try:  # only the refusals matter; f = 1 keeps lab-scale values on the plain path
             _kernel(1.0, cs, -1, self.r, self.dt)
         except CoincidenceDivergenceError:
@@ -189,16 +186,16 @@ def _density_scale(medium: FluidMedium, x: float, length: float, p: int, what: s
     return scaled(HBAR * m * xm * lm**p / c, e + ex + p * el - ec, what, *args)
 
 
+def _wall(z1, z2, transverse, dt) -> tuple[float, float, float, float]:
+    # The boundary pair's arguments as floats, refused by name in this order.
+    return (positive(z1, "distance to wall z1"), positive(z2, "distance to wall z2"),
+            real(transverse, "transverse distance"), real(dt, "time lag dt"))
+
+
 def _image(medium: FluidMedium, z1: float, z2: float, transverse: float, dt: float,
            e: int = 0) -> float:
-    # The image term's value (times 2**e): the free correlator at z2 reflected to -z2.
-    positive(z1, "distance to wall z1")
-    positive(z2, "distance to wall z2")
-    # inf or nan (x - x is nan for both), by comparison alone: every boundary call runs this
-    if not transverse - transverse == 0.0:
-        raise ValueError(f"transverse distance must be finite, got {transverse}")
-    if not dt - dt == 0.0:
-        raise ValueError(f"time lag dt must be finite, got {dt}")
+    # The image term's value (times 2**e) at checked arguments (``_wall``): the free
+    # correlator at z2 reflected to -z2.
     return _kernel(medium.rho0, medium.cs, -1, math.hypot(transverse, z1 + z2), dt, 1.0, e)
 
 
@@ -222,12 +219,11 @@ def equal_time_correlator(medium: FluidMedium, r: float) -> CorrelatorValue:
     """Equal-time correlator -hbar rho0 / (2 pi^2 cs r^4); r > 0.
 
     Strictly negative, and identical (bit for bit) to
-    ``correlator(medium, Separation(r, 0))``: r = 0 raises
-    CoincidenceDivergenceError, and a negative, infinite or nan r
-    raises ValueError.
+    ``correlator(medium, Separation(r, 0))``: r is read as a float by
+    ``errors.nonnegative``, r = 0 raises CoincidenceDivergenceError, and a
+    negative, infinite or nan r raises ValueError naming the distance r.
     """
-    if not 0.0 <= r < math.inf:  # r = 0 is the kernel's CoincidenceDivergenceError
-        raise ValueError(f"distance must be positive (finite, > 0), got {r}")
+    r = nonnegative(r, "distance r")  # r = 0 is the kernel's CoincidenceDivergenceError
     return CorrelatorValue(_kernel(medium.rho0, medium.cs, -1, r, 0.0), "equal-time-correlator")
 
 
@@ -242,6 +238,7 @@ def scalar_field_analog(c_light: float, sep: Separation) -> float:
 
     Substituting c -> cs makes the ratio to ``correlator`` a single
     separation-independent constant, which is the analog-model map.
+    ``c_light`` is read as a float by ``errors.positive``.
     """
     return _kernel(1.0, positive(c_light, "propagation speed"), 3, sep.r, sep.dt)
 
@@ -260,11 +257,12 @@ def boundary_shift_planar(medium: FluidMedium, z: float) -> CorrelatorValue:
     near a reflecting plate (:func:`em_vacuum_shift_plate`).
 
     z = 0 raises BoundaryContactError; a z that is otherwise not positive
-    and finite raises ValueError naming the distance to the wall.
+    and finite raises ValueError naming the distance to the wall, and z
+    is read as a float (``errors.positive``).
     """
     if z == 0.0:
         raise BoundaryContactError("z = 0: the renormalized variance diverges at the wall")
-    positive(z, "distance to wall")
+    z = positive(z, "distance to wall")
     return CorrelatorValue(_kernel(medium.rho0, medium.cs, -1, 2.0 * z, 0.0),
                            "planar-boundary-shift")
 
@@ -282,8 +280,10 @@ def boundary_image_term(medium: FluidMedium, z1: float, z2: float,
 
     z1 and z2 must be positive and finite, and are refused first, by name,
     with ValueError; so are an infinite or nan ``transverse`` or ``dt``.
+    All four are read as floats (``errors.positive``, ``errors.real``).
     """
-    return CorrelatorValue(_image(medium, z1, z2, transverse, dt), "boundary-image-term")
+    return CorrelatorValue(_image(medium, *_wall(z1, z2, transverse, dt)),
+                           "boundary-image-term")
 
 
 def boundary_correlator(medium: FluidMedium, z1: float, z2: float,
@@ -295,9 +295,11 @@ def boundary_correlator(medium: FluidMedium, z1: float, z2: float,
     be off the sound cone; the direct one must not be coincident.
     Sending the transverse distance to infinity recovers the free
     correlator; z1 or z2 not positive and finite, or an infinite or nan
-    ``transverse`` or ``dt``, raises ValueError naming it.  Two finite
-    terms whose sum leaves the float range raise FluctusError.
+    ``transverse`` or ``dt``, raises ValueError naming it, and all four
+    are read as floats, once.  Two finite terms whose sum leaves the
+    float range raise FluctusError.
     """
+    z1, z2, transverse, dt = _wall(z1, z2, transverse, dt)
     image = _image(medium, z1, z2, transverse, dt)
     rd = math.hypot(transverse, z1 - z2)
     direct = _kernel(medium.rho0, medium.cs, -1, rd, dt)
@@ -339,9 +341,9 @@ def zero_point_structure_factor(medium: FluidMedium, q: float) -> float:
     i.e. hbar rho0 q / (2 cs): linear in q and vanishing at q = 0.  The
     linear spectrum is what turns the fourth power of frequency in
     thermal light scattering into the fifth power for the zero-point
-    contribution (kg^2/m^3).
+    contribution (kg^2/m^3).  q is read as a float by
+    ``errors.nonnegative``.
     """
-    if not 0.0 <= q < math.inf:
-        raise ValueError(f"wavenumber q must be finite and >= 0, got {q}")
+    q = nonnegative(q, "wavenumber q")
     return _density_scale(medium, 0.5, q, 1,
                           "zero_point_structure_factor for '{.name}' at q = {:.6g} 1/m", medium, q)

@@ -5,13 +5,18 @@ quadrature) are raised as subclasses of :class:`FluctusError` so callers
 can distinguish them from programming mistakes.  Plain precondition
 violations on arguments raise the usual ``ValueError``.
 
-The package's argument and float-range rules live here too, unexported:
-every refusal of a physical scalar that is not positive and finite
-(:func:`positive`: a speed, a frequency, a temperature, the permittivity,
-a length, the distance to a wall or a plate, or a volume), every refusal
-of a value outside the float range (:func:`finite`), every value formed
-with its factors' exponents apart (:func:`scaled`), and every largest
-deviation that a nan one must not vanish from (:func:`largest`).
+The package's argument and float-range rules live here too, unexported.
+Every scalar argument of a public call is read once, by one of three
+helpers, which convert it with ``float(x)`` (numpy scalars and numeric
+strings become Python floats) and return it or refuse it by name with
+ValueError: :func:`positive` (a speed, a frequency, a temperature, the
+permittivity, a length, the distance to a wall or a plate, or a volume),
+:func:`nonnegative` (a distance, a wavenumber, a polarization factor)
+and :func:`real` (a time lag, a transverse distance, an angle).  Here
+too are every refusal of a value outside the float range
+(:func:`finite`), every value formed with its factors' exponents apart
+(:func:`scaled`), and every largest deviation that a nan one must not
+vanish from (:func:`largest`).
 """
 
 import math
@@ -88,14 +93,32 @@ class MissingPropertyError(MaterialError):
         )
 
 
-def positive(value: float, what: str) -> float:
-    """``value`` if positive and finite, else ValueError "<what> must be
+def positive(value, what: str) -> float:
+    """``float(value)`` if positive and finite, else ValueError "<what> must be
     positive and finite, got <value>": the one refusal of a speed, a
     frequency, a temperature, a permittivity, a length (a distance to a
     wall or a plate among them) or a volume argument."""
-    if 0.0 < value < math.inf:
+    if 0.0 < (value := float(value)) < math.inf:
         return value
     raise ValueError(f"{what} must be positive and finite, got {value}")
+
+
+def nonnegative(value, what: str) -> float:
+    """``float(value)`` if finite and >= 0, else ValueError "<what> must be
+    finite and >= 0, got <value>": the one refusal of a distance, a
+    wavenumber or a polarization factor argument that may be 0."""
+    if 0.0 <= (value := float(value)) < math.inf:
+        return value
+    raise ValueError(f"{what} must be finite and >= 0, got {value}")
+
+
+def real(value, what: str) -> float:
+    """``float(value)`` if finite, else ValueError "<what> must be finite,
+    got <value>": the one refusal of a signed argument, a time lag, a
+    transverse distance or an angle."""
+    if (value := float(value)) - value == 0.0:  # false for inf and nan
+        return value
+    raise ValueError(f"{what} must be finite, got {value}")
 
 
 def finite(value: float, what: str, *args) -> float:

@@ -66,17 +66,18 @@ class ModeGrid:
 
     Modes are q = (2 pi / L) n for integer n in [-N/2, N/2)^3 without
     the zero mode, so there are N^3 - 1 of them and the largest
-    wavenumber component is (pi N / L)(1 - 2/N).  L is stored as a Python
-    float (``float(x)``: numpy scalars and numeric strings are converted)
-    and must be positive and finite, whatever its real type; N is stored
-    as the ``int`` that ``operator.index`` returns.
+    wavenumber component is (pi N / L)(1 - 2/N).  L is stored as the
+    Python float that ``errors.positive`` returns (``float(x)``: numpy
+    scalars and numeric strings are converted) and must be positive and
+    finite, whatever its real type; N is stored as the ``int`` that
+    ``operator.index`` returns.
     """
 
     L: float
     N: int
 
     def __post_init__(self):
-        object.__setattr__(self, "L", positive(float(self.L), "box side L"))  # as FluidMedium
+        object.__setattr__(self, "L", positive(self.L, "box side L"))
         try:
             object.__setattr__(self, "N", operator.index(self.N))
         except TypeError:
@@ -110,6 +111,7 @@ def lattice_correlator(medium: FluidMedium, grid: ModeGrid, dx, eps: float) -> f
     combined by exact compensated summation, so the result does not depend
     on how the work would be chunked.  The sum runs in units of L: only its
     scaling by L^-4, formed with the exponents apart, can leave the range.
+    ``eps`` is read as a float by ``errors.positive``.
 
     Raises
     ------
@@ -118,7 +120,7 @@ def lattice_correlator(medium: FluidMedium, grid: ModeGrid, dx, eps: float) -> f
     FluctusError
         If the value lies outside the float range.
     """
-    positive(eps, "damping length eps")
+    eps = positive(eps, "damping length eps")
     dx = np.asarray(dx, dtype=float).reshape(3)
     if not np.isfinite(dx).all():
         raise ValueError(f"displacement dx must be finite, got {dx}")
@@ -204,7 +206,7 @@ def convergence_study(medium: FluidMedium, r: float, ns=(64, 128, 256)) -> Conve
 
     Runs the standard study geometry: box side L = 16 r, displacement of
     length r along :data:`STUDY_DIRECTION`, and damping r/8 on both
-    sides of the comparison.
+    sides of the comparison.  r is read as a float by ``errors.positive``.
 
     Raises
     ------
@@ -215,7 +217,8 @@ def convergence_study(medium: FluidMedium, r: float, ns=(64, 128, 256)) -> Conve
         If any N leaves the separation unresolved, a = L/N > r/4, or the
         continuum value underflows to 0.
     """
-    L = 16.0 * positive(r, "separation r")
+    r = positive(r, "separation r")
+    L = 16.0 * r
     ns = tuple(ns)
     grids = tuple(ModeGrid(L=L, N=n) for n in ns)
     if len(grids) < 2:

@@ -38,7 +38,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import TINY, FluctusError, MissingPropertyError, finite, positive, scaled
+from .errors import (TINY, FluctusError, MissingPropertyError, finite, nonnegative, positive,
+                     real, scaled)
 from .medium import C_LIGHT, HBAR, K_B, FluidMedium
 
 __all__ = [
@@ -90,7 +91,7 @@ class ScatteringConfig:
     numbers are stored as Python floats (``float(x)``: numpy scalars and
     numeric strings are converted), so a non-finite value of any real
     type is refused; ``omega`` and ``temperature`` must be positive and
-    finite (``errors.positive``).
+    finite, and are read by ``errors.positive``.
     """
 
     omega: float
@@ -100,17 +101,18 @@ class ScatteringConfig:
 
     def __post_init__(self):
         # Stored as Python floats, each before its check, as FluidMedium stores its numbers.
-        object.__setattr__(self, "omega", positive(float(self.omega), "angular frequency"))
+        object.__setattr__(self, "omega", positive(self.omega, "angular frequency"))
         object.__setattr__(self, "theta", float(self.theta))
         if not 0.0 < self.theta <= math.pi:
             raise ValueError(f"scattering angle must lie in (0, pi], got {self.theta}")
         if self.temperature is not None:
             object.__setattr__(self, "temperature",
-                               positive(float(self.temperature), "temperature"))
+                               positive(self.temperature, "temperature"))
 
 
 def omega_from_wavelength(wavelength: float) -> float:
-    """Angular frequency from the vacuum wavelength (m)."""
+    """Angular frequency from the vacuum wavelength (m), read as a float by
+    ``errors.positive``."""
     return finite(2.0 * math.pi * C_LIGHT / positive(wavelength, "wavelength"),
                   "omega_from_wavelength at wavelength = {:.6g} m", wavelength)
 
@@ -207,8 +209,15 @@ def polarization_factor(theta: float, pol: Polarization) -> float:
     Perpendicular to the scattering plane: 1.  In-plane (parallel):
     cos^2 theta.  Crossed selections are orthogonal: 0.  Unpolarized:
     average over incident and sum over scattered linear polarizations,
-    (1 + cos^2 theta)/2.
+    (1 + cos^2 theta)/2.  ``theta`` (radians) is read as a float by
+    ``errors.real``: an infinite or nan angle raises ValueError naming it.
     """
+    return _overlap(real(theta, "scattering angle theta"), pol)
+
+
+def _overlap(theta: float, pol: Polarization) -> float:
+    # polarization_factor at a checked theta: the cross sections pass a
+    # ScatteringConfig's, which its construction checked.
     if pol is _PERPENDICULAR:
         return 1.0
     c = math.cos(theta)
@@ -268,12 +277,15 @@ def matrix_element_sq(medium: FluidMedium, omega: float, omega_prime: float,
     hbar^3 omega omega' Omega_q / (8 V rho0 cs^2) times the squared
     polarization overlap; scales as 1/V with the quantization volume.
     omega, omega_prime, omega_q and then the volume must be positive and
-    finite, else ValueError names the first that is not.
+    finite, and then ``pol_factor`` finite and >= 0, else ValueError names
+    the first that is not; each is read as a float (``errors.positive``,
+    ``errors.nonnegative``).
     """
     return finite(_m2(medium.rho0, medium.cs, positive(omega, "angular frequency omega"),
                       positive(omega_prime, "scattered frequency omega_prime"),
                       positive(omega_q, "phonon frequency omega_q"),
-                      positive(volume, "quantization volume"), pol_factor),
+                      positive(volume, "quantization volume"),
+                      nonnegative(pol_factor, "polarization factor pol_factor")),
                   "matrix_element_sq for '{.name}' at omega = {:.6g} rad/s, "
                   "volume = {:.6g} m^3", medium, omega, volume)
 
@@ -284,7 +296,8 @@ def density_of_states(omega_prime: float, epsilon0: float, volume: float) -> flo
     V omega'^2 epsilon0^(3/2) / (hbar (2 pi c)^3); the epsilon0^(3/2)
     counts the compressed in-medium mode spacing.  omega_prime, the
     permittivity epsilon0 and the volume must be positive and finite, else
-    ValueError names the first that is not.
+    ValueError names the first that is not; each is read as a float
+    (``errors.positive``).
     """
     return finite(_dos(positive(omega_prime, "scattered frequency omega_prime"),
                        positive(epsilon0, "permittivity epsilon0"),
@@ -297,7 +310,8 @@ def incident_flux(epsilon0: float, volume: float) -> float:
     """Flux of one photon in the quantization box: c / (V sqrt(epsilon0)).
 
     The permittivity epsilon0 and the volume must be positive and finite,
-    else ValueError names the first that is not.
+    else ValueError names the first that is not; each is read as a float
+    (``errors.positive``).
     """
     return finite(_flux(positive(epsilon0, "permittivity epsilon0"),
                         positive(volume, "quantization volume")),
@@ -326,7 +340,7 @@ def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
     that cancellation.  The pieces take V's ``math.frexp`` mantissa, as its
     power of two cancels exactly: no piece leaves the float range for V.
     """
-    pol = polarization_factor(cfg.theta, cfg.pol)
+    pol = _overlap(cfg.theta, cfg.pol)
     if pol == 0.0:
         return CrossSectionValue(0.0, "zp-golden-rule-chain", pol)
     omega_prime, omega_q = _emitted_shift(medium, cfg, "zp_cross_section_chain")
@@ -355,7 +369,7 @@ def zp_cross_section_exact(medium: FluidMedium, cfg: ScatteringConfig) -> CrossS
     polarization factor, per unit scattering volume.  Linear in hbar:
     this channel disappears in the classical limit.
     """
-    pol = polarization_factor(cfg.theta, cfg.pol)
+    pol = _overlap(cfg.theta, cfg.pol)
     if pol == 0.0:
         return CrossSectionValue(0.0, "zp-exact", pol)
     omega_prime, omega_q = _emitted_shift(medium, cfg, "zp_cross_section_exact")
@@ -380,7 +394,7 @@ def zp_cross_section_reduced(medium: FluidMedium, cfg: ScatteringConfig) -> Cros
     linear zero-point spectrum; relative to :func:`zp_cross_section_exact`
     the neglected recoil is bounded by 4 Omega_q / omega.
     """
-    pol = polarization_factor(cfg.theta, cfg.pol)
+    pol = _overlap(cfg.theta, cfg.pol)
     a, omega, eta, cs, rho0 = _angular(cfg.theta), cfg.omega, medium.eta, medium.cs, medium.rho0
     omega2, eta2 = omega * omega, eta * eta
     # Plain where every partial product is normal: omega's powers take k monotonically to y.
@@ -409,7 +423,7 @@ def thermal_brillouin_cross_section(medium: FluidMedium,
     times the polarization factor.  Classical (no hbar) and linear in T.
     """
     T = cfg.temperature or medium.default_temperature
-    pol = polarization_factor(cfg.theta, cfg.pol)
+    pol = _overlap(cfg.theta, cfg.pol)
     omega, drho, cs, rho0 = cfg.omega, medium.drho, medium.cs, medium.rho0
     omega2 = omega * omega
     # Plain where every partial product is normal: each unchecked one is bounded by checked ones.
@@ -438,7 +452,7 @@ def thermal_total_cross_section(medium: FluidMedium,
     if medium.deps_dt is None:
         raise MissingPropertyError("deps_dt", medium.name)
     T = cfg.temperature or medium.default_temperature
-    pol = polarization_factor(cfg.theta, cfg.pol)
+    pol = _overlap(cfg.theta, cfg.pol)
     # The bracket drho^2 / cs^2 + T deps_dt^2 / cp over its larger nonzero term's power of 2.
     (d, ed), (c, ec), (t, et), (p, ep), (q, eq) = map(
         math.frexp, (medium.drho, medium.cs, T, medium.cp, medium.deps_dt))

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlator import Regime, Separation, _density_scale
-from .errors import ConvergenceError, SoundConeSingularityError, finite, largest, positive
+from .errors import ConvergenceError, SoundConeSingularityError, finite, largest, positive, real
 from .medium import FluidMedium
 
 __all__ = [
@@ -228,17 +228,6 @@ def _in_units_of_r(medium: FluidMedium, r: float, integral: float, call: str) ->
     return _density_scale(medium, integral / (4.0 * math.pi**2), r, -4, call)
 
 
-def _separation(r: float, dt: float, eps: float | None = None) -> Separation:
-    """The point (r, dt) with r > 0, both finite, and a damping length
-    ``eps``, when one is given, positive and finite."""
-    sep = Separation(r, dt)
-    if sep.r == 0.0:
-        raise ValueError(f"distance r must be positive, got {r} (the reduced integrand is radial)")
-    if eps is not None:
-        positive(eps, "damping length eps")
-    return sep
-
-
 def _regulated_values(b: float, epsilons: tuple[float, ...],
                       call: str) -> tuple[np.ndarray, float, int, int]:
     """Adaptively refined panel quadrature for a whole damping ladder.
@@ -293,7 +282,10 @@ def regulated_integrand_reduction(medium: FluidMedium, r: float, dt: float,
 
     Numerically integrates the reduced one-dimensional form (module
     docstring) to relative tolerance 1e-9; the domain is truncated
-    where the damping falls below 1e-14 of the envelope peak.
+    where the damping falls below 1e-14 of the envelope peak.  r (> 0:
+    the reduced integrand is radial), dt and eps are read as floats
+    (``errors.positive``, ``errors.real``) and refused by name with
+    ValueError, in that order.
 
     Raises
     ------
@@ -302,7 +294,8 @@ def regulated_integrand_reduction(medium: FluidMedium, r: float, dt: float,
     FluctusError
         If the value, or eps / r, lies outside the float range.
     """
-    _separation(r, dt, eps)
+    r, dt = positive(r, "distance r"), real(dt, "time lag dt")
+    eps = positive(eps, "damping length eps")
     call = f"regulated_integrand_reduction at r = {r!r} m, dt = {dt!r} s, eps = {eps!r} m"
     values = _regulated_values(medium.cs * abs(dt) / r, (finite(eps / r, "{}: eps / r", call),),
                                call)[0]
@@ -312,9 +305,12 @@ def regulated_integrand_reduction(medium: FluidMedium, r: float, dt: float,
 def damped_closed_form(medium: FluidMedium, r: float, dt: float, eps: float) -> float:
     """Closed form of the damped integral; the quadrature's own oracle.
 
-    Raises FluctusError if the value lies outside the float range.
+    r, dt and eps are read and refused as by
+    :func:`regulated_integrand_reduction`.  Raises FluctusError if the
+    value lies outside the float range.
     """
-    _separation(r, dt, eps)
+    r, dt = positive(r, "distance r"), real(dt, "time lag dt")
+    eps = positive(eps, "damping length eps")
     lag = medium.cs * dt
     s = complex(eps, lag)
     # In units of r the integral is 2 (3 z^2 - 1) / (z^2 + 1)^3 with
@@ -363,7 +359,9 @@ def extrapolated_correlator(medium: FluidMedium, r: float, dt: float) -> Spectra
     Evaluates the damped integral on the standard ladder of four damping
     lengths, halving from a tenth of the cone distance |r - cs|dt||, and
     extrapolates polynomially in eps^2 to eps = 0.  The error estimate is
-    the difference between the last two extrapolation orders.
+    the difference between the last two extrapolation orders.  r (> 0)
+    and dt are read as floats (``errors.positive``, ``errors.real``) and
+    refused by name with ValueError.
 
     Raises
     ------
@@ -376,8 +374,8 @@ def extrapolated_correlator(medium: FluidMedium, r: float, dt: float) -> Spectra
     FluctusError
         If the value lies outside the float range.
     """
-    sep = _separation(r, dt)
-    if sep.regime(medium.cs) is Regime.ON_CONE:
+    r, dt = positive(r, "distance r"), real(dt, "time lag dt")
+    if Separation(r, dt).regime(medium.cs) is Regime.ON_CONE:
         raise SoundConeSingularityError(
             f"separation lies on the sound cone of '{medium.name}'"
         )

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import lattice, scattering, spectral
 from .correlator import Separation, _kernel, correlator
-from .errors import largest
+from .errors import largest, nonnegative, real
 from .medium import FluidMedium, builtin_material
 
 __all__ = [
@@ -101,9 +101,11 @@ def rejected_variant_correlator(medium: FluidMedium, r: float, dt: float) -> flo
     in the denominator: (r^2 - 3 cs^2 dt^2)^3.
 
     Kept only so the spectral suite can demonstrate that the quadrature
-    rules this variant out; it is not a supported correlator.
+    rules this variant out; it is not a supported correlator.  r and dt
+    are read as floats and refused by name as ``Separation`` refuses them.
     """
-    return _kernel(medium.rho0, medium.cs, -1, r, dt, 3.0)
+    return _kernel(medium.rho0, medium.cs, -1, nonnegative(r, "separation distance r"),
+                   real(dt, "time lag dt"), 3.0)
 
 
 def verify_spectral() -> list[CheckResult]:

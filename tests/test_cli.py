@@ -199,13 +199,22 @@ def test_xsection_needs_lambda_or_omega(capsys):
     assert "lambda" in err or "omega" in err
 
 
+def _theta_refusal(theta_deg):
+    # the CLI's refusal of a --theta outside (0, 180] degrees, or of one that
+    # math.radians rounds to 0 rad (below 1.43e-322 degrees)
+    if 0.0 < theta_deg <= 180.0:
+        return f"error: --theta of {theta_deg} degrees rounds to 0 rad\n"
+    return f"error: --theta must lie in (0, 180] degrees, got {theta_deg}\n"
+
+
 @pytest.mark.parametrize("theta, got", [("0..200:3", "0.0"), ("180..200:2", "200.0"),
-                                        ("-90", "-90.0"), ("nan", "nan")])
+                                        ("-90", "-90.0"), ("nan", "nan"),
+                                        ("1e-322..1:2", "1e-322")])
 def test_xsection_refuses_theta_outside_its_degrees(capsys, theta, got):
     code, out, err = run_cli(capsys, "xsection", "--material", "water",
                              "--lambda", "350e-9", "--theta", theta)
     assert code == 2 and out == ""
-    assert err == f"error: --theta must lie in (0, 180] degrees, got {got}\n"
+    assert err == _theta_refusal(float(got))
 
 
 def test_xsection_overflow_refusal_names_the_record_inputs(capsys):
@@ -240,12 +249,12 @@ def test_ratio_benchmark(capsys):
     assert rec["formula"] == "zp-thermal-ratio"
 
 
-@pytest.mark.parametrize("theta", ["200", "0", "-1e-300", "inf"])
+@pytest.mark.parametrize("theta", ["200", "0", "-1e-300", "inf", "1e-322"])
 def test_ratio_refuses_theta_outside_its_degrees(capsys, theta):
     code, out, err = run_cli(capsys, "ratio", "--material", "water",
                              "--lambda", "350e-9", "--theta", theta)
     assert code == 2 and out == ""
-    assert err == f"error: --theta must lie in (0, 180] degrees, got {float(theta)}\n"
+    assert err == _theta_refusal(float(theta))
 
 
 def test_ratio_prints_percentage_in_table_mode(capsys):

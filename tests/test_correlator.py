@@ -76,7 +76,7 @@ def test_negative_distance_rejected():
         Separation(-1.0, 0.0)
     # as Separation(r) does, an infinite or nan r is bad input, not a value out of range
     for r in (-1e-9, math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="distance must be positive"):
+        with pytest.raises(ValueError, match="distance r must be finite and >= 0"):
             equal_time_correlator(WATER, r)
 
 

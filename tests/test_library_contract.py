@@ -26,6 +26,7 @@ import math
 import sys
 from dataclasses import astuple, dataclass, replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -85,37 +86,47 @@ class Draw:
     dx: tuple = (0.0, 0.0, 0.0)  # a displacement in a periodic box of side a
 
 
+# Each call's bare-number arguments pass through ``n``: ``float`` (which
+# leaves a float as it is), or ``np.float64`` in the numpy-argument property.
+# The value types, the polarization selection and dx are passed as drawn.
 CALLS = {
-    "correlator": lambda d: correlator(d.medium, d.sep),
-    "equal_time_correlator": lambda d: equal_time_correlator(d.medium, d.a),
-    "scalar_field_analog": lambda d: scalar_field_analog(d.a, d.sep),
-    "boundary_shift_planar": lambda d: boundary_shift_planar(d.medium, d.a),
-    "boundary_image_term": lambda d: boundary_image_term(d.medium, d.a, d.b, d.transverse,
-                                                         d.sep.dt),
-    "boundary_correlator": lambda d: boundary_correlator(d.medium, d.a, d.b, d.transverse,
-                                                         d.sep.dt),
-    "em_vacuum_shift_plate": lambda d: em_vacuum_shift_plate(d.a),
-    "zero_point_structure_factor": lambda d: zero_point_structure_factor(d.medium, d.a),
-    "omega_from_wavelength": lambda d: omega_from_wavelength(d.a),
-    "phonon_kinematics": lambda d: phonon_kinematics(d.medium, d.cfg),
-    "polarization_factor": lambda d: polarization_factor(d.cfg.theta, d.cfg.pol),
-    "matrix_element_sq": lambda d: matrix_element_sq(
-        d.medium, d.cfg.omega, d.a, d.b, d.volume, polarization_factor(d.cfg.theta, d.cfg.pol)),
-    "density_of_states": lambda d: density_of_states(d.a, d.b, d.volume),
-    "incident_flux": lambda d: incident_flux(d.a, d.volume),
-    "zp_cross_section_chain": lambda d: zp_cross_section_chain(d.medium, d.cfg, d.volume),
-    "zp_cross_section_exact": lambda d: zp_cross_section_exact(d.medium, d.cfg),
-    "zp_cross_section_reduced": lambda d: zp_cross_section_reduced(d.medium, d.cfg),
-    "adiabatic_compressibility": lambda d: adiabatic_compressibility(d.medium),
-    "thermal_brillouin_cross_section": lambda d: thermal_brillouin_cross_section(d.medium,
-                                                                                 d.cfg),
-    "thermal_total_cross_section": lambda d: thermal_total_cross_section(d.medium, d.cfg),
-    "ratio_zp_thermal": lambda d: ratio_zp_thermal(d.medium, d.cfg),
-    "lattice_correlator": lambda d: lattice_correlator(d.medium, ModeGrid(d.a, 8), d.dx, d.b),
-    "damped_closed_form": lambda d: damped_closed_form(d.medium, d.sep.r, d.sep.dt, d.b),
-    "regulated_integrand_reduction": lambda d: regulated_integrand_reduction(
-        d.medium, d.sep.r, d.sep.dt, d.b),
-    "extrapolated_correlator": lambda d: extrapolated_correlator(d.medium, d.sep.r, d.sep.dt),
+    "correlator": lambda d, n=float: correlator(d.medium, d.sep),
+    "equal_time_correlator": lambda d, n=float: equal_time_correlator(d.medium, n(d.a)),
+    "scalar_field_analog": lambda d, n=float: scalar_field_analog(n(d.a), d.sep),
+    "boundary_shift_planar": lambda d, n=float: boundary_shift_planar(d.medium, n(d.a)),
+    "boundary_image_term": lambda d, n=float: boundary_image_term(
+        d.medium, n(d.a), n(d.b), n(d.transverse), n(d.sep.dt)),
+    "boundary_correlator": lambda d, n=float: boundary_correlator(
+        d.medium, n(d.a), n(d.b), n(d.transverse), n(d.sep.dt)),
+    "em_vacuum_shift_plate": lambda d, n=float: em_vacuum_shift_plate(n(d.a)),
+    "zero_point_structure_factor": lambda d, n=float: zero_point_structure_factor(d.medium,
+                                                                                  n(d.a)),
+    "omega_from_wavelength": lambda d, n=float: omega_from_wavelength(n(d.a)),
+    "phonon_kinematics": lambda d, n=float: phonon_kinematics(d.medium, d.cfg),
+    "polarization_factor": lambda d, n=float: polarization_factor(n(d.cfg.theta), d.cfg.pol),
+    "matrix_element_sq": lambda d, n=float: matrix_element_sq(
+        d.medium, n(d.cfg.omega), n(d.a), n(d.b), n(d.volume),
+        n(polarization_factor(d.cfg.theta, d.cfg.pol))),
+    "density_of_states": lambda d, n=float: density_of_states(n(d.a), n(d.b), n(d.volume)),
+    "incident_flux": lambda d, n=float: incident_flux(n(d.a), n(d.volume)),
+    "zp_cross_section_chain": lambda d, n=float: zp_cross_section_chain(d.medium, d.cfg,
+                                                                        n(d.volume)),
+    "zp_cross_section_exact": lambda d, n=float: zp_cross_section_exact(d.medium, d.cfg),
+    "zp_cross_section_reduced": lambda d, n=float: zp_cross_section_reduced(d.medium, d.cfg),
+    "adiabatic_compressibility": lambda d, n=float: adiabatic_compressibility(d.medium),
+    "thermal_brillouin_cross_section": lambda d, n=float: thermal_brillouin_cross_section(
+        d.medium, d.cfg),
+    "thermal_total_cross_section": lambda d, n=float: thermal_total_cross_section(d.medium,
+                                                                                  d.cfg),
+    "ratio_zp_thermal": lambda d, n=float: ratio_zp_thermal(d.medium, d.cfg),
+    "lattice_correlator": lambda d, n=float: lattice_correlator(d.medium, ModeGrid(n(d.a), 8),
+                                                                d.dx, n(d.b)),
+    "damped_closed_form": lambda d, n=float: damped_closed_form(d.medium, n(d.sep.r),
+                                                                n(d.sep.dt), n(d.b)),
+    "regulated_integrand_reduction": lambda d, n=float: regulated_integrand_reduction(
+        d.medium, n(d.sep.r), n(d.sep.dt), n(d.b)),
+    "extrapolated_correlator": lambda d, n=float: extrapolated_correlator(d.medium, n(d.sep.r),
+                                                                          n(d.sep.dt)),
 }
 
 # Positive floats, log-uniform from the smallest subnormal to the largest finite.
@@ -244,6 +255,24 @@ def test_public_call_is_finite_or_a_typed_error(name, draw):
     assert all(math.isfinite(v) for v in _values(result)), (name, result)
     if isinstance(result, CrossSectionValue):
         assert result.value >= 0.0, (name, result)
+
+
+def _outcome(name, draw, n):
+    # each value's type and bits, or the refusal's type and message
+    try:
+        return [(type(v), float.hex(v)) for v in _values(CALLS[name](draw, n))]
+    except (FluctusError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# Every bare-number argument is read once, as a Python float, by
+# fluctus.errors: passed as an np.float64 it gives the float call's result
+# and bits, or its refusal and message, never a numpy scalar or a numpy
+# warning (an error under the project's warning filter).
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(CALLS)), draw=st.one_of(_DRAWS, _physical_draws()))
+def test_numpy_scalar_arguments_give_the_float_results(name, draw):
+    assert _outcome(name, draw, np.float64) == _outcome(name, draw, float), name
 
 
 @settings(max_examples=200, deadline=None)

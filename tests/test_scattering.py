@@ -136,6 +136,15 @@ def test_polarization_factor_in_unit_interval(theta, pol):
     assert 0.0 <= f <= 1.0
 
 
+@pytest.mark.parametrize("pol", list(Polarization))
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_polarization_factor_refuses_a_non_finite_angle_by_name(theta, pol):
+    # nan gave nan (1.0 for perpendicular), inf "math domain error"
+    with pytest.raises(ValueError) as info:
+        polarization_factor(theta, pol)
+    assert str(info.value) == f"scattering angle theta must be finite, got {theta}"
+
+
 # --- golden-rule pieces -----------------------------------------------------------
 
 def test_matrix_element_frozen_value_and_volume_scaling():
@@ -146,6 +155,15 @@ def test_matrix_element_frozen_value_and_volume_scaling():
     assert matrix_element_sq(WATER, 5.386e15, 5.386e15, 5.31e10, 1.0, 0.0) == 0.0
     with pytest.raises(ValueError, match="quantization volume must be positive"):
         matrix_element_sq(WATER, 5.386e15, 5.386e15, 5.31e10, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("pol_factor", [-1.0, -1e-300, -math.inf, math.inf, math.nan])
+def test_matrix_element_refuses_a_negative_or_non_finite_polarization_factor(pol_factor):
+    # -1.0 gave a negative squared matrix element, inf and nan "outside the float range"
+    with pytest.raises(ValueError) as info:
+        matrix_element_sq(WATER, 1e15, 1e15, 1e10, 1.0, pol_factor)
+    assert str(info.value) == \
+        f"polarization factor pol_factor must be finite and >= 0, got {pol_factor}"
 
 
 def test_density_of_states_values():
