@@ -256,11 +256,11 @@ def boundary_shift_planar(medium: FluidMedium, z: float) -> CorrelatorValue:
     counterpart of the shift in the mean squared electromagnetic fields
     near a reflecting plate (:func:`em_vacuum_shift_plate`).
 
-    z = 0 raises BoundaryContactError; a z that is otherwise not positive
-    and finite raises ValueError naming the distance to the wall, and z
-    is read as a float (``errors.positive``).
+    z is read as a float (``errors.positive``): a z whose float is 0
+    raises BoundaryContactError, and one that is otherwise not positive
+    and finite raises ValueError naming the distance to the wall.
     """
-    if z == 0.0:
+    if float(z) == 0.0:
         raise BoundaryContactError("z = 0: the renormalized variance diverges at the wall")
     z = positive(z, "distance to wall")
     return CorrelatorValue(_kernel(medium.rho0, medium.cs, -1, 2.0 * z, 0.0),
@@ -324,10 +324,11 @@ def em_vacuum_shift_plate(z: float) -> tuple[float, float]:
 
     Shown side by side with :func:`boundary_shift_planar` in the CLI;
     note <E^2> = -<B^2> while the density shift has a definite sign.
-    z = 0 raises BoundaryContactError; a z that is otherwise not positive
+    z is read as a float (``errors.positive``): a z whose float is 0
+    raises BoundaryContactError, and one that is otherwise not positive
     and finite raises ValueError naming the distance to the plate.
     """
-    if z == 0.0:
+    if float(z) == 0.0:
         raise BoundaryContactError("z = 0: plate-contact divergence")
     positive(z, "distance to plate")
     coeff = 3.0 / (16.0 * math.pi**2)

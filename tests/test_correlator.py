@@ -192,9 +192,13 @@ def test_boundary_shift_scaling():
     assert v2 == pytest.approx(v1 / 16.0, rel=1e-14, abs=0)
 
 
-def test_boundary_contact_raises():
+@pytest.mark.parametrize("z", [0.0, -0.0, "0", "-0.0"], ids=repr)
+def test_boundary_contact_raises(z):
+    # z is read as a float, so a numeric string of 0 is the contact too
     with pytest.raises(BoundaryContactError):
-        boundary_shift_planar(WATER, 0.0)
+        boundary_shift_planar(WATER, z)
+    with pytest.raises(BoundaryContactError):
+        em_vacuum_shift_plate(z)
 
 
 def test_image_term_at_coincident_points_is_the_planar_shift():

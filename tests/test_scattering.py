@@ -139,7 +139,6 @@ def test_polarization_factor_in_unit_interval(theta, pol):
 @pytest.mark.parametrize("pol", list(Polarization))
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
 def test_polarization_factor_refuses_a_non_finite_angle_by_name(theta, pol):
-    # nan gave nan (1.0 for perpendicular), inf "math domain error"
     with pytest.raises(ValueError) as info:
         polarization_factor(theta, pol)
     assert str(info.value) == f"scattering angle theta must be finite, got {theta}"
@@ -159,7 +158,6 @@ def test_matrix_element_frozen_value_and_volume_scaling():
 
 @pytest.mark.parametrize("pol_factor", [-1.0, -1e-300, -math.inf, math.inf, math.nan])
 def test_matrix_element_refuses_a_negative_or_non_finite_polarization_factor(pol_factor):
-    # -1.0 gave a negative squared matrix element, inf and nan "outside the float range"
     with pytest.raises(ValueError) as info:
         matrix_element_sq(WATER, 1e15, 1e15, 1e10, 1.0, pol_factor)
     assert str(info.value) == \
