@@ -79,6 +79,14 @@ def parse_range(text: str) -> list[float]:
     return [float(x) for x in np.linspace(lo, hi, n)]
 
 
+def _parsed(option: str, text: str, parse=parse_range):
+    """``parse(text)``, its refusal prefixed with the option it read."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+
+
 def _emit(records: list[OutputRecord], fmt: str) -> None:
     for r in records:  # a refusal names the record's inputs, as the library's refusals do
         finite(r.value, "{} at {}", r.formula,
@@ -116,11 +124,11 @@ def _cmd_correlator(args) -> int:
     medium = resolve_material(args.material)
     if args.r is None and args.boundary is None:
         raise ValueError("give --r (bulk correlator) and/or --boundary (wall shift)")
-    rs = parse_range(args.r) if args.r is not None else []
-    zs = parse_range(args.boundary) if args.boundary is not None else []
+    rs = _parsed("--r", args.r) if args.r is not None else []
+    zs = _parsed("--boundary", args.boundary) if args.boundary is not None else []
     if len(rs) > 1 and len(zs) > 1:
         raise ValueError("only one of --r and --boundary may sweep at a time")
-    dt = float(args.dt)
+    dt = _parsed("--dt", args.dt, float)
     records = []
     for r in rs:
         value = correlator(medium, Separation(r, dt))
@@ -168,7 +176,7 @@ def _config_from_args(args, theta_deg: float, medium) -> scattering.ScatteringCo
 def _cmd_xsection(args) -> int:
     positive(args.volume, "--volume")
     medium = resolve_material(args.material)
-    thetas_deg = parse_range(args.theta)
+    thetas_deg = _parsed("--theta", args.theta)
     records = []
     for theta_deg in thetas_deg:
         cfg = _config_from_args(args, theta_deg, medium)
@@ -190,11 +198,12 @@ def _cmd_xsection(args) -> int:
 
 def _cmd_ratio(args) -> int:
     medium = resolve_material(args.material)
-    cfg = _config_from_args(args, float(args.theta), medium)
+    theta_deg = _parsed("--theta", args.theta, float)
+    cfg = _config_from_args(args, theta_deg, medium)
     value = scattering.ratio_zp_thermal(medium, cfg)
     record = OutputRecord(
         inputs={"material": medium.name, "omega_rad_s": cfg.omega,
-                "theta_deg": float(args.theta), "temperature_k": cfg.temperature},
+                "theta_deg": theta_deg, "temperature_k": cfg.temperature},
         value=value, unit="dimensionless", formula="zp-thermal-ratio")
     _emit([record], args.format)
     share = 100.0 * value

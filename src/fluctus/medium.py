@@ -244,8 +244,15 @@ def dumps_material(medium: FluidMedium) -> str:
     """Serialize a FluidMedium in the material-file format.
 
     Loading the result reproduces the medium exactly (round-trip identity
-    on every present field).
+    on every present field).  A name the format cannot carry is refused
+    with ``MaterialFileError``: an empty one, one containing ``#`` or a
+    line break, or one with leading or trailing whitespace.
     """
+    name = medium.name
+    if "#" in name or name.splitlines() != [name] or name.strip() != name:
+        raise MaterialFileError(f"material name {name!r} cannot be written to a material "
+                                "file: it must be one non-empty line without '#' or "
+                                "surrounding whitespace")
     lines = []
     for key, field in _FILE_KEYS:
         value = getattr(medium, field)

@@ -58,8 +58,19 @@ __all__ = [
 #: 1e-14 of its peak.  Eight fixed-point steps of x = -ln(1e-14) + 2 ln x from x = 33.
 _TRUNCATION = 39.59352235773582
 
-#: Gauss-Legendre rule applied per oscillation panel.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+#: Gauss-Legendre rule applied per oscillation panel: the 16 nodes and weights of
+#: ``numpy.polynomial.legendre.leggauss(16)``, written as the repr of each value,
+#: so the arrays are the same to the bit without importing numpy.polynomial.
+_GL_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
+_GL_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
 
 #: Phases are reduced on a grid of 2**-_TURN_BITS turns (:func:`_phase`).
 _TURN_BITS = 20

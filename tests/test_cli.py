@@ -50,7 +50,25 @@ def test_parse_range_scalar_and_sweeps():
 def test_sweep_ends_and_their_difference_must_be_finite(capsys, sweep):
     code, out, err = run_cli(capsys, "correlator", "--material", "water", "--r", sweep)
     assert (code, out) == (2, "")
-    assert err.startswith("error: sweep ends and their difference must be finite")
+    assert err.startswith("error: --r: sweep ends and their difference must be finite")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["correlator", "--material", "water", "--r", "abc"],
+     "--r: could not convert string to float: 'abc'"),
+    (["correlator", "--material", "water", "--r", "1e-9", "--dt", "0..1e-12:3"],
+     "--dt: could not convert string to float: '0..1e-12:3'"),
+    (["correlator", "--material", "water", "--boundary", "1e-9..2e-9"],
+     "--boundary: sweep expression needs a step count: '1e-9..2e-9'"),
+    (["xsection", "--material", "water", "--lambda", "5e-7", "--theta", "abc"],
+     "--theta: could not convert string to float: 'abc'"),
+    (["xsection", "--material", "water", "--lambda", "5e-7", "--theta", "10..20:1"],
+     "--theta: sweep needs at least 2 points, got 1"),
+    (["ratio", "--material", "water", "--lambda", "5e-7", "--theta", "abc"],
+     "--theta: could not convert string to float: 'abc'"),
+], ids=["r", "dt", "boundary", "xsection-theta", "xsection-theta-sweep", "ratio-theta"])
+def test_an_unreadable_number_is_refused_with_its_option(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
 def test_a_sweep_numpy_cannot_allocate_exits_2(capsys):

@@ -150,12 +150,19 @@ def test_epsilon0_pinned_to_eta_squared():
     cp=st.one_of(st.none(), st.floats(1.0, 1e5)),
     deps_dt=st.one_of(st.none(), st.floats(-1.0, 1.0)),
     temperature=st.floats(1.0, 1e4),
+    name=st.sampled_from(["roundtrip", "a#b", " padded ", "", "two\nlines", "end\n", "a = b"])
+    | st.text(),
 )
-def test_serialize_parse_round_trip(rho0, cs, eta, drho, cp, deps_dt, temperature):
-    m = fluid_medium("roundtrip", rho0=rho0, cs=cs, eta=eta, drho=drho,
+def test_serialize_parse_round_trip(rho0, cs, eta, drho, cp, deps_dt, temperature, name):
+    # every medium either reloads exactly or is refused by name
+    m = fluid_medium(name, rho0=rho0, cs=cs, eta=eta, drho=drho,
                      cp=cp, deps_dt=deps_dt, default_temperature=temperature)
-    again = parse_material(dumps_material(m))
-    assert again == m
+    try:
+        text = dumps_material(m)
+    except MaterialFileError as exc:
+        assert repr(name) in str(exc)
+        return
+    assert parse_material(text) == m
 
 
 def _float_or(valid):

@@ -96,6 +96,13 @@ def test_spectral_suite_reports_the_quadrature_work():
 
 # --- the factored panel rule -----------------------------------------------------
 
+def test_gauss_legendre_literals_are_leggauss_16_to_the_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(spectral._GL_NODES, nodes)
+    assert np.array_equal(spectral._GL_WEIGHTS, weights)
+    assert spectral._GL_NODES.dtype == spectral._GL_WEIGHTS.dtype == np.float64
+
+
 def direct_panel_sums(b, epsilons, halvings, panels):
     """The 16-point Gauss-Legendre rule node by node, with the sum of |w f|.
 

@@ -1,9 +1,11 @@
-"""A nan deviation fails a verify check instead of vanishing from its maximum, and the
-chain suite's seeded draws stay the same."""
+"""A nan deviation fails a verify check instead of vanishing from its maximum, the
+chain suite's seeded draws stay the same, and verifying loads neither numpy.random nor
+numpy.polynomial."""
 
 import math
-
-import numpy as np
+import random
+import subprocess
+import sys
 
 from fluctus import lattice, scattering, verify
 from fluctus.correlator import CorrelatorValue
@@ -72,19 +74,20 @@ def test_a_monotone_ladder_reports_its_negative_largest_step(monkeypatch):
 
 
 def _reference_media_and_configs(n, seed=20260809):
-    # The chain suite's draws as scalar calls: six uniforms, the polarization, the temperature.
-    rng = np.random.default_rng(seed)
+    # The chain suite's draws as scalar calls of random.Random(seed).random(): six
+    # uniforms, the polarization, the temperature.
+    draw = random.Random(seed).random
     pols = list(scattering.Polarization)
     out = []
     for _ in range(n):
-        medium = fluid_medium(name="random", rho0=rng.uniform(100.0, 2500.0),
-                              cs=rng.uniform(200.0, 3500.0), eta=rng.uniform(1.0, 2.0),
-                              drho=rng.uniform(0.1, 1.5))
-        omega = scattering.omega_from_wavelength(rng.uniform(200e-9, 700e-9))
-        theta = rng.uniform(0.05, math.pi)
-        pol = pols[rng.integers(len(pols))]
+        medium = fluid_medium(name="random", rho0=100.0 + 2400.0 * draw(),
+                              cs=200.0 + 3300.0 * draw(), eta=1.0 + draw(),
+                              drho=0.1 + (1.5 - 0.1) * draw())
+        omega = scattering.omega_from_wavelength(200e-9 + (700e-9 - 200e-9) * draw())
+        theta = 0.05 + (math.pi - 0.05) * draw()
+        pol = pols[int(len(pols) * draw())]
         out.append((medium, scattering.ScatteringConfig(
-            omega=omega, theta=theta, pol=pol, temperature=rng.uniform(150.0, 450.0))))
+            omega=omega, theta=theta, pol=pol, temperature=150.0 + 300.0 * draw())))
     return out
 
 
@@ -95,3 +98,21 @@ def test_chain_draws_equal_the_scalar_draws_field_by_field():
     for (medium, cfg), (ref_medium, ref_cfg) in zip(cases, reference):
         assert medium == ref_medium
         assert cfg == ref_cfg
+    assert {cfg.pol for _, cfg in cases} == set(scattering.Polarization)
+
+
+_UNLOADED = """
+import contextlib, io, sys
+import fluctus
+loaded = [m for m in ("numpy.random", "numpy.polynomial") if m in sys.modules]
+from fluctus.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", "all"])
+print(code, loaded, [m for m in ("numpy.random", "numpy.polynomial") if m in sys.modules])
+"""
+
+
+def test_verify_all_loads_neither_numpy_random_nor_numpy_polynomial():
+    # a fresh interpreter, as `fluctus verify all` runs: both subpackages are left unloaded
+    proc = subprocess.run([sys.executable, "-c", _UNLOADED], capture_output=True, text=True)
+    assert proc.stdout == "0 [] []\n", proc.stderr
