@@ -15,8 +15,8 @@ achieved error:
   the error changes sign up to N = 256 and stops falling from N = 384.
 * ``chain``: the golden-rule assembly against the closed-form cross
   section at the 1e-12 level over 100 media and configurations drawn
-  from ``random.Random(20260809)``, quantization-volume independence, the recoil bound on the
-  fifth-power form, and the ratio identity.
+  from ``random.Random(20260809)``, quantization-volume independence,
+  the recoil bound on the fifth-power form, and the ratio identity.
 
 Every check gated by a tolerance reports as achieved its largest
 deviation, nan where any deviation is nan, so a nan fails it rather
