@@ -80,11 +80,14 @@ def parse_range(text: str) -> list[float]:
 
 
 def _parsed(option: str, text: str, parse=parse_range):
-    """``parse(text)``, its refusal prefixed with the option it read."""
+    """``parse(text)``, its refusal prefixed with the option it read: a ValueError,
+    or numpy's MemoryError for a sweep too long to allocate."""
     try:
         return parse(text)
     except ValueError as exc:
         raise ValueError(f"{option}: {exc}") from None
+    except MemoryError as exc:
+        raise MemoryError(f"{option}: {exc}") from None
 
 
 def _emit(records: list[OutputRecord], fmt: str) -> None:

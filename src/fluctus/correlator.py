@@ -25,8 +25,9 @@ The closed form, its prefactor and its refusals are written once, in
 the private ``_kernel``, which every correlator here, the planar wall
 shift (the image term at r = 2z), the rejected variant in
 ``fluctus.verify`` and ``Separation.regime`` call.  Values on the sound
-cone, at coincident points or outside the float range are errors, not
-infinities; regulated evaluation lives in ``fluctus.spectral``.
+cone, at coincident points or outside the normal float range (the one
+range rule of ``fluctus.errors``) are errors, not infinities or
+subnormal numbers; regulated evaluation lives in ``fluctus.spectral``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import (TINY, BoundaryContactError, CoincidenceDivergenceError, FluctusError,
-                     SoundConeSingularityError, finite, nonnegative, positive, real, scaled)
+                     SoundConeSingularityError, finite, nonnegative, normal, out_of_range,
+                     positive, real)
 from .medium import HBAR, FluidMedium
 
 __all__ = [
@@ -90,7 +92,7 @@ class Separation:
     def regime(self, cs: float) -> Regime:
         """Classify against the sound cone of speed cs > 0 by the correlators' refusals."""
         cs = positive(cs, "sound speed")
-        try:  # only the refusals matter; f = 1 keeps lab-scale values on the plain path
+        try:  # only the cone and coincidence refusals matter
             _kernel(1.0, cs, -1, self.r, self.dt)
         except CoincidenceDivergenceError:
             return Regime.COINCIDENT
@@ -125,23 +127,21 @@ _HBAR_2PI2 = HBAR / (2.0 * math.pi**2)
 _OUT_OF_RANGE = "correlator at r = {!r} m, c*|dt| = {!r} m"
 
 
-def _kernel(f: float, c: float, n: int, r: float, dt: float, k: float = 1.0,
-            e: int = 0) -> float:
-    """-K 2**e (r^2 + 3 c^2 dt^2) / (r^2 - k c^2 dt^2)^3, K = hbar f c**n / 2 pi^2 (f = rho0,
+def _kernel(f: float, c: float, n: int, r: float, dt: float, k: float = 1.0) -> float:
+    """-K (r^2 + 3 c^2 dt^2) / (r^2 - k c^2 dt^2)^3, K = hbar f c**n / 2 pi^2 (f = rho0,
     n = -1: the density correlators; f = 1, n = 3, as ((hbar / 2 pi^2 c) c) c: the analog;
-    k = 1, or 3 for the rejected variant), scale-free as -K 2**e / rho^4 (a^2 + 3 beta^2)
-    / (a^2 - k beta^2)^3, rho = max(r, c|dt|), a = r / rho, beta = c|dt| / rho.  Plain
-    where e = 0 and hbar f / 2 pi^2, K, rho^2, K / rho^4 and the value are normal, else
-    with the exponents of f, c and rho apart (``errors.scaled``), rho and its ratios formed
-    from the parts of r and of c|dt| (c's and dt's mantissas and exponents): one range
-    decision per call.  Coincident means r = dt = 0, not a c|dt| rounded to 0.  Raises
-    CoincidenceDivergenceError there, SoundConeSingularityError in the SOUND_CONE_TOLERANCE
-    band, FluctusError outside the float range, an overflowed c|dt| included."""
+    k = 1, or 3 for the rejected variant), scale-free as -K / rho^4 (a^2 + 3 beta^2)
+    / (a^2 - k beta^2)^3, rho = max(r, c|dt|), a = r / rho, beta = c|dt| / rho: the plain
+    product, by the one range rule of ``fluctus.errors``.  It answers where hbar f / 2 pi^2,
+    K, rho^2, K / rho^4 and the value are normal floats, and raises FluctusError naming
+    r and c|dt| anywhere else, an overflowed c|dt| included.  Coincident means r = dt = 0,
+    not a c|dt| rounded to 0: CoincidenceDivergenceError there, and
+    SoundConeSingularityError in the SOUND_CONE_TOLERANCE band."""
     b = c * abs(dt)
     # max(r, b) for every float pair, nan and -0.0 included, without the builtin's ~0.2 us call
     rho = b if b > r else r
     # "not >" and "!=" let in, with the cone band, a non-finite r or c|dt| (a nan, or
-    # inf - inf) for finite() to refuse: the fallback cannot re-form an infinite c|dt|.
+    # inf - inf) for finite() to refuse before it is taken for the cone.
     if not abs(r - b) > SOUND_CONE_TOLERANCE * rho and (rho != 0.0 or dt == 0.0):
         if rho == 0.0:
             raise CoincidenceDivergenceError(
@@ -161,29 +161,31 @@ def _kernel(f: float, c: float, n: int, r: float, dt: float, k: float = 1.0,
         value = -scale * (a2 + 3.0 * b2) / (d * d * d)
     except ZeroDivisionError:  # rho or s underflowed to 0, or d^3 (the variant's own root)
         scale = value = 0.0
-    if h >= TINY and K >= TINY and s >= TINY and scale >= TINY and not e and value - value == 0.0:
+    if h >= TINY and K >= TINY and s >= TINY and scale >= TINY and TINY <= abs(value) < math.inf:
         return value
-    # The ratios again in units of 2**ex, bit for bit the plain ones where c|dt| is normal;
-    # ex from c|dt| = m |t| 2**(ec + et) where rho rounded to 0.
-    (h, ef), (m, ec), (t, et), (x, ex) = map(math.frexp, (f, c, dt, rho))
-    ex = ex if rho else math.frexp(m * abs(t))[1] + ec + et
-    a, beta = math.ldexp(r, -ex), math.ldexp(m * abs(t), ec + et - ex)
-    x = max(a, beta)
-    a2, b2 = (a / x) * (a / x), (beta / x) * (beta / x)
-    d = a2 - k * b2
-    h *= _HBAR_2PI2
-    x *= x
-    return scaled(-(h / m if n < 0 else h * m * m * m) / x / x * (a2 + 3.0 * b2)
-                  / (d * d * d or math.nan), ef + n * ec + e - 4 * ex, _OUT_OF_RANGE, r, b)
+    raise out_of_range(_OUT_OF_RANGE, r, b)
 
 
 def _density_scale(medium: FluidMedium, x: float, length: float, p: int, what: str,
                    *args) -> float:
-    """hbar rho0 x length**p / cs, with every factor's exponent apart (``errors.scaled``):
-    the scale of the structure factor (x = 1/2, p = 1) and of the two numerical oracles,
-    which sum in units of a length.  ``what`` and ``args`` name the call on refusal."""
-    (m, e), (xm, ex), (lm, el), (c, ec) = map(math.frexp, (medium.rho0, x, length, medium.cs))
-    return scaled(HBAR * m * xm * lm**p / c, e + ex + p * el - ec, what, *args)
+    """hbar rho0 x length**p / cs: the scale of the structure factor (x = 1/2, p = 1) and
+    of the two numerical oracles, which sum in units of a length.  0 where x or the
+    length is; else refused by ``errors.out_of_range`` (``what`` and ``args`` name the
+    call) unless the value and each partial product is a normal float."""
+    if not x or not length:
+        return 0.0 * x  # the sign of a -0.0 sum
+    h = HBAR * medium.rho0
+    # length**p as its mantissa's power times 2**(p e), the oracles' values to the bit:
+    # pow rounds the two differently in about 1 draw in 1500.
+    m, e = math.frexp(length)
+    try:
+        scale = math.ldexp(m**p, p * e)
+    except OverflowError:
+        scale = math.inf
+    if (h >= TINY and abs(y := h * x) >= TINY and scale >= TINY and abs(y := y * scale) >= TINY
+            and TINY <= abs(value := y / medium.cs) < math.inf):
+        return value
+    raise out_of_range(what, *args)
 
 
 def _wall(z1, z2, transverse, dt) -> tuple[float, float, float, float]:
@@ -192,11 +194,10 @@ def _wall(z1, z2, transverse, dt) -> tuple[float, float, float, float]:
             real(transverse, "transverse distance"), real(dt, "time lag dt"))
 
 
-def _image(medium: FluidMedium, z1: float, z2: float, transverse: float, dt: float,
-           e: int = 0) -> float:
-    # The image term's value (times 2**e) at checked arguments (``_wall``): the free
-    # correlator at z2 reflected to -z2.
-    return _kernel(medium.rho0, medium.cs, -1, math.hypot(transverse, z1 + z2), dt, 1.0, e)
+def _image(medium: FluidMedium, z1: float, z2: float, transverse: float, dt: float) -> float:
+    # The image term's value at checked arguments (``_wall``): the free correlator at z2
+    # reflected to -z2.
+    return _kernel(medium.rho0, medium.cs, -1, math.hypot(transverse, z1 + z2), dt)
 
 
 def correlator(medium: FluidMedium, sep: Separation) -> CorrelatorValue:
@@ -296,22 +297,15 @@ def boundary_correlator(medium: FluidMedium, z1: float, z2: float,
     Sending the transverse distance to infinity recovers the free
     correlator; z1 or z2 not positive and finite, or an infinite or nan
     ``transverse`` or ``dt``, raises ValueError naming it, and all four
-    are read as floats, once.  Two finite terms whose sum leaves the
-    float range raise FluctusError.
+    are read as floats, once.  Two normal terms whose sum is not a normal
+    float raise FluctusError.
     """
     z1, z2, transverse, dt = _wall(z1, z2, transverse, dt)
     image = _image(medium, z1, z2, transverse, dt)
-    rd = math.hypot(transverse, z1 - z2)
-    direct = _kernel(medium.rho0, medium.cs, -1, rd, dt)
-    value = direct + image
-    if -TINY < direct < TINY or -TINY < image < TINY or value - value != 0.0:
-        # A term lost digits below the normal range, or the sum overflowed: add over 2**e.
-        e = math.frexp(max(abs(direct), abs(image)))[1]
-        value = scaled(_kernel(medium.rho0, medium.cs, -1, rd, dt, 1.0, -e)
-                       + _image(medium, z1, z2, transverse, dt, -e), e,
-                       "boundary_correlator at z1 = {!r} m, z2 = {!r} m, "
-                       "transverse = {!r} m, dt = {!r} s", z1, z2, transverse, dt)
-    return CorrelatorValue(value, "boundary-correlator")
+    value = _kernel(medium.rho0, medium.cs, -1, math.hypot(transverse, z1 - z2), dt) + image
+    return CorrelatorValue(normal(value, "boundary_correlator at z1 = {!r} m, z2 = {!r} m, "
+                                  "transverse = {!r} m, dt = {!r} s", z1, z2, transverse, dt),
+                           "boundary-correlator")
 
 
 def em_vacuum_shift_plate(z: float) -> tuple[float, float]:

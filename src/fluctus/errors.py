@@ -12,17 +12,24 @@ strings become Python floats) and return it or refuse it by name with
 ValueError: :func:`positive` (a speed, a frequency, a temperature, the
 permittivity, a length, the distance to a wall or a plate, or a volume),
 :func:`nonnegative` (a distance, a wavenumber, a polarization factor)
-and :func:`real` (a time lag, a transverse distance, an angle).  Here
-too are every refusal of a value outside the float range
-(:func:`finite`), every value formed with its factors' exponents apart
-(:func:`scaled`), and every largest deviation that a nan one must not
+and :func:`real` (a time lag, a transverse distance, an angle).
+
+Every result has one range rule: a closed form is its plain product, and
+it answers only where that product and each of its partial products is a
+normal float, TINY <= |x| < inf (an exact 0 from a zero factor, such as
+a crossed polarization or q = 0, stays 0).  Anywhere else, subnormal
+results included, the call raises the FluctusError of
+:func:`out_of_range`, "<the call and its inputs> is outside the float
+range"; :func:`normal` is that refusal for a value alone, and
+:func:`finite` for a value (an argument formed from others) that is inf
+or nan.  Here too is every largest deviation that a nan one must not
 vanish from (:func:`largest`).
 """
 
 import math
 import sys
 
-#: The smallest normal float; a product whose partials all stay above it scales exactly.
+#: The smallest normal float: a result or partial product below it in magnitude is refused.
 TINY = sys.float_info.min
 
 
@@ -78,8 +85,7 @@ class AliasingError(FluctusError):
 
 
 class IllPosedStudyError(FluctusError):
-    """Convergence study cannot be posed: a = L/N exceeds r/4, or the
-    continuum value it compares against underflows to 0."""
+    """Convergence study cannot be posed: a = L/N exceeds r/4."""
 
 
 class MissingPropertyError(MaterialError):
@@ -121,27 +127,26 @@ def real(value, what: str) -> float:
     raise ValueError(f"{what} must be finite, got {value}")
 
 
+def out_of_range(what: str, *args) -> FluctusError:
+    """FluctusError "<what> is outside the float range", ``what`` naming the call
+    and its inputs: a ``str.format`` template when ``args`` are given, filled only
+    here, on refusal."""
+    return FluctusError(f"{what.format(*args) if args else what} is outside the float range")
+
+
 def finite(value: float, what: str, *args) -> float:
-    """``value`` if finite, else FluctusError "<what> is outside the float
-    range", ``what`` naming the call: a ``str.format`` template when
-    ``args`` are given, filled only on refusal."""
+    """``value`` if finite, else the :func:`out_of_range` refusal."""
     if value - value == 0.0:  # false for inf and nan
         return value
-    raise FluctusError(f"{what.format(*args) if args else what} is outside the float range")
+    raise out_of_range(what, *args)
 
 
-def scaled(mantissa: float, exponent: int, what: str, *args) -> float:
-    """``mantissa * 2**exponent``, refused by :func:`finite` unless finite.
-
-    For products that leave the normal range part way (hbar * rho0 at
-    rho0 = 1e-300): callers multiply the factors' ``math.frexp`` mantissas
-    in the plain product's order, keeping its bits where it stays normal,
-    and add the exponents, so one ``ldexp`` rounds the result alone."""
-    try:
-        value = math.ldexp(mantissa, exponent)
-    except OverflowError:
-        value = math.inf
-    return finite(value, what, *args)
+def normal(value: float, what: str, *args) -> float:
+    """``value`` if a normal float, TINY <= |value| < inf, else the :func:`out_of_range`
+    refusal."""
+    if TINY <= abs(value) < math.inf:
+        return value
+    raise out_of_range(what, *args)
 
 
 def largest(values) -> float:

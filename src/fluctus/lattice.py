@@ -110,7 +110,7 @@ def lattice_correlator(medium: FluidMedium, grid: ModeGrid, dx, eps: float) -> f
     magnitude are accumulated in a fixed order, with the slab partial sums
     combined by exact compensated summation, so the result does not depend
     on how the work would be chunked.  The sum runs in units of L: only its
-    scaling by L^-4, formed with the exponents apart, can leave the range.
+    scaling by L^-4 can leave the normal float range, which is refused.
     ``eps`` is read as a float by ``errors.positive``.
 
     Raises
@@ -185,7 +185,8 @@ class ConvergenceStudy:
 
     ``rows`` holds (N, relative error against the continuum value at the
     same damping); ``slope`` is the fitted log-log exponent of the error
-    versus a/r where a = L/N.
+    versus a/r where a = L/N.  ``signed`` holds each row's error with its
+    sign, (lattice - continuum) / |continuum|, whose magnitude is the row's.
     """
 
     L: float
@@ -194,6 +195,7 @@ class ConvergenceStudy:
     continuum: float
     rows: tuple[tuple[int, float], ...]
     slope: float
+    signed: tuple[float, ...]
 
     @property
     def monotone(self) -> bool:
@@ -214,8 +216,10 @@ def convergence_study(medium: FluidMedium, r: float, ns=(64, 128, 256)) -> Conve
         Unless ``ns`` holds at least two strictly increasing mode counts,
         each valid for :class:`ModeGrid`.
     IllPosedStudyError
-        If any N leaves the separation unresolved, a = L/N > r/4, or the
-        continuum value underflows to 0.
+        If any N leaves the separation unresolved, a = L/N > r/4.
+    FluctusError
+        If the continuum or a lattice value is outside the normal float
+        range (a quadrature that cannot converge raises ConvergenceError).
     """
     r = positive(r, "separation r")
     L = 16.0 * r
@@ -234,16 +238,12 @@ def convergence_study(medium: FluidMedium, r: float, ns=(64, 128, 256)) -> Conve
     eps = 0.125 * r
     d = np.asarray(STUDY_DIRECTION)
     dx = r * d / np.linalg.norm(d)
-    continuum = regulated_integrand_reduction(medium, r, 0.0, eps)
-    if continuum == 0.0:
-        raise IllPosedStudyError(f"convergence_study at r = {r!r} m: the continuum value "
-                                 "underflows to 0, so no relative error can be formed")
-    rows = []
-    for grid in grids:
-        lat = lattice_correlator(medium, grid, dx, eps)
-        rows.append((grid.N, abs(lat - continuum) / abs(continuum)))
+    continuum = regulated_integrand_reduction(medium, r, 0.0, eps)  # a 0 never converges
+    signed = tuple((lattice_correlator(medium, grid, dx, eps) - continuum) / abs(continuum)
+                   for grid in grids)
+    rows = tuple((grid.N, abs(e)) for grid, e in zip(grids, signed))
     log_aor = np.log([L / n / r for n, _ in rows])
     log_err = np.log([e for _, e in rows])
     slope = float(np.polyfit(log_aor, log_err, 1)[0])
-    return ConvergenceStudy(L=L, r=r, eps=eps, continuum=continuum,
-                            rows=tuple(rows), slope=slope)
+    return ConvergenceStudy(L=L, r=r, eps=eps, continuum=continuum, rows=rows, slope=slope,
+                            signed=signed)

@@ -26,10 +26,11 @@ complete the set.  All cross sections are per unit scattering volume
 The zero-point channel creates a phonon, so it feeds only the
 frequency-downshifted (Stokes) side of the Brillouin doublet.
 
-Every cross section and the ratio is right over the float range, or a
-FluctusError naming the function, the medium and omega: its plain product
-where every partial product is normal, else its factors' exponents apart
-(``_apart``), rounded once by ``fluctus.errors.scaled``, which refuses.
+Every cross section, the ratio and beta_S follow the one range rule of
+``fluctus.errors``: each is its plain product, returned where that
+product and every partial product is a normal float, and otherwise a
+FluctusError naming the function, the medium and omega (an exact 0 from
+a crossed polarization stays 0).
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import (TINY, FluctusError, MissingPropertyError, finite, nonnegative, positive,
-                     real, scaled)
+from .errors import (TINY, FluctusError, MissingPropertyError, nonnegative, normal,
+                     out_of_range, positive, real)
 from .medium import C_LIGHT, HBAR, K_B, FluidMedium
 
 __all__ = [
@@ -113,7 +114,7 @@ class ScatteringConfig:
 def omega_from_wavelength(wavelength: float) -> float:
     """Angular frequency from the vacuum wavelength (m), read as a float by
     ``errors.positive``."""
-    return finite(2.0 * math.pi * C_LIGHT / positive(wavelength, "wavelength"),
+    return normal(2.0 * math.pi * C_LIGHT / positive(wavelength, "wavelength"),
                   "omega_from_wavelength at wavelength = {:.6g} m", wavelength)
 
 
@@ -156,18 +157,6 @@ _AT_OMEGA = "{} for '{.name}' at omega = {.omega:.6g} rad/s"
 _RATIO_X_MAX = 0.1
 
 
-def _apart(c: float, factors, pol: float, what: str, *args, e: int = 0) -> float:
-    """c times or over each factor x (n = 1, -1) or its square (n = 2, -2) in turn, times pol
-    2**e, on the factors' ``math.frexp`` mantissas with the exponents apart, rounded once by
-    ``errors.scaled``: the plain form's bits wherever all its partial products are normal."""
-    for x, n in factors:
-        m, ex = math.frexp(x)
-        e += n * ex
-        m = m * m if n * n == 4 else m
-        c = c * m if n > 0 else c / m
-    return scaled(c * pol, e, what, *args)
-
-
 def _shift(medium: FluidMedium, omega: float, theta: float) -> tuple[float, float]:
     # (omega_prime, omega_q) of phonon_kinematics.
     omega_prime = omega - _angular(theta) * (medium.cs / C_LIGHT) * omega
@@ -198,9 +187,14 @@ def phonon_kinematics(medium: FluidMedium, cfg: ScatteringConfig) -> Kinematics:
         Omega_q = sqrt(2 (1 - cos theta)) (cs / c) omega,
 
     always a fraction of omega (at most 2 cs/c < 1 at backscatter).
+    Raises FluctusError unless omega' is a normal float, and Omega_q and q
+    are 0 (the shift below the float resolution of omega) or normal.
     """
     omega_prime, omega_q = _shift(medium, cfg.omega, cfg.theta)
-    return Kinematics(cfg.omega, omega_prime, omega_q, omega_q / medium.cs)
+    q = omega_q / medium.cs
+    if omega_prime >= TINY and (not omega_q or omega_q >= TINY and q >= TINY):
+        return Kinematics(cfg.omega, omega_prime, omega_q, q)
+    raise out_of_range(_AT_OMEGA, "phonon_kinematics", medium, cfg)
 
 
 def polarization_factor(theta: float, pol: Polarization) -> float:
@@ -279,15 +273,16 @@ def matrix_element_sq(medium: FluidMedium, omega: float, omega_prime: float,
     omega, omega_prime, omega_q and then the volume must be positive and
     finite, and then ``pol_factor`` finite and >= 0, else ValueError names
     the first that is not; each is read as a float (``errors.positive``,
-    ``errors.nonnegative``).
+    ``errors.nonnegative``).  The value is 0 where ``pol_factor`` is, and
+    else a normal float or a FluctusError.
     """
-    return finite(_m2(medium.rho0, medium.cs, positive(omega, "angular frequency omega"),
-                      positive(omega_prime, "scattered frequency omega_prime"),
-                      positive(omega_q, "phonon frequency omega_q"),
-                      positive(volume, "quantization volume"),
-                      nonnegative(pol_factor, "polarization factor pol_factor")),
-                  "matrix_element_sq for '{.name}' at omega = {:.6g} rad/s, "
-                  "volume = {:.6g} m^3", medium, omega, volume)
+    m2 = _m2(medium.rho0, medium.cs, positive(omega, "angular frequency omega"),
+             positive(omega_prime, "scattered frequency omega_prime"),
+             positive(omega_q, "phonon frequency omega_q"), positive(volume, "quantization volume"),
+             pol_factor := nonnegative(pol_factor, "polarization factor pol_factor"))
+    return m2 if m2 == pol_factor == 0.0 else normal(
+        m2, "matrix_element_sq for '{.name}' at omega = {:.6g} rad/s, volume = {:.6g} m^3",
+        medium, omega, volume)
 
 
 def density_of_states(omega_prime: float, epsilon0: float, volume: float) -> float:
@@ -297,9 +292,10 @@ def density_of_states(omega_prime: float, epsilon0: float, volume: float) -> flo
     counts the compressed in-medium mode spacing.  omega_prime, the
     permittivity epsilon0 and the volume must be positive and finite, else
     ValueError names the first that is not; each is read as a float
-    (``errors.positive``).
+    (``errors.positive``).  A value that is not a normal float raises
+    FluctusError.
     """
-    return finite(_dos(positive(omega_prime, "scattered frequency omega_prime"),
+    return normal(_dos(positive(omega_prime, "scattered frequency omega_prime"),
                        positive(epsilon0, "permittivity epsilon0"),
                        positive(volume, "quantization volume")),
                   "density_of_states at omega_prime = {:.6g} rad/s, epsilon0 = {:.6g}, "
@@ -311,23 +307,12 @@ def incident_flux(epsilon0: float, volume: float) -> float:
 
     The permittivity epsilon0 and the volume must be positive and finite,
     else ValueError names the first that is not; each is read as a float
-    (``errors.positive``).
+    (``errors.positive``).  A value that is not a normal float raises
+    FluctusError.
     """
-    return finite(_flux(positive(epsilon0, "permittivity epsilon0"),
+    return normal(_flux(positive(epsilon0, "permittivity epsilon0"),
                         positive(volume, "quantization volume")),
                   "incident_flux at epsilon0 = {:.6g}, volume = {:.6g} m^3", epsilon0, volume)
-
-
-def _golden_rule(rho0: float, cs: float, epsilon0: float, omega: float, omega_prime: float,
-                 omega_q: float, v: float, pol: float) -> tuple[float, float, float]:
-    # (|M|^2, rate, flux V) at volume v; (inf, inf, 1) where a piece, and so the chain, is
-    # refused: the public pieces' arithmetic, with their finite check on the floats.
-    m2 = _m2(rho0, cs, omega, omega_prime, omega_q, v, pol)
-    dos = _dos(omega_prime, epsilon0, v)
-    flux = _flux(epsilon0, v)
-    if m2 - m2 == 0.0 and dos - dos == 0.0 and flux - flux == 0.0:
-        return m2, _TWO_PI_HBAR * m2 * dos, flux * v
-    return math.inf, math.inf, 1.0
 
 
 def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
@@ -346,20 +331,17 @@ def zp_cross_section_chain(medium: FluidMedium, cfg: ScatteringConfig,
     omega_prime, omega_q = _emitted_shift(medium, cfg, "zp_cross_section_chain")
     v = math.frexp(positive(volume, "quantization volume"))[0]
     rho0, cs, eps0 = medium.rho0, medium.cs, medium.eta * medium.eta
-    m2, rate, flux_volume = _golden_rule(rho0, cs, eps0, cfg.omega, omega_prime, omega_q, v, pol)
-    # Plain where every partial product is normal: m2 cs^2 is the one before / cs^2, and m2
-    # cs^2 rho0 v bounds hbar^3/8 omega omega' Omega_q, the least product of frequencies.
+    # The public pieces' arithmetic on the floats: (2 pi / hbar) |M|^2 rho_f / (flux V).
+    m2 = _m2(rho0, cs, cfg.omega, omega_prime, omega_q, v, pol)
+    rate = _TWO_PI_HBAR * m2 * _dos(omega_prime, eps0, v)
+    # Every partial product is normal: m2 cs^2 is the one before / cs^2, m2 cs^2 rho0 v
+    # bounds hbar^3/8 omega omega' Omega_q, the least product of frequencies, and a finite
+    # rate keeps eps0 finite, and so the flux nonzero.
     if (m2 >= TINY and (x := m2 * cs * cs) >= TINY and x * rho0 * v >= TINY
-            and rate >= TINY and TINY <= (value := rate / flux_volume) < math.inf):
+            and TINY <= rate < math.inf and TINY <= (value := rate / (_flux(eps0, v) * v))
+            < math.inf):
         return CrossSectionValue(value, "zp-golden-rule-chain", pol)
-    # Else again at rho0's mantissa and omega scaled into [2**-22, 2**-21): Omega_q >= omega's
-    # resolution, and omega'^2 < 2**-42 < 1 / _DOS keeps the density of states below eps0^1.5.
-    (m, e), (w, ew) = math.frexp(rho0), math.frexp(cfg.omega)
-    w, ew = math.ldexp(w, -21), ew + 21
-    _, rate, flux_volume = _golden_rule(m, cs, eps0, w, *_shift(medium, w, cfg.theta), v, pol)
-    return CrossSectionValue(_apart(1.0, ((rate, 1), (flux_volume, -1)), 1.0, _AT_OMEGA,
-                                    "zp_cross_section_chain", medium, cfg, e=5 * ew - e),
-                             "zp-golden-rule-chain", pol)
+    raise out_of_range(_AT_OMEGA, "zp_cross_section_chain", medium, cfg)
 
 
 def zp_cross_section_exact(medium: FluidMedium, cfg: ScatteringConfig) -> CrossSectionValue:
@@ -375,14 +357,12 @@ def zp_cross_section_exact(medium: FluidMedium, cfg: ScatteringConfig) -> CrossS
     omega_prime, omega_q = _emitted_shift(medium, cfg, "zp_cross_section_exact")
     omega, eta, cs, rho0 = cfg.omega, medium.eta, medium.cs, medium.rho0
     eta2 = eta * eta
-    # Plain where every partial product is normal: those before y fall to it if omega < 1, else
-    # stay >= _ZP_EXACT 2**-159 (omega', Omega_q >= 2**-53 omega as not 0); eta^2 >= 1 raises.
+    # Every partial product is normal: those before y fall to it if omega < 1, else stay
+    # >= _ZP_EXACT 2**-159 (omega', Omega_q >= 2**-53 omega as not 0); eta^2 >= 1 raises.
     if ((y := _ZP_EXACT * omega * omega_prime * omega_prime * omega_prime * omega_q) >= TINY
             and (x := y * eta2 * eta2 / cs / cs) >= TINY and TINY <= (z := x / rho0) < math.inf):
         return CrossSectionValue(z * pol, "zp-exact", pol)
-    return CrossSectionValue(_apart(_ZP_EXACT, ((omega, 1), (omega_prime, 1), (omega_prime, 1),
-        (omega_prime, 1), (omega_q, 1), (eta, 2), (eta, 2), (cs, -1), (cs, -1), (rho0, -1)),
-        pol, _AT_OMEGA, "zp_cross_section_exact", medium, cfg), "zp-exact", pol)
+    raise out_of_range(_AT_OMEGA, "zp_cross_section_exact", medium, cfg)
 
 
 def zp_cross_section_reduced(medium: FluidMedium, cfg: ScatteringConfig) -> CrossSectionValue:
@@ -397,22 +377,23 @@ def zp_cross_section_reduced(medium: FluidMedium, cfg: ScatteringConfig) -> Cros
     pol = _overlap(cfg.theta, cfg.pol)
     a, omega, eta, cs, rho0 = _angular(cfg.theta), cfg.omega, medium.eta, medium.cs, medium.rho0
     omega2, eta2 = omega * omega, eta * eta
-    # Plain where every partial product is normal: omega's powers take k monotonically to y.
+    # Every partial product is normal: omega's powers take k monotonically to y.
     if ((k := a * _ZP_REDUCED) >= TINY and (y := k * omega2 * omega2 * omega) >= TINY
             and (x := y * eta2 * eta2 / cs) >= TINY and TINY <= (z := x / rho0) < math.inf):
         return CrossSectionValue(z * pol, "zp-omega5", pol)
-    return CrossSectionValue(_apart(_ZP_REDUCED, (
-        (a, 1), (omega, 2), (omega, 2), (omega, 1), (eta, 2), (eta, 2), (cs, -1), (rho0, -1)),
-        pol, _AT_OMEGA, "zp_cross_section_reduced", medium, cfg), "zp-omega5", pol)
+    raise out_of_range(_AT_OMEGA, "zp_cross_section_reduced", medium, cfg)
 
 
 def adiabatic_compressibility(medium: FluidMedium) -> float:
     """beta_S = 1 / (rho0 cs^2), in 1/Pa.
 
-    Raises FluctusError where the value leaves the float range.
+    Raises FluctusError unless 1 / rho0 and the value are normal floats
+    (the partial product between them is then normal too).
     """
-    return _apart(1.0, ((medium.rho0, -1), (medium.cs, -1), (medium.cs, -1)), 1.0,
-                  "adiabatic_compressibility for '{.name}'", medium)
+    if TINY <= (x := 1.0 / medium.rho0) < math.inf and TINY <= (
+            value := x / medium.cs / medium.cs) < math.inf:
+        return value
+    raise out_of_range("adiabatic_compressibility for '{.name}'", medium)
 
 
 def thermal_brillouin_cross_section(medium: FluidMedium,
@@ -425,15 +406,15 @@ def thermal_brillouin_cross_section(medium: FluidMedium,
     T = cfg.temperature or medium.default_temperature
     pol = _overlap(cfg.theta, cfg.pol)
     omega, drho, cs, rho0 = cfg.omega, medium.drho, medium.cs, medium.rho0
+    if drho == 0.0:  # an exact 0, whatever the range of the other factors
+        return CrossSectionValue(0.0, "thermal-brillouin", pol)
     omega2 = omega * omega
-    # Plain where every partial product is normal: each unchecked one is bounded by checked ones.
+    # Every partial product is normal: each unchecked one is bounded by checked ones.
     if ((y := _THERMAL * omega2 * omega2) >= TINY and (t := y * T) >= TINY
             and (u := t * drho * drho) >= TINY and (x := u / cs / cs) >= TINY
             and TINY <= (z := x / rho0) < math.inf):
         return CrossSectionValue(z * pol, "thermal-brillouin", pol)
-    return CrossSectionValue(_apart(_THERMAL, (
-        (omega, 2), (omega, 2), (T, 1), (drho, 1), (drho, 1), (cs, -1), (cs, -1), (rho0, -1)),
-        pol, _AT_OMEGA, "thermal_brillouin_cross_section", medium, cfg), "thermal-brillouin", pol)
+    raise out_of_range(_AT_OMEGA, "thermal_brillouin_cross_section", medium, cfg)
 
 
 def thermal_total_cross_section(medium: FluidMedium,
@@ -453,15 +434,16 @@ def thermal_total_cross_section(medium: FluidMedium,
         raise MissingPropertyError("deps_dt", medium.name)
     T = cfg.temperature or medium.default_temperature
     pol = _overlap(cfg.theta, cfg.pol)
-    # The bracket drho^2 / cs^2 + T deps_dt^2 / cp over its larger nonzero term's power of 2.
-    (d, ed), (c, ec), (t, et), (p, ep), (q, eq) = map(
-        math.frexp, (medium.drho, medium.cs, T, medium.cp, medium.deps_dt))
-    b1, e1, b2, e2 = d * d / c / c, 2 * (ed - ec), t / p * q * q, et - ep + 2 * eq
-    top = e1 if not b2 or (b1 and e1 > e2) else e2
-    bracket = math.ldexp(b1, e1 - top) + math.ldexp(b2, e2 - top)
-    return CrossSectionValue(_apart(_THERMAL, (
-        (cfg.omega, 2), (cfg.omega, 2), (T, 1), (bracket, 1), (medium.rho0, -1)), pol, _AT_OMEGA,
-        "thermal_total_cross_section", medium, cfg, e=top), "thermal-total", pol)
+    omega2, drho, cs, deps_dt = cfg.omega * cfg.omega, medium.drho, medium.cs, medium.deps_dt
+    # The bracket's terms drho^2 / cs^2 and T deps_dt^2 / cp: each is 0 by its zero factor,
+    # or its first and last partial products are normal and bound the one between.
+    d2, s = drho * drho, T / medium.cp
+    b1, b2 = d2 / cs / cs, s * deps_dt * deps_dt
+    if ((not drho or d2 >= TINY and b1 >= TINY) and (not deps_dt or s >= TINY and b2 >= TINY)
+            and (y := _THERMAL * omega2 * omega2) >= TINY and (t := y * T) >= TINY
+            and (u := t * (b1 + b2)) >= TINY and TINY <= (z := u / medium.rho0) < math.inf):
+        return CrossSectionValue(z * pol, "thermal-total", pol)
+    raise out_of_range(_AT_OMEGA, "thermal_total_cross_section", medium, cfg)
 
 
 def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
@@ -471,7 +453,7 @@ def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
     / [rho0 (d eps/d rho0)_S]^2.  Polarization factors cancel in the
     quotient, as does rho0 on its own: only the product drho enters.
     Grows linearly with frequency, falls as 1/T.  Raises FluctusError
-    where drho**2 is 0 and the ratio is undefined, and outside the
+    where drho is 0 and the ratio is undefined, and outside the
     classical thermal line's domain x = hbar Omega_q / kB T <= 0.1
     (Omega_q = sqrt(2 (1 - cos theta)) (cs / c) omega; 1.4e-3 for water
     at 350 nm, backscatter, 295 K).
@@ -483,31 +465,22 @@ def ratio_zp_thermal(medium: FluidMedium, cfg: ScatteringConfig) -> float:
     carries drho^2.  For water at 350 nm, theta = pi and 295 K the ratio
     4.2345e-3 is x / 2 = 6.88e-4 times 6.16.
     """
-    drho2 = medium.drho * medium.drho
-    if drho2 == 0.0:  # also catches a drho whose square underflows
+    if medium.drho == 0.0:
         raise FluctusError(
-            f"ratio_zp_thermal: material '{medium.name}' has drho = {medium.drho!r}, "
-            "whose square is 0; the thermal Brillouin cross section vanishes and the "
-            "ratio is undefined"
+            f"ratio_zp_thermal: material '{medium.name}' has drho = {medium.drho!r}; "
+            "the thermal Brillouin cross section vanishes and the ratio is undefined"
         )
     T = cfg.temperature or medium.default_temperature
     a, omega, cs, eta2 = _angular(cfg.theta), cfg.omega, medium.cs, medium.eta * medium.eta
-    # Plain where every partial is normal (s < 1/2: x bounds a w) and 2 x = hbar Omega_q / kB T
-    # is in the domain; over T alone, as 2 kB T underflows to 0 for T below ~2e-301 K.
-    if ((h := _HBAR_2KB * omega) >= TINY and (w := h / T) >= TINY
-            and (s := cs / C_LIGHT) >= TINY and (x := a * w * s) >= TINY
-            and x + x <= _RATIO_X_MAX
-            and TINY <= drho2 < math.inf and (value := x * eta2 * eta2 / drho2) < math.inf):
-        return value
-    # cs 2**128 / c is normal for every cs, and has the bits of cs / c where that is normal.
-    factors = ((omega, 1), (T, -1), (a, 1), (math.ldexp(cs, 128) / C_LIGHT, 1))
-    try:  # x with its exponents apart, in the plain x's order; one that overflows is over
-        x = _apart(2.0 * _HBAR_2KB, factors, 1.0, "x", e=-128)
-    except FluctusError:
-        x = math.inf
-    if x > _RATIO_X_MAX:
+    # 2 x = hbar Omega_q / kB T, over T alone, as 2 kB T underflows to 0 for T below ~2e-301 K.
+    x = a * (w := (h := _HBAR_2KB * omega) / T) * (s := cs / C_LIGHT)
+    if x + x > _RATIO_X_MAX:
         raise FluctusError(_AT_OMEGA.format("ratio_zp_thermal", medium, cfg)
-                           + f": x = hbar Omega_q / kB T = {x:.6g} is above {_RATIO_X_MAX}, "
+                           + f": x = hbar Omega_q / kB T = {x + x:.6g} is above {_RATIO_X_MAX}, "
                            "the classical thermal line's domain")
-    return _apart(_HBAR_2KB, (*factors, (medium.eta, 2), (medium.eta, 2), (medium.drho, -2)),
-                  1.0, _AT_OMEGA, "ratio_zp_thermal", medium, cfg, e=-128)
+    # Every partial product is normal (s < 1/2: x bounds a w).
+    if (h >= TINY and w >= TINY and s >= TINY and x >= TINY
+            and (drho2 := medium.drho * medium.drho) >= TINY
+            and TINY <= (value := x * eta2 * eta2 / drho2) < math.inf):
+        return value
+    raise out_of_range(_AT_OMEGA, "ratio_zp_thermal", medium, cfg)

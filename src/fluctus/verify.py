@@ -156,8 +156,9 @@ def verify_lattice() -> list[CheckResult]:
         tolerance=0.0,
         achieved=largest_increase,
         passed=study.monotone,
-        detail=" ".join(f"N={n}:{e:.3e}" for n, e in study.rows)
-               + " (achieved is the largest step increase; negative when monotone)")]
+        detail=" ".join(f"N={n}:{e:+.3e}" for (n, _), e in zip(study.rows, study.signed))
+               + " (signed, lattice - continuum over |continuum|; achieved is the largest"
+                 " step increase of |error|, negative when monotone)")]
     lo, hi = LATTICE_SLOPE_BAND
     centre = (lo + hi) / 2.0
     # Exact for slopes in [2.125, 8.5] (Sterbenz), so this gate is lo <= slope <= hi.

@@ -263,10 +263,12 @@ def test_a_damping_length_past_every_mode_sums_to_zero_without_overflow():
 @pytest.mark.parametrize("dx", [[1e150, 0.0, 0.0], [1e199, 0.0, 0.0]], ids=["L/1e50", "L/10"])
 def test_a_huge_box_folds_and_scales_in_units_of_the_side(dx):
     # L**3 raised OverflowError, and |dx| = L/10 overflowed in the norm; the
-    # value, ~1e-31 / L^4, underflows to 0 without a numpy warning
+    # value, ~1e-31 / L^4, is below the normal range: refused, without a numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert lattice_correlator(WATER, ModeGrid(L=1e200, N=8), dx, 1e198) == 0.0
+        with pytest.raises(FluctusError, match=r"^lattice_correlator at L = 1e\+200 m, .* is "
+                                               r"outside the float range$"):
+            lattice_correlator(WATER, ModeGrid(L=1e200, N=8), dx, 1e198)
 
 
 def test_a_displacement_beyond_the_float_range_in_units_of_the_side_aliases():
@@ -276,9 +278,10 @@ def test_a_displacement_beyond_the_float_range_in_units_of_the_side_aliases():
             lattice_correlator(WATER, ModeGrid(L=1e-300, N=8), [1e300, 0.0, 0.0], 1.0)
 
 
-def test_a_continuum_that_underflows_leaves_the_study_ill_posed():
-    # the continuum underflows to 0 at r = 1e80 m: a ZeroDivisionError before
-    with pytest.raises(IllPosedStudyError, match=r"r = 1e\+80 m: the continuum value underflows"):
+def test_a_continuum_below_the_normal_range_is_refused_by_name():
+    # the continuum at r = 1e80 m is far below the normal range: it was a
+    # ZeroDivisionError, then an ill-posed study once it underflowed to 0
+    with pytest.raises(FluctusError, match=r"^regulated_integrand_reduction at r = 1e\+80 m, "):
         convergence_study(WATER, r=1e80)
 
 
@@ -290,9 +293,10 @@ THIN = fluid_medium("thin", rho0=1e-300, cs=1480.0, eta=1.4, drho=0.79)
     lambda m: regulated_integrand_reduction(m, 1e-12, 0.0, 1e-13),
     lambda m: damped_closed_form(m, 1e-12, 0.0, 1e-13),
 ], ids=["lattice", "spectral", "damped-closed-form"])
-def test_a_tiny_density_scales_the_value_instead_of_underflowing(call):
-    # the value is linear in rho0 and ~1e-289 here, well inside the float
-    # range; forming hbar * rho0 first underflowed it to -0.0
-    expected = call(WATER) * (THIN.rho0 / WATER.rho0)
-    assert expected != 0.0
-    assert call(THIN) == pytest.approx(expected, rel=1e-12, abs=0.0)
+def test_a_tiny_density_is_refused_by_name(call):
+    # the value is ~1e-289, but hbar * rho0 = 1e-334 is below the normal range:
+    # it underflowed to -0.0, and later was formed with the exponents apart
+    assert call(WATER) != 0.0
+    with pytest.raises(FluctusError, match=r"^(lattice_correlator|regulated_integrand_reduction"
+                                           r"|damped_closed_form) at .* outside the float range$"):
+        call(THIN)

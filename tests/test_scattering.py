@@ -5,10 +5,11 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from fluctus.correlator import zero_point_structure_factor
+from fluctus.correlator import (Separation, boundary_correlator, correlator, scalar_field_analog,
+                                zero_point_structure_factor)
 from fluctus.errors import FluctusError, MaterialValidationError, MissingPropertyError
 from fluctus import scattering
-from fluctus.medium import C_LIGHT, HBAR, K_B, FluidMedium, builtin_material, fluid_medium
+from fluctus.medium import C_LIGHT, HBAR, K_B, builtin_material, fluid_medium
 from fluctus.scattering import (
     Polarization,
     ScatteringConfig,
@@ -223,22 +224,6 @@ def test_chain_is_its_pieces_arithmetic():
         assert zp_cross_section_chain(medium, cfg, volume=0.5).value == expected, (medium, cfg)
 
 
-def test_the_second_pass_builds_no_medium(monkeypatch):
-    # at rho0 = 1e-300 and omega = 1e17 the plain rate overflows, so the chain runs again
-    # at rho0's mantissa, which it hands to the pieces as a number
-    thin = fluid_medium("thin", rho0=1e-300, cs=1480.0, eta=1.33, drho=0.79)
-    cfg = benchmark_config(omega=1e17)
-    passes, built = [], []
-    golden_rule, post_init = scattering._golden_rule, FluidMedium.__post_init__
-    monkeypatch.setattr(scattering, "_golden_rule",
-                        lambda *args: passes.append(args) or golden_rule(*args))
-    monkeypatch.setattr(FluidMedium, "__post_init__",
-                        lambda self: built.append(self) or post_init(self))
-    value = zp_cross_section_chain(thin, cfg).value
-    assert len(passes) == 2 and built == []
-    assert value == pytest.approx(zp_cross_section_exact(thin, cfg).value, rel=1e-12, abs=0)
-
-
 def test_crossed_polarization_kills_everything():
     cfg = benchmark_config(pol=Polarization.CROSSED)
     assert zp_cross_section_chain(WATER, cfg).value == 0.0
@@ -342,31 +327,32 @@ def test_brillouin_term_is_first_term_of_total():
     assert rayleigh > 0.0
 
 
-def test_thermal_lines_survive_a_partial_product_beyond_the_float_range():
-    # drho^2 / cs^2 = 1e320 overflows before rho0 = 1e300 brings the value back;
-    # the same medium with cs * 2**500 and rho0 * 2**-1000 has the same values
+def test_thermal_lines_refuse_a_partial_product_beyond_the_float_range():
+    # drho^2 / cs^2 = 1e320 overflows before rho0 = 1e300 would bring the value
+    # (2.7e26) back; the same medium with cs * 2**500 and rho0 * 2**-1000 answers
     slow = fluid_medium("slow", rho0=1e300, cs=1e-160, eta=1.0, drho=1.0, cp=4180.0,
                         deps_dt=-1e-4)
     same = fluid_medium("slow", rho0=math.ldexp(1e300, -1000), cs=math.ldexp(1e-160, 500),
                         eta=1.0, drho=1.0, cp=4180.0, deps_dt=-1e-4)
     cfg = ScatteringConfig(omega=omega_from_wavelength(350e-9), theta=1.0)
-    brillouin = thermal_brillouin_cross_section(slow, cfg).value
-    assert brillouin == pytest.approx(thermal_brillouin_cross_section(same, cfg).value,
-                                      rel=1e-15, abs=0)
-    assert brillouin == pytest.approx(2.678754210275111e26, rel=1e-15, abs=0)
-    # the entropy line, T deps_dt^2 / cp, is about 7e-330 of the Brillouin term here
-    assert thermal_total_cross_section(slow, cfg).value == pytest.approx(brillouin, rel=1e-15,
-                                                                          abs=0)
+    for formula in (thermal_brillouin_cross_section, thermal_total_cross_section):
+        with pytest.raises(FluctusError, match=re.escape(
+                f"{formula.__name__} for 'slow' at omega = 5.38186e+15 rad/s is outside the "
+                "float range")):
+            formula(slow, cfg)
+        assert formula(same, cfg).value == pytest.approx(2.678754210275111e26, rel=1e-15, abs=0)
 
 
 def test_thermal_total_without_drho_is_independent_of_cs():
     # with drho = 0 the bracket is T deps_dt^2 / cp alone; at cs = 1e-160 the zero
-    # term drho^2 / cs^2 set the bracket's power of two, and the value was 0.0
-    cfg = ScatteringConfig(omega=1e95, theta=1.0, temperature=300.0)
+    # term drho^2 / cs^2 once set the bracket's power of two, and the value was 0.0
+    cfg = ScatteringConfig(omega=omega_from_wavelength(350e-9), theta=1.0, temperature=300.0)
     values = [thermal_total_cross_section(fluid_medium("z", rho0=1e20, cs=cs, eta=1.0, drho=0.0,
                                                        cp=4180.0, deps_dt=-1e-4), cfg).value
               for cs in (1e-160, 1480.0)]
-    assert values[0] == values[1] == pytest.approx(2.330488534219703e294, rel=1e-15, abs=0)
+    expected = (K_B / (16.0 * math.pi**2 * C_LIGHT**4) * cfg.omega**4 * 300.0
+                * (300.0 / 4180.0 * 1e-8) / 1e20)
+    assert values[0] == values[1] == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 def test_default_temperature_comes_from_the_medium():
@@ -424,14 +410,6 @@ def test_ratio_scales_linearly_in_omega_and_inverse_t(scale_w, scale_t):
         pytest.approx(value * scale_w / scale_t, rel=1e-12, abs=0)
 
 
-def test_ratio_scales_exactly_where_drho_squared_is_subnormal():
-    # drho^2 = 0.62 * 2**-1030 is subnormal: its lost bits made the ratio 2.5e-15 off
-    small = fluid_medium("small", rho0=WATER.rho0, cs=WATER.cs, eta=WATER.eta,
-                         drho=math.ldexp(WATER.drho, -515))
-    assert ratio_zp_thermal(small, benchmark_config()) == \
-        math.ldexp(ratio_zp_thermal(WATER, benchmark_config()), 1030)
-
-
 def test_ratio_is_independent_of_rho0_at_fixed_drho():
     heavy = fluid_medium("heavy", rho0=5 * WATER.rho0, cs=WATER.cs,
                          eta=WATER.eta, drho=WATER.drho)
@@ -465,8 +443,9 @@ def test_a_subnormal_angle_keeps_its_bits():
 
 
 def test_ratio_rejects_vanishing_drho():
-    # 1e-200 is nonzero but its square underflows to 0
-    for drho in (0.0, 1e-200):
+    # a zero drho of either sign; a drho whose square is below the normal
+    # range is refused as out of range instead (test_out_of_range_result_is_a_typed_error)
+    for drho in (0.0, -0.0):
         flat = fluid_medium("flat", rho0=997.0, cs=1480.0, eta=1.4, drho=drho)
         with pytest.raises(FluctusError, match="^ratio_zp_thermal: .*ratio is undefined"):
             ratio_zp_thermal(flat, benchmark_config())
@@ -553,9 +532,13 @@ def test_the_fastest_valid_sound_keeps_omega_prime_positive(omega, theta):
 
 @pytest.mark.parametrize("formula", [zp_cross_section_exact, zp_cross_section_chain])
 def test_omega_prime_below_the_float_resolution_is_refused_by_name(formula):
-    # a subnormal omega has too few digits: omega' rounds to 0
+    # a subnormal omega has too few digits: omega' rounds to 0, which the
+    # kinematics refuse as outside the normal range
     cfg = ScatteringConfig(omega=1e-310, theta=math.pi)
-    assert phonon_kinematics(_HALF_C, cfg).omega_prime == 0.0
+    assert scattering._shift(_HALF_C, cfg.omega, cfg.theta)[0] == 0.0
+    with pytest.raises(FluctusError, match=re.escape(
+            "phonon_kinematics for 'half-c' at omega = 1e-310 rad/s is outside the float range")):
+        phonon_kinematics(_HALF_C, cfg)
     with pytest.raises(FluctusError, match=re.escape(
             f"{formula.__name__} for 'half-c' at omega = 1e-310 rad/s: ")):
         formula(_HALF_C, cfg)
@@ -586,6 +569,14 @@ def test_ratio_is_refused_beyond_its_classical_domain():
 
 
 _HEAVY = fluid_medium("heavy", rho0=1e300, cs=1480.0, eta=1.4, drho=0.79)
+_LIGHT = fluid_medium("light", rho0=1e-300, cs=1480.0, eta=1.33, drho=0.79)
+
+
+def _rho0(medium, rho0):
+    return fluid_medium(medium.name, rho0=rho0, cs=medium.cs, eta=medium.eta, drho=medium.drho)
+
+
+_WATER_2M1010 = _rho0(WATER, math.ldexp(997.0, -1010))
 
 
 @pytest.mark.parametrize("call, argument", [
@@ -612,10 +603,57 @@ def test_non_finite_library_input_is_refused_by_name(call, argument):
     (lambda: density_of_states(1.0, 1e300, 1.0), "density_of_states"),  # epsilon0**1.5
     (lambda: incident_flux(1.0, 5e-324), "incident_flux"),
     (lambda: incident_flux(1e-10, 5e-324), "incident_flux"),  # the box underflows to 0
+    # Exact values exist outside the normal range, and each is refused: eps0^1.5 = eta^3
+    # overflows, drho^2 = 1e-340 underflows, and c|dt| overflows.
+    (lambda: zp_cross_section_chain(fluid_medium("d", rho0=997.0, cs=1480.0, eta=1e103,
+                                                 drho=0.79),
+                                    ScatteringConfig(omega=1e-40, theta=1.0)),
+     "^zp_cross_section_chain for 'd' at omega = 1e-40 rad/s is outside the float range$"),
+    (lambda: ratio_zp_thermal(fluid_medium("d", rho0=997.0, cs=1480.0, eta=1.4, drho=1e-170),
+                              benchmark_config()),
+     "^ratio_zp_thermal for 'd' at omega = 5.38186e\\+15 rad/s is outside the float range$"),
+    (lambda: correlator(WATER, Separation(1e-9, 1e306)),
+     r"^correlator at r = 1e-09 m, c\*\|dt\| = inf m is outside the float range$"),
+    # Subnormal values, which were returned.
+    (lambda: matrix_element_sq(WATER, 1.0, 1.0, 1.0, 1e200, 1.0), "matrix_element_sq"),
+    (lambda: density_of_states(1e-160, 1.0, 1.0), "density_of_states"),
+    # Normal values that a partial product takes outside the normal range, which were
+    # formed with the factors' exponents apart (the value is noted where it helps).
+    (lambda: correlator(_WATER_2M1010, Separation(1e-9, 2e-13)), "correlator"),  # -5.5e-304
+    (lambda: boundary_correlator(_WATER_2M1010, 1e-9, 3e-9), "correlator"),
+    (lambda: zero_point_structure_factor(_rho0(WATER, math.ldexp(997.0, -925)), 1e7),
+     "zero_point_structure_factor"),
+    (lambda: adiabatic_compressibility(_rho0(WATER, math.ldexp(997.0, -1040))),
+     "adiabatic_compressibility"),                       # 1 / rho0 overflows; 5.4e303
+    (lambda: thermal_total_cross_section(fluid_medium("z", rho0=1e20, cs=1e-160, eta=1.0,
+                                                     drho=0.0, cp=4180.0, deps_dt=-1e-4),
+                                        ScatteringConfig(1e95, 1.0, temperature=300.0)),
+     "thermal_total_cross_section"),                     # omega^4 overflows; 2.3e294
+    (lambda: zp_cross_section_reduced(fluid_medium("slow", rho0=1.0, cs=1e-64, eta=1.0,
+                                                   drho=0.0),
+                                      ScatteringConfig(4.8e64, 1.0, Polarization.PARALLEL)),
+     "zp_cross_section_reduced"),                        # x / rho0 overflows before pol
+    (lambda: zp_cross_section_exact(_LIGHT, ScatteringConfig(math.ldexp(1e6, -182), 1.0)),
+     "zp_cross_section_exact"),
+    (lambda: zp_cross_section_chain(_LIGHT, ScatteringConfig(math.ldexp(1e6, -254), 1.0)),
+     "zp_cross_section_chain"),
+    (lambda: thermal_brillouin_cross_section(_rho0(_LIGHT, 1e-40), ScatteringConfig(
+        1e-64, 1.0, temperature=300.0)), "thermal_brillouin_cross_section"),  # 9.25e-280
+    (lambda: ratio_zp_thermal(fluid_medium("d", rho0=1.0, cs=1.0, eta=1e66, drho=1.0),
+                              ScatteringConfig(math.ldexp(1.0, -957), 2.0, temperature=1.0)),
+     "ratio_zp_thermal"),
+    (lambda: scalar_field_analog(1e-100, Separation(1e-140)), "correlator"),
+    (lambda: scalar_field_analog(1e120, Separation(1e110)), "correlator"),
+    (lambda: scalar_field_analog(2.0**-1062, Separation(0.0, -2.0**-13)), "correlator"),
 ], ids=["omega-tiny-wavelength", "structure-factor-heavy", "matrix-element-omega",
-        "dos-omega", "dos-epsilon0", "flux-tiny-volume", "flux-zero-box"])
-def test_overflowing_library_result_is_a_typed_error(call, name):
-    # a finite value or a FluctusError naming the function, never inf
+        "dos-omega", "dos-epsilon0", "flux-tiny-volume", "flux-zero-box", "chain-eta-1e103",
+        "ratio-drho-1e-170", "correlator-cdt-inf", "matrix-element-subnormal",
+        "dos-subnormal", "correlator-tiny-rho0", "boundary-tiny-rho0",
+        "structure-factor-tiny-rho0", "beta-s-tiny-rho0", "total-omega", "reduced-omega",
+        "exact-light", "chain-light", "brillouin-light", "ratio-eta", "analog-slow",
+        "analog-fast", "analog-cdt"])
+def test_library_result_outside_the_normal_range_is_a_typed_error(call, name):
+    # a normal value or a FluctusError naming the function, never inf or a subnormal
     with pytest.raises(FluctusError, match=name):
         call()
 

@@ -244,12 +244,12 @@ def test_damping_past_every_node_is_refused_without_overflow():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("r", [1e200, 1e300])
-def test_extrapolation_far_away_underflows_to_a_finite_zero(r):
+def test_extrapolation_far_away_is_refused_by_name(r):
     # the integral is computed in units of r, so only the final scaling
-    # underflows, to zero, never to nan
-    est = extrapolated_correlator(WATER, r, 0.0)
-    assert est.value == 0.0
-    assert est.error_estimate == 0.0
+    # leaves the normal range: refused, never nan (it underflowed to 0 once)
+    with pytest.raises(FluctusError, match=re.escape(
+            f"extrapolated_correlator at r = {r!r} m, dt = 0.0 s is outside the float range")):
+        extrapolated_correlator(WATER, r, 0.0)
 
 
 @pytest.mark.filterwarnings("error")

@@ -56,7 +56,8 @@ def test_a_deviation_from_a_generator_is_not_lost():
 
 def _monotone_check(monkeypatch, errors):
     study = lattice.ConvergenceStudy(L=1.0, r=1.0, eps=0.125, continuum=1.0,
-                                     rows=tuple(zip((64, 128, 256), errors)), slope=4.25)
+                                     rows=tuple(zip((64, 128, 256), errors)), slope=4.25,
+                                     signed=errors)
     monkeypatch.setattr(lattice, "convergence_study", lambda medium, r: study)
     return verify.verify_lattice()[0]
 
